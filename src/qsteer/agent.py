@@ -8,6 +8,10 @@ available: the single-network rule (the bootstrap maximum comes from the
 network being trained) and the double rule (the trained network picks the
 bootstrap action, a slowly blended target network values it).
 
+Episodes are collected in lockstep: the episodes of a training step (or
+a block of evaluation episodes) advance together through one batched
+environment step and one batched forward pass per step.
+
 Reproducibility: every episode draws its generator from a counter-based
 seed split of the master seed, so results are independent of collection
 order; replay sampling has its own stream. Two runs with the same
@@ -16,13 +20,14 @@ configuration and master seed produce identical logs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import EnvConfig, QSEEnv, encoding_length
+from .env import CONTINUE, FATAL, OUTCOMES, SUCCESS, EnvConfig, QSEEnv, encoding_length
 from .errors import NonFiniteLoss
 from .network import (
     AdamState,
@@ -199,14 +204,28 @@ def epsilon_at(step: int, cfg: AgentConfig) -> float:
     return max(cfg.eps_min, cfg.eps_start - step * span / cfg.decay_steps)
 
 
-def select_action(params: MLPParams, s: np.ndarray, eps: float,
-                  rng: np.random.Generator) -> int:
-    """Epsilon-greedy choice; greedy ties break toward the lowest index."""
+def select_action(params: MLPParams, s: np.ndarray, eps: float, rng):
+    """Epsilon-greedy choice; greedy ties break toward the lowest index.
+
+    For one state s (1-D) and one generator rng, returns an int. For a
+    batch of states (2-D) and one generator per row, returns an array of
+    actions; every greedy row shares one forward pass. Each generator
+    draws random() when eps > 0, then integers(7) if it explores.
+    """
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if eps > 0 and rng.random() < eps:
-        return int(rng.integers(7))
-    return int(np.argmax(forward(params, s)))
+    if np.ndim(s) == 1:
+        return int(select_action(params, np.asarray(s)[None], eps, [rng])[0])
+    actions = np.zeros(len(s), dtype=np.int64)
+    greedy = np.ones(len(s), dtype=bool)
+    if eps > 0:
+        for i, g in enumerate(rng):
+            if g.random() < eps:
+                actions[i] = g.integers(7)
+                greedy[i] = False
+    if greedy.any():
+        actions[greedy] = forward(params, s[greedy]).argmax(axis=1)
+    return actions
 
 
 def dqn_targets(batch, main: MLPParams, gamma: float) -> np.ndarray:
@@ -227,45 +246,78 @@ def ddqn_targets(batch, main: MLPParams, target: MLPParams, gamma: float) -> np.
     return r + gamma * q_target[rows, choice] * ~terminal
 
 
+#: Episodes evaluate_policy runs in lockstep at a time; bounds the memory a
+#: long evaluation holds while still batching every step.
+EVAL_BLOCK = 64
+
+
 def _episode_seed(master_seed: int, stream: int, index: int):
     return np.random.SeedSequence((master_seed, stream, index))
 
 
-def _run_episode(env: QSEEnv, params: MLPParams, eps: float,
-                 rng: np.random.Generator, collect_stats: bool = False):
-    """One full episode; returns transitions, total reward, outcome, and
-    the per-step (action, result) pairs."""
-    state = env.reset(rng)
-    transitions: list[Transition] = []
-    trace = []
-    total = 0.0
-    outcome = "timeout"
-    while True:
-        action = select_action(params, state.encoding, eps, rng)
-        result = env.step(state, action, collect_stats=collect_stats)
-        transitions.append(Transition(state.encoding, action, result.next.encoding,
-                                      result.reward, result.done))
-        trace.append((action, result))
-        total += result.reward
-        state = result.next
-        if result.done:
-            outcome = result.outcome
-            break
-    return transitions, total, outcome, trace
+class _Episodes(NamedTuple):
+    """What a lockstep collection returns, one entry per episode."""
+
+    returns: list[float]
+    outcomes: list[str]
+    records: list[SequenceRecord]  # empty when transitions are kept
+    transitions: list[Transition]  # episode-major; empty unless kept
 
 
-def _record_from_trace(start_label: str, trace) -> SequenceRecord:
-    actions = tuple(a for a, _ in trace)
-    stats = tuple(
-        StepStats(res.success_prob, res.fidelity, res.trace_distance, res.purity)
-        for _, res in trace
-    )
-    rate = 1.0
-    for _, res in trace:
-        rate *= res.success_prob
-    last = trace[-1][1]
-    return SequenceRecord(start_label, actions, stats, rate, last.fidelity,
-                          last.outcome == "success", aborted=last.outcome == "fatal")
+def _collect(env: QSEEnv, params: MLPParams, eps: float,
+             rngs: Sequence[np.random.Generator],
+             keep_transitions: bool) -> _Episodes:
+    """Run one episode per generator, all in lockstep.
+
+    Every live episode takes its step at once: one batched action choice
+    and one ``step_batch``. Episode i's generator draws exactly as if it
+    ran alone (its reset draws, then per step random() and, when it
+    explores, integers(7)), so the result does not depend on which
+    episodes share a batch. With keep_transitions the transitions come
+    back in episode-major order and no records are built; otherwise the
+    records come back and no transitions.
+    """
+    starts = [env.reset(rng) for rng in rngs]
+    n = len(starts)
+    rho = np.stack([st.rho for st in starts])
+    enc = np.stack([st.encoding for st in starts])
+    last = [st.encoding for st in starts]  # each episode's current encoding
+    live = list(range(n))
+    totals = [0.0] * n
+    codes = [CONTINUE] * n
+    taken = [[] for _ in range(n)]  # per episode: (action, prob, fidelity)
+    kept = [[] for _ in range(n)]
+    step = 0
+    while live:
+        step += 1
+        actions = select_action(params, enc, eps, [rngs[i] for i in live])
+        out = env.step_batch(rho, actions)
+        code = env.classify(out.fidelity, out.fatal, step)
+        for j, (i, a, p, f, r, c) in enumerate(zip(
+                live, actions.tolist(), out.prob.tolist(), out.fidelity.tolist(),
+                env.rewards[code].tolist(), code.tolist())):
+            totals[i] += r
+            codes[i] = c
+            if keep_transitions:
+                kept[i].append(Transition(last[i], a, out.encoding[j], r, c != CONTINUE))
+                last[i] = out.encoding[j]
+            else:
+                taken[i].append((a, p, f))
+        go = code == CONTINUE
+        live = [i for i, g in zip(live, go) if g]
+        rho, enc = out.rho[go], out.encoding[go]
+
+    outcomes = [OUTCOMES[c] for c in codes]
+    if keep_transitions:
+        return _Episodes(totals, outcomes, [], [tr for episode in kept for tr in episode])
+    nan = float("nan")
+    records = [
+        SequenceRecord(st.start_label, tuple(a for a, _, _ in steps),
+                       tuple(StepStats(p, f, nan, nan) for _, p, f in steps),
+                       math.prod(p for _, p, _ in steps), steps[-1][2], c == SUCCESS,
+                       aborted=c == FATAL)
+        for st, steps, c in zip(starts, taken, codes)]
+    return _Episodes(totals, outcomes, records, [])
 
 
 def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
@@ -277,10 +329,11 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
     Training steps are numbered from 1. Each step collects a fixed number
     of episodes at the current epsilon, then performs the configured
     number of gradient updates (skipped until the replay holds one batch).
-    The best parameter set is the copy taken after the step with the
-    highest average episode return so far; like extracting an agent copy
-    at a performance maximum, it is the artifact worth evaluating when
-    late training oscillates. Checkpoints are written for every step
+    The best parameter set is the one that collected the episodes of the
+    step with the highest average episode return so far, copied before
+    that step's updates; like extracting an agent copy at a performance
+    maximum, it is the artifact worth evaluating when late training
+    oscillates. Checkpoints are written for every step
     listed in checkpoint_steps plus best/final copies when a directory is
     given. A diverging loss dumps state to that directory and re-raises.
     """
@@ -306,16 +359,18 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
 
     for step in range(1, agent_cfg.training_steps + 1):
         eps = epsilon_at(step - 1, agent_cfg)
-        returns = []
-        successes = 0
-        for _ in range(agent_cfg.episodes_per_training_step):
-            rng = np.random.default_rng(_episode_seed(master_seed, 1, episode_counter))
-            episode_counter += 1
-            transitions, total, outcome, _ = _run_episode(env, main, eps, rng)
-            returns.append(total)
-            successes += outcome == "success"
-            for tr in transitions:
-                replay.push(tr)
+        first = episode_counter
+        episode_counter += agent_cfg.episodes_per_training_step
+        rngs = [np.random.default_rng(_episode_seed(master_seed, 1, i))
+                for i in range(first, episode_counter)]
+        episodes = _collect(env, main, eps, rngs, keep_transitions=True)
+        successes = episodes.outcomes.count("success")
+        avg_return = float(np.mean(episodes.returns))
+        if avg_return > best_avg:
+            # the copy that collected these episodes, before this step's updates
+            best_avg, best_params, best_step = avg_return, main.clone(), step
+        for tr in episodes.transitions:
+            replay.push(tr)
 
         losses = []
         if len(replay) >= agent_cfg.batch_size:
@@ -343,7 +398,7 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
             step=step,
             epsilon=eps,
             episodes=agent_cfg.episodes_per_training_step,
-            avg_return=float(np.mean(returns)),
+            avg_return=avg_return,
             success_fraction=successes / agent_cfg.episodes_per_training_step,
             loss_mean=float(np.mean(losses)) if losses else float("nan"),
         )
@@ -351,10 +406,6 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
         if progress is not None:
             progress(row)
 
-        if row.avg_return > best_avg:
-            best_avg = row.avg_return
-            best_params = main.clone()
-            best_step = step
         if checkpoint_dir is not None and step in wanted_checkpoints:
             save_params(f"{checkpoint_dir}/checkpoint_step{step}.npz", main,
                         mlp_spec, step, extra={"master_seed": master_seed})
@@ -381,10 +432,11 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     env = QSEEnv(env_cfg)
     returns, outcomes, records = [], [], []
-    for i in range(n_episodes):
-        rng = np.random.default_rng(_episode_seed(master_seed, seed_stream, i))
-        _, total, outcome, trace = _run_episode(env, params, eps, rng)
-        returns.append(total)
-        outcomes.append(outcome)
-        records.append(_record_from_trace(trace[0][1].next.start_label, trace))
+    for first in range(0, n_episodes, EVAL_BLOCK):
+        rngs = [np.random.default_rng(_episode_seed(master_seed, seed_stream, i))
+                for i in range(first, min(first + EVAL_BLOCK, n_episodes))]
+        block = _collect(env, params, eps, rngs, keep_transitions=False)
+        returns += block.returns
+        outcomes += block.outcomes
+        records += block.records
     return EvaluationResult(returns, outcomes, records)

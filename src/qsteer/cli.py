@@ -86,9 +86,6 @@ def _fmt(x: float) -> str:
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     out = _output_dir(cfg)
-    if cfg.workers > 1:
-        print(f"note: workers={cfg.workers} requested; collection runs serially "
-              f"(results are identical by the seed-splitting scheme)", file=sys.stderr)
 
     def progress(row):
         if args.verbose and (row.step % 50 == 0 or row.step == 1):
@@ -125,7 +122,10 @@ def _env_with_start(cfg: RunConfig, start: str | None) -> EnvConfig:
         return cfg.env
     if start == "random":
         return _replace_env(cfg.env, start_mode="random_pure", custom_start=None)
-    v = start_state_vector(start)
+    try:
+        v = start_state_vector(start)
+    except ValueError as exc:
+        raise ConfigError(f"--start: {exc}") from exc
     return _replace_env(cfg.env, start_mode="fixed_custom",
                         custom_start=(complex(v[0]), complex(v[1])))
 
@@ -138,9 +138,9 @@ def cmd_evaluate(args) -> int:
     cfg = parse_config(args.config)
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+    env_cfg = _env_with_start(cfg, args.start)
     out = _output_dir(cfg)
     params, _spec, meta = load_params(args.checkpoint, expected_spec=cfg.mlp)
-    env_cfg = _env_with_start(cfg, args.start)
 
     runs = [("trained", args.eps)]
     if args.baseline:
@@ -206,6 +206,8 @@ def cmd_replay(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = parse_config(args.config)
+    if args.max_len < 0:
+        raise ConfigError(f"--max-len must be >= 0, got {args.max_len}")
     records = exhaustive_search(args.max_len, args.target, cfg.env,
                                 rate_cutoff=args.rate_cutoff)
     out = _output_dir(cfg)

@@ -32,7 +32,6 @@ class RunConfig:
     master_seed: int = 0
     checkpoint_steps: tuple[int, ...] = ()
     output_dir: str = "runs/default"
-    workers: int = 1
 
 
 class _Section:
@@ -170,9 +169,6 @@ def parse_config_text(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"mlp: {exc}") from exc
 
-    workers = run_s.get_int("workers", 1)
-    if workers < 1:
-        raise ConfigError(f"run.workers: must be >= 1, got {workers}")
     return RunConfig(
         model=model,
         env=env,
@@ -181,7 +177,6 @@ def parse_config_text(text: str) -> RunConfig:
         master_seed=run_s.get_int("master_seed", 0),
         checkpoint_steps=run_s.get_ints("checkpoint_steps", ()),
         output_dir=run_s.get_str("output_dir", "runs/default"),
-        workers=workers,
     )
 
 
@@ -243,7 +238,6 @@ def serialize_config(cfg: RunConfig) -> str:
     lines.append(f"master_seed = {cfg.master_seed}")
     lines.append(f"checkpoint_steps = {', '.join(str(s) for s in cfg.checkpoint_steps)}")
     lines.append(f"output_dir = {cfg.output_dir}")
-    lines.append(f"workers = {cfg.workers}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,16 +11,21 @@ The observed state is the full density matrix, flattened losslessly to a
 real vector (Hermiticity plus unit trace make the on-and-above-diagonal
 entries, minus one diagonal element, a complete parameterization). With
 two bath spins that is 70 numbers.
+
+``QSEEnv.step_batch`` advances a stack of states by one step each, with
+one conjugation ``M rho M^dagger`` per row (``M = P U`` for a projection,
+``U`` for doing nothing); ``QSEEnv.step`` is its one-row form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EpisodeFinished, NormalizationUnderflow
+from .errors import EpisodeFinished
 from .linalg import partial_trace_first
 from .model import (
     BELL_NAMES,
@@ -44,6 +49,8 @@ __all__ = [
     "EnvConfig",
     "EnvState",
     "StepResult",
+    "BatchStep",
+    "OUTCOMES",
     "QSEEnv",
     "encoding_length",
     "encode_state",
@@ -60,6 +67,10 @@ DO_NOTHING = 6
 _PROJECTOR_SPEC = (("z", "+"), ("z", "-"), ("x", "+"), ("x", "-"), ("y", "+"), ("y", "-"))
 
 START_MODES = ("fixed_xplus", "random_pure", "fixed_custom")
+
+#: Outcome code -> name, as returned by ``QSEEnv.classify``.
+OUTCOMES = ("continue", "success", "timeout", "fatal")
+CONTINUE, SUCCESS, TIMEOUT, FATAL = range(4)
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,21 @@ class StepResult:
     purity: float = float("nan")
 
 
+class BatchStep(NamedTuple):
+    """One step of a stack of states; row i belongs to input row i.
+
+    A fatal row (branch probability at or below the floor) holds the
+    evolved, unprojected state and a NaN fidelity.
+    """
+
+    rho: np.ndarray       # (N, dim, dim)
+    encoding: np.ndarray  # (N, encoding_length(dim))
+    bath: np.ndarray      # (N, 4, 4) reduced state of the two bath spins
+    prob: np.ndarray      # (N,) branch probability, exactly 1 when idle
+    fidelity: np.ndarray  # (N,) bath fidelity to the target
+    fatal: np.ndarray     # (N,) bool
+
+
 def encoding_length(dim: int) -> int:
     """Real numbers needed for a dim x dim density matrix: dim*(dim+1) - 2."""
     return dim * (dim + 1) - 2
@@ -145,13 +171,13 @@ def _triu_indices(dim: int):
 def encode_state(rho: np.ndarray) -> np.ndarray:
     """Flatten rho to reals: on-and-above-diagonal entries in row-major
     order, last diagonal entry dropped, each complex entry emitted as a
-    (real, imaginary) pair."""
-    dim = rho.shape[0]
+    (real, imaginary) pair. Leading axes of a stack of matrices are kept."""
+    dim = rho.shape[-1]
     iu, ju = _triu_indices(dim)
-    entries = rho[iu, ju]
-    out = np.empty(2 * len(entries))
-    out[0::2] = entries.real
-    out[1::2] = entries.imag
+    entries = rho[..., iu, ju]
+    out = np.empty(entries.shape[:-1] + (2 * entries.shape[-1],))
+    out[..., 0::2] = entries.real
+    out[..., 1::2] = entries.imag
     return out
 
 
@@ -197,6 +223,17 @@ class QSEEnv:
         )
         self.target_vector = bell_state(cfg.target)
         self.target_matrix = np.outer(self.target_vector, self.target_vector.conj())
+        # branch operator per action index: P_a U for a projection, U for idle
+        self._step_ops = np.stack([p.matrix @ self.propagator for p in self.projectors]
+                                  + [self.propagator])
+        self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
+        self._fixed_start = None
+        if cfg.start_mode != "random_pure":
+            central, label = self._start(None)
+            rho = central_product_state(central, n)
+            enc = encode_state(rho)
+            rho.flags.writeable = enc.flags.writeable = False
+            self._fixed_start = (enc, rho, label)
 
     # -- start states -------------------------------------------------
 
@@ -217,55 +254,71 @@ class QSEEnv:
         return v, _label_for(v)
 
     def reset(self, rng: np.random.Generator | None = None) -> EnvState:
-        central, label = self._start(rng)
-        rho = central_product_state(central, self.cfg.model.n_bath)
-        return EnvState(
-            encoding=encode_state(rho), rho=rho, step_count=0, done=False,
-            start_label=label,
-        )
+        """Start state of a new episode. A fixed start is built once per
+        instance and shared read-only; a random start draws from rng."""
+        if self._fixed_start is not None:
+            enc, rho, label = self._fixed_start
+        else:
+            central, label = self._start(rng)
+            rho = central_product_state(central, self.cfg.model.n_bath)
+            enc = encode_state(rho)
+        return EnvState(encoding=enc, rho=rho, step_count=0, done=False,
+                        start_label=label)
 
     # -- dynamics ------------------------------------------------------
 
-    def step(self, state: EnvState, action: int, collect_stats: bool = False) -> StepResult:
-        """Evolve for tau, apply the chosen action, and score the result.
+    def step_batch(self, rho: np.ndarray, actions) -> BatchStep:
+        """Evolve each state for tau and apply its action, all in one pass.
 
-        Exactly one of the four reward cases fires: success (bath fidelity
-        above theta), continue, timeout (step budget exhausted), or fatal
-        (measurement branch probability at or below the floor).
+        rho is an (N, dim, dim) stack and actions N action indices. Each
+        row's result is bit-identical whatever the stack around it. An idle
+        row's state is renormalized by its trace, which differs from 1 only
+        by round-off, and its probability reads exactly 1.
         """
+        actions = np.asarray(actions, dtype=np.intp)
+        if actions.size and not 0 <= actions.min() <= actions.max() < ACTION_COUNT:
+            raise ValueError(f"action indices must be in [0, {ACTION_COUNT}), got {actions}")
+        out, prob = measure(rho, self._step_ops[actions], self.cfg.floor)
+        prob[actions == DO_NOTHING] = 1.0
+        fatal = prob <= self.cfg.floor
+        if fatal.any():
+            out[fatal] = self.propagator @ rho[fatal] @ self._propagator_dag
+        bath = partial_trace_first(out, 2)
+        fid = fidelity_to_pure(bath, self.target_vector)
+        fid[fatal] = np.nan
+        return BatchStep(out, encode_state(out), bath, prob, fid, fatal)
+
+    def classify(self, fidelity: np.ndarray, fatal: np.ndarray, step_count) -> np.ndarray:
+        """Outcome codes (indices into OUTCOMES) of steps that ended after
+        step_count steps; ``self.rewards[code]`` is each step's reward.
+
+        Exactly one of the four cases fires: fatal (branch probability at
+        or below the floor), success (bath fidelity above theta), continue,
+        or timeout (step budget exhausted).
+        """
+        code = np.where(fidelity > self.cfg.theta, SUCCESS,
+                        np.where(step_count < self.cfg.max_steps, CONTINUE, TIMEOUT))
+        return np.where(fatal, FATAL, code)
+
+    def step(self, state: EnvState, action: int, collect_stats: bool = False) -> StepResult:
+        """Evolve for tau, apply the chosen action, and score the result:
+        one row of ``step_batch`` plus ``classify``."""
         if state.done:
             raise EpisodeFinished(f"episode already ended after {state.step_count} steps")
         if not 0 <= action < ACTION_COUNT:
             raise ValueError(f"action index must be in [0, {ACTION_COUNT}), got {action}")
-        cfg = self.cfg
-        rho = self.propagator @ state.rho @ self._propagator_dag
+        out = self.step_batch(state.rho[None], [action])
         m = state.step_count + 1
-
-        if action == DO_NOTHING:
-            prob = 1.0
-        else:
-            try:
-                rho, prob = measure(rho, self.projectors[action], cfg.floor)
-            except NormalizationUnderflow as err:
-                nxt = EnvState(encode_state(rho), rho, m, True, state.start_label)
-                return StepResult(nxt, cfg.r_fatal, True, err.prob, "fatal",
-                                  float("nan"))
-
-        rho_bath = partial_trace_first(rho, 2)
-        fid = fidelity_to_pure(rho_bath, self.target_vector)
-        if fid > cfg.theta:
-            reward, done, outcome = cfg.r_plus, True, "success"
-        elif m < cfg.max_steps:
-            reward, done, outcome = cfg.r_minus, False, "continue"
-        else:
-            reward, done, outcome = cfg.r_minus, True, "timeout"
-
-        nxt = EnvState(encode_state(rho), rho, m, done, state.start_label)
-        if collect_stats:
-            td = trace_distance(rho_bath, self.target_matrix)
-            pur = purity(rho_bath)
-            return StepResult(nxt, reward, done, prob, outcome, fid, td, pur)
-        return StepResult(nxt, reward, done, prob, outcome, fid)
+        code = int(self.classify(out.fidelity, out.fatal, m)[0])
+        done = code != CONTINUE
+        nxt = EnvState(out.encoding[0], out.rho[0], m, done, state.start_label)
+        result = (nxt, float(self.rewards[code]), done, float(out.prob[0]),
+                  OUTCOMES[code], float(out.fidelity[0]))
+        if collect_stats and code != FATAL:
+            bath = out.bath[0]
+            return StepResult(*result, trace_distance(bath, self.target_matrix),
+                              purity(bath))
+        return StepResult(*result)
 
 
 def _label_for(v: np.ndarray) -> str:

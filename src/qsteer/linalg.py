@@ -114,14 +114,15 @@ def partial_trace_first(m: np.ndarray, dim_first: int) -> np.ndarray:
     """Trace out the leading tensor factor of dimension dim_first.
 
     For m acting on C^dim_first (x) C^d, returns the reduced d x d matrix;
-    the total trace is preserved.
+    the total trace is preserved. Leading axes of a stack of matrices are
+    kept.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if dim_first < 1 or m.shape[0] % dim_first != 0:
+    if dim_first < 1 or m.shape[-1] % dim_first != 0:
         raise DimensionMismatch(
-            f"dimension {m.shape[0]} is not divisible by leading factor {dim_first}"
+            f"dimension {m.shape[-1]} is not divisible by leading factor {dim_first}"
         )
-    d = m.shape[0] // dim_first
-    return np.einsum("ikil->kl", m.reshape(dim_first, d, dim_first, d))
+    d = m.shape[-1] // dim_first
+    return np.einsum("...ikil->...kl", m.reshape(m.shape[:-2] + (dim_first, d, dim_first, d)))

@@ -181,23 +181,37 @@ def evolve(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
-def measure(rho: np.ndarray, p: CentralProjector, floor: float = 1e-8):
-    """Apply a projective measurement branch and renormalize.
+def measure(rho: np.ndarray, p, floor: float = 1e-8):
+    """Apply a measurement branch and renormalize.
 
-    Returns (post-measurement state, branch probability). Raises
-    NormalizationUnderflow when the branch probability is at or below
-    ``floor``; that cutoff separates genuine rank deficiency from
-    round-off and is what episode logic treats as a fatal choice.
+    With a CentralProjector p, returns (P rho P / prob, prob) for the
+    single state rho and raises NormalizationUnderflow when the branch
+    probability is at or below ``floor``; that cutoff separates genuine
+    rank deficiency from round-off and is what episode logic treats as a
+    fatal choice.
+
+    With an array p of branch operators M (a projector, or a projector
+    times the propagator for a step that evolves first), rho and p are
+    stacks of matching shape and the result is (M rho M^dagger / prob,
+    prob) row by row. A row at or below the floor comes back
+    unnormalized instead of raising; the caller flags it.
     """
     if not floor > 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    if rho.shape != p.matrix.shape:
-        raise DimensionMismatch(f"state {rho.shape} vs projector {p.matrix.shape}")
-    projected = p.matrix @ rho @ p.matrix
-    prob = float(np.trace(projected).real)
-    if prob <= floor:
-        raise NormalizationUnderflow(prob, floor)
-    return projected / prob, prob
+    if isinstance(p, CentralProjector):
+        if rho.shape != p.matrix.shape:
+            raise DimensionMismatch(f"state {rho.shape} vs projector {p.matrix.shape}")
+        projected = p.matrix @ rho @ p.matrix
+        prob = float(np.trace(projected).real)
+        if prob <= floor:
+            raise NormalizationUnderflow(prob, floor)
+        return projected / prob, prob
+    if rho.shape != p.shape:
+        raise DimensionMismatch(f"states {rho.shape} vs branch operators {p.shape}")
+    out = p @ rho @ p.conj().swapaxes(-1, -2)
+    prob = np.trace(out, axis1=-2, axis2=-1).real
+    out /= np.where(prob > floor, prob, 1.0)[..., None, None]
+    return out, prob
 
 
 def bell_state(which: str) -> np.ndarray:
@@ -240,14 +254,21 @@ def fidelity(sigma: np.ndarray, rho: np.ndarray) -> float:
     return float(min(1.0, np.sum(np.sqrt(w))))
 
 
-def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
+def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray):
     """Fidelity of rho with the pure state psi: sqrt(<psi|rho|psi>).
 
     Exact closed form of ``fidelity`` for a pure comparison state; used on
-    hot paths where the general eigendecomposition route is too slow.
+    hot paths where the general eigendecomposition route is too slow. A
+    matrix gives a float; a stack of matrices gives an array with one
+    fidelity per matrix.
     """
-    overlap = float(np.real(psi.conj() @ rho @ psi))
-    return float(np.sqrt(min(1.0, max(0.0, overlap))))
+    if rho.ndim == 2:
+        overlap = float(np.real(psi.conj() @ rho @ psi))
+        return float(np.sqrt(min(1.0, max(0.0, overlap))))
+    # einsum rather than matmul: a BLAS matrix-vector product would make a
+    # row's bits depend on how many rows share the stack
+    overlap = np.einsum("k,...kl,l->...", psi.conj(), rho, psi).real
+    return np.sqrt(np.clip(overlap, 0.0, 1.0))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -66,6 +66,16 @@ class TestSelectAction:
         assert chi2 < 20.1
 
 
+    def test_batch_matches_one_state_at_a_time(self):
+        params = init_params(tiny_mlp_spec())
+        states = np.random.default_rng(5).standard_normal((12, 70))
+        batch = select_action(params, states, 0.5,
+                              [np.random.default_rng(i) for i in range(12)])
+        single = [select_action(params, s, 0.5, np.random.default_rng(i))
+                  for i, s in enumerate(states)]
+        assert batch.tolist() == single
+
+
 class TestEpsilonSchedule:
     def test_endpoints_and_midpoint(self):
         cfg = AgentConfig(eps_start=1.0, eps_min=0.1, eps_decay_steps=100)
@@ -205,6 +215,18 @@ class TestRunTraining:
         _, _, meta = load_params(tmp_path / "checkpoint_final.npz")
         assert meta["step"] == agent_cfg.training_steps
 
+    def test_best_copy_is_the_policy_that_collected_its_step(self):
+        # the parameters that collected step k's episodes are the final
+        # parameters of a run that stops after step k - 1
+        env_cfg, agent_cfg, spec = tiny_env_cfg(), tiny_agent_cfg(), tiny_mlp_spec()
+        result = run_training(env_cfg, agent_cfg, spec, master_seed=5)
+        assert result.best_step > 1
+        earlier = run_training(env_cfg, dataclasses.replace(
+            agent_cfg, training_steps=result.best_step - 1), spec, master_seed=5)
+        for got, want in zip(result.best_params.weights, earlier.final_params.weights):
+            assert np.array_equal(got, want)
+        assert result.best_avg_return == result.log[result.best_step - 1].avg_return
+
     def test_ddqn_mode_runs(self):
         env_cfg = tiny_env_cfg()
         agent_cfg = tiny_agent_cfg(algorithm="ddqn")
@@ -224,6 +246,16 @@ class TestEvaluatePolicy:
         for rec, outcome in zip(res.records, res.outcomes):
             assert rec.succeeded == (outcome == "success")
             assert len(rec.actions) == len(rec.per_step)
+
+    def test_records_do_not_depend_on_collection_order(self):
+        # 50 episodes run as one lockstep block; in a 500-episode run they
+        # share their block with 14 others
+        params = init_params(tiny_mlp_spec())
+        short = evaluate_policy(params, tiny_env_cfg(), 0.3, 50, master_seed=4)
+        full = evaluate_policy(params, tiny_env_cfg(), 0.3, 500, master_seed=4)
+        assert short.returns == full.returns[:50]
+        assert short.outcomes == full.outcomes[:50]
+        assert [repr(r) for r in short.records] == [repr(r) for r in full.records[:50]]
 
     def test_deterministic_given_seed(self):
         params = init_params(tiny_mlp_spec())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsteer import cli
+from qsteer.config import parse_config
 from qsteer.network import MLPSpec, init_params, save_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -49,7 +50,6 @@ init_seed = 0
 master_seed = 5
 checkpoint_steps = 3
 output_dir = out
-workers = 1
 """
 
 
@@ -120,6 +120,14 @@ class TestEvaluate:
         assert cli.main(["evaluate", str(micro_config), "--checkpoint",
                          str(other), "--episodes", "5"]) == 2
 
+    def test_unknown_start_is_a_config_error(self, micro_config, tmp_path, capsys):
+        spec = parse_config(micro_config).mlp
+        checkpoint = tmp_path / "init.npz"
+        save_params(checkpoint, init_params(spec), spec)
+        assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
+                         "--episodes", "5", "--start", "bogus"]) == 2
+        assert "--start" in capsys.readouterr().err
+
     def test_start_override(self, micro_config, tmp_path, capsys):
         assert cli.main(["train", str(micro_config)]) == 0
         checkpoint = tmp_path / "out" / "checkpoint_best.npz"
@@ -154,6 +162,11 @@ class TestReplay:
         out = capsys.readouterr().out
         assert "final fidelity 1.00000" in out
 
+    def test_unknown_start_is_a_config_error(self, micro_config, capsys):
+        assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
+                         "--start", "bogus"]) == 2
+        assert "--start" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Pq+"]) == 2
         assert "token" in capsys.readouterr().err
@@ -168,6 +181,11 @@ class TestSearch:
         body = files[0].read_text().splitlines()
         assert body[2] == "steps\tsuccess_rate\tfinal_fidelity\tsequence"
         assert len(body) > 3
+
+    def test_negative_length_is_a_config_error(self, micro_config, capsys):
+        assert cli.main(["search", str(micro_config), "--target", "psi-",
+                         "--max-len", "-1"]) == 2
+        assert "--max-len" in capsys.readouterr().err
 
     def test_budget_exit_code(self, micro_config, capsys):
         assert cli.main(["search", str(micro_config), "--target", "psi-",

@@ -16,7 +16,7 @@ from qsteer.env import (
 )
 from qsteer.errors import EpisodeFinished
 from qsteer.linalg import partial_trace_first
-from qsteer.model import SPIN_STATES, purity
+from qsteer.model import SPIN_STATES, fidelity_to_pure, purity
 
 
 class TestReset:
@@ -56,6 +56,13 @@ class TestReset:
             acc += np.einsum("ikjk->ij", rho.reshape(2, 4, 2, 4))
         assert np.linalg.norm(acc / n - np.eye(2) / 2) < 0.02
 
+    def test_fixed_start_is_built_once_and_read_only(self, default_env_cfg):
+        env = QSEEnv(default_env_cfg)
+        a, b = env.reset(), env.reset(np.random.default_rng(3))
+        assert a.rho is b.rho and a.encoding is b.encoding
+        assert not a.rho.flags.writeable and not a.encoding.flags.writeable
+        assert np.array_equal(a.encoding, encode_state(a.rho))
+
     def test_custom_start(self):
         cfg = dataclasses.replace(EnvConfig(), start_mode="fixed_custom",
                                   custom_start=(1 + 0j, -1 + 0j))
@@ -74,6 +81,13 @@ class TestEncoding:
         # seven real diagonal entries of 1/8 survive; everything else is 0
         assert np.count_nonzero(vec) == 7
         assert np.allclose(vec[vec != 0], 1 / 8)
+
+    def test_stack_rows_match_single_matrices(self, rng):
+        stack = np.stack([random_density_matrix(rng, 8) for _ in range(5)])
+        encoded = encode_state(stack)
+        assert encoded.shape == (5, 70)
+        for rho, row in zip(stack, encoded):
+            assert np.array_equal(encode_state(rho), row)
 
     def test_round_trip(self, rng):
         for _ in range(20):
@@ -186,6 +200,70 @@ class TestStep:
                     break
             assert steps <= cfg.max_steps
             assert cfg.r_fatal - cfg.max_steps * abs(cfg.r_minus) <= total <= cfg.r_plus
+
+
+def _separate_products_reference(env, rho, action):
+    """Evolve, then project and renormalize as separate products:
+    P (U rho U^dagger) P / p, or U rho U^dagger when idle or fatal."""
+    evolved = env.propagator @ rho @ env.propagator.conj().T
+    if action == DO_NOTHING:
+        return evolved, 1.0, False
+    p = env.projectors[action].matrix
+    projected = p @ evolved @ p
+    prob = float(np.trace(projected).real)
+    if prob <= env.cfg.floor:
+        return evolved, prob, True
+    return projected / prob, prob, False
+
+
+def _kernel_inputs(env, rng):
+    """Random states under every action, plus fatal rows: z- after z+."""
+    after_zplus = env.step(env.reset(), 0).next.rho
+    states = [random_density_matrix(rng, 8) for _ in range(3 * 7)] + [after_zplus] * 2
+    actions = list(range(7)) * 3 + [1, 1]
+    order = rng.permutation(len(actions))
+    return np.stack([states[i] for i in order]), np.array([actions[i] for i in order])
+
+
+class TestStepBatch:
+    def test_rows_are_bit_identical_to_one_row_calls(self, default_env_cfg, rng):
+        env = QSEEnv(default_env_cfg)
+        rho, actions = _kernel_inputs(env, rng)
+        batch = env.step_batch(rho, actions)
+        assert batch.fatal.sum() == 2
+        for i, action in enumerate(actions):
+            row = env.step_batch(rho[i:i + 1], [action])
+            for got, want in zip(row, batch):
+                assert np.array_equal(got[0], want[i], equal_nan=True)
+            result = env.step(dataclasses.replace(env.reset(), rho=rho[i]), int(action))
+            assert np.array_equal(result.next.rho, batch.rho[i])
+            assert np.array_equal(result.next.encoding, batch.encoding[i])
+            assert result.success_prob == batch.prob[i]
+            assert result.fidelity == batch.fidelity[i] or batch.fatal[i]
+            assert (result.outcome == "fatal") == batch.fatal[i]
+
+    def test_matches_separate_evolve_and_project(self, default_env_cfg, rng):
+        env = QSEEnv(default_env_cfg)
+        rho, actions = _kernel_inputs(env, rng)
+        batch = env.step_batch(rho, actions)
+        for i, action in enumerate(actions):
+            want, prob, fatal = _separate_products_reference(env, rho[i], action)
+            assert batch.fatal[i] == fatal
+            assert np.abs(batch.rho[i] - want).max() < 1e-12
+            assert abs(batch.prob[i] - prob) < 1e-12
+            assert np.abs(batch.encoding[i] - encode_state(want)).max() < 1e-12
+            if fatal:
+                assert np.isnan(batch.fidelity[i])
+            else:
+                bath = partial_trace_first(want, 2)
+                assert abs(batch.fidelity[i] - fidelity_to_pure(bath, env.target_vector)) < 1e-12
+
+    def test_rejects_unknown_actions(self, default_env_cfg):
+        env = QSEEnv(default_env_cfg)
+        rho = env.reset().rho[None]
+        for action in (-1, 7):
+            with pytest.raises(ValueError):
+                env.step_batch(rho, [action])
 
 
 class TestEnvConfigValidation:

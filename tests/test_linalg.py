@@ -150,6 +150,13 @@ class TestPartialTrace:
         m = random_density_matrix(rng, 8)
         assert abs(np.trace(partial_trace_first(m, 2)) - 1.0) < 1e-12
 
+    def test_stack_rows_match_single_matrices(self, rng):
+        stack = np.stack([random_density_matrix(rng, 8) for _ in range(5)])
+        reduced = partial_trace_first(stack, 2)
+        assert reduced.shape == (5, 4, 4)
+        for m, r in zip(stack, reduced):
+            assert np.array_equal(partial_trace_first(m, 2), r)
+
     def test_bad_dims(self):
         with pytest.raises(DimensionMismatch):
             partial_trace_first(np.eye(6, dtype=complex), 4)

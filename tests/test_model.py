@@ -127,6 +127,21 @@ class TestMeasure:
         assert_density_matrix(out)
 
 
+    def test_branch_operator_stack(self, rng):
+        stack = np.stack([random_density_matrix(rng, 8) for _ in range(4)])
+        ops = np.stack([central_projector(a, "+", 2).matrix for a in "xyzz"])
+        ops[3] = central_projector("z", "-", 2).matrix
+        stack[3] = central_product_state(SPIN_STATES["z+"], 2)
+        out, prob = measure(stack, ops)
+        for i, p in enumerate(ops):
+            projected = p @ stack[i] @ p
+            assert prob[i] == pytest.approx(np.trace(projected).real, abs=1e-15)
+        assert np.allclose(out[:3], [ops[i] @ stack[i] @ ops[i] / prob[i] for i in range(3)],
+                           atol=1e-12)
+        # the orthogonal branch comes back unnormalized instead of raising
+        assert prob[3] <= 1e-8 and np.abs(out[3]).max() <= 1e-8
+
+
 class TestMetrics:
     def test_fidelity_self(self, rng):
         rho = random_density_matrix(rng, 4)
@@ -150,6 +165,14 @@ class TestMetrics:
             rho = random_density_matrix(rng, 4)
             assert fidelity(target, rho) == pytest.approx(
                 fidelity_to_pure(rho, psi), abs=1e-8)
+
+    def test_fidelity_to_pure_on_a_stack(self, rng):
+        psi = bell_state("psi-")
+        stack = np.stack([random_density_matrix(rng, 4) for _ in range(6)])
+        fids = fidelity_to_pure(stack, psi)
+        assert fids.shape == (6,)
+        for rho, fid in zip(stack, fids):
+            assert fid == pytest.approx(fidelity_to_pure(rho, psi), abs=1e-15)
 
     def test_trace_distance_self_and_orthogonal(self, rng):
         rho = random_density_matrix(rng, 4)
