@@ -134,10 +134,19 @@ def _replace_env(env: EnvConfig, **kw) -> EnvConfig:
     return dataclasses.replace(env, **kw)
 
 
+def _definite_start(cfg: RunConfig, start: str | None, command: str) -> EnvConfig:
+    env_cfg = _env_with_start(cfg, start)
+    if env_cfg.start_mode == "random_pure":
+        raise ConfigError(f"{command} needs a definite start state; pass --start")
+    return env_cfg
+
+
 def cmd_evaluate(args) -> int:
     cfg = parse_config(args.config)
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+    if not 0 <= args.eps <= 1:
+        raise ConfigError(f"--eps must be in [0, 1], got {args.eps}")
     env_cfg = _env_with_start(cfg, args.start)
     out = _output_dir(cfg)
     params, _spec, meta = load_params(args.checkpoint, expected_spec=cfg.mlp)
@@ -173,14 +182,12 @@ def cmd_evaluate(args) -> int:
 def cmd_replay(args) -> int:
     cfg = parse_config(args.config)
     actions = parse_sequence(args.sequence)
-    env_cfg = _env_with_start(cfg, args.start)
+    env_cfg = _definite_start(cfg, args.start, "replay")
     if args.target:
         env_cfg = _replace_env(env_cfg, target=args.target)
-    if env_cfg.start_mode == "random_pure":
-        raise ConfigError("replay needs a definite start state; pass --start")
     env = QSEEnv(env_cfg)
-    start_state = env.reset(None)
-    record = replay_sequence(start_state.rho, actions, env_cfg,
+    start_state = env.reset()
+    record = replay_sequence(start_state.rho, actions, env,
                              start_label=start_state.start_label)
 
     rows = [
@@ -208,7 +215,12 @@ def cmd_search(args) -> int:
     cfg = parse_config(args.config)
     if args.max_len < 0:
         raise ConfigError(f"--max-len must be >= 0, got {args.max_len}")
-    records = exhaustive_search(args.max_len, args.target, cfg.env,
+    if not 0 <= args.rate_cutoff <= 1:
+        raise ConfigError(f"--rate-cutoff must be in [0, 1], got {args.rate_cutoff}")
+    if args.show < 0:
+        raise ConfigError(f"--show must be >= 0, got {args.show}")
+    env_cfg = _definite_start(cfg, args.start, "search")
+    records = exhaustive_search(args.max_len, args.target, env_cfg,
                                 rate_cutoff=args.rate_cutoff)
     out = _output_dir(cfg)
     rows = [
@@ -277,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=["phi+", "phi-", "psi+", "psi-"])
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--rate-cutoff", type=float, default=1e-6)
+    p.add_argument("--start", default=None,
+                   help="override start state: x+, x-, y+, y-, z+, z-")
     p.add_argument("--show", type=int, default=10, help="print the top N results")
     p.set_defaults(func=cmd_search)
 

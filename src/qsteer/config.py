@@ -40,8 +40,14 @@ class _Section:
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
         self._section = parser[name] if parser.has_section(name) else {}
+        self._read: set[str] = set()
+
+    def unknown_keys(self) -> list[str]:
+        """Keys present in the section that no read asked for."""
+        return [f"{self.name}.{key}" for key in self._section if key not in self._read]
 
     def _convert(self, key: str, conv, default):
+        self._read.add(key)
         if key not in self._section:
             if default is _REQUIRED:
                 raise ConfigError(f"{self.name}.{key}: required key is missing")
@@ -85,6 +91,7 @@ class _Section:
 
 
 _REQUIRED = object()
+_SECTIONS = ("model", "env", "agent", "mlp", "run")
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -95,11 +102,12 @@ def parse_config_text(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"unreadable configuration: {exc}") from exc
 
-    model_s = _Section(parser, "model")
-    env_s = _Section(parser, "env")
-    agent_s = _Section(parser, "agent")
-    mlp_s = _Section(parser, "mlp")
-    run_s = _Section(parser, "run")
+    unknown = [name for name in parser.sections() if name not in _SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown section(s) {', '.join(f'[{n}]' for n in unknown)}; "
+                          f"expected {', '.join(f'[{n}]' for n in _SECTIONS)}")
+    sections = [_Section(parser, name) for name in _SECTIONS]
+    model_s, env_s, agent_s, mlp_s, run_s = sections
 
     try:
         coupling = model_s.get_floats("coupling", (1.0, 0.0, 0.0))
@@ -169,7 +177,7 @@ def parse_config_text(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"mlp: {exc}") from exc
 
-    return RunConfig(
+    cfg = RunConfig(
         model=model,
         env=env,
         agent=agent,
@@ -178,6 +186,10 @@ def parse_config_text(text: str) -> RunConfig:
         checkpoint_steps=run_s.get_ints("checkpoint_steps", ()),
         output_dir=run_s.get_str("output_dir", "runs/default"),
     )
+    unknown = [key for section in sections for key in section.unknown_keys()]
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(unknown)}")
+    return cfg
 
 
 def parse_config(path) -> RunConfig:

@@ -45,7 +45,6 @@ __all__ = [
     "build_propagator",
     "central_projector",
     "central_product_state",
-    "evolve",
     "measure",
     "bell_state",
     "fidelity",
@@ -172,13 +171,6 @@ def central_product_state(central: np.ndarray, n_bath: int) -> np.ndarray:
     central = np.asarray(central, dtype=complex)
     central = central / np.linalg.norm(central)
     return kron_all(np.outer(central, central.conj()), *([IDENTITY_2 / 2] * n_bath))
-
-
-def evolve(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Conjugate rho by the unitary u; trace and spectrum are preserved."""
-    if rho.shape != u.shape:
-        raise DimensionMismatch(f"state {rho.shape} vs propagator {u.shape}")
-    return u @ rho @ u.conj().T
 
 
 def measure(rho: np.ndarray, p, floor: float = 1e-8):

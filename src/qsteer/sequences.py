@@ -21,8 +21,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, NormalizationUnderflow, SequenceParseError
-from .env import ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
+from .errors import BudgetExceeded, SequenceParseError
+from .env import ACTION_COUNT, ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
 from .linalg import partial_trace_first
 from .model import (
     ModelParams,
@@ -30,7 +30,6 @@ from .model import (
     build_propagator,
     central_product_state,
     central_projector,
-    fidelity,
     fidelity_to_pure,
     measure,
     purity,
@@ -52,6 +51,10 @@ __all__ = [
 ]
 
 SEARCH_MAX_LEN_BUDGET = 6
+#: Nodes exhaustive_search expands per step_batch call (7 rows each). Small
+#: blocks keep the depth-first walk's memory flat; 7 nodes amortize the
+#: call overhead.
+SEARCH_BLOCK = 7
 
 
 class StepStats(NamedTuple):
@@ -86,55 +89,50 @@ class SequenceRecord:
             raise ValueError("more per-step entries than actions")
 
 
-def replay_sequence(start: np.ndarray, actions: Sequence[int], cfg: EnvConfig,
+def replay_sequence(start: np.ndarray, actions: Sequence[int], cfg: EnvConfig | QSEEnv,
                     start_label: str = "custom") -> SequenceRecord:
     """Execute a sequence from an explicit full-system start state.
 
-    Unlike an episode, replay never terminates early on crossing the
-    fidelity threshold; diagnostics are recorded after every step. An
-    empty sequence still reports the fidelity after one free-evolution
-    interval. A branch probability at or below the floor aborts the
-    replay and returns the partial record.
+    cfg is an EnvConfig or an environment already built from one. Each
+    step is one row of ``QSEEnv.step_batch``, so a replay reproduces the
+    search's rates and fidelities bit for bit. Unlike an episode, replay
+    never terminates early on crossing the fidelity threshold;
+    diagnostics are recorded after every step. An empty sequence still
+    reports the fidelity after one free-evolution interval. A branch
+    probability at or below the floor aborts the replay and returns the
+    partial record.
     """
-    env = QSEEnv(cfg)
-    u, u_dag = env.propagator, env.propagator.conj().T
-    target_mat = env.target_matrix
+    env = cfg if isinstance(cfg, QSEEnv) else QSEEnv(cfg)
+    theta = env.cfg.theta
+    rho = np.asarray(start, dtype=complex)[None]
 
-    rho = np.asarray(start, dtype=complex)
+    if len(actions) == 0:
+        fid = float(env.step_batch(rho, [DO_NOTHING]).fidelity[0])
+        return SequenceRecord(start_label, (), (), 1.0, fid, fid > theta)
+
     stats: list[StepStats] = []
     rate = 1.0
     aborted = False
-    executed: list[int] = []
-
-    if len(actions) == 0:
-        rho = u @ rho @ u_dag
-        bath = partial_trace_first(rho, 2)
-        fid = fidelity(bath, target_mat)
-        return SequenceRecord(start_label, (), (), 1.0, fid, fid > cfg.theta)
-
     for action in actions:
-        rho = u @ rho @ u_dag
-        if action == DO_NOTHING:
-            prob = 1.0
-        else:
-            try:
-                rho, prob = measure(rho, env.projectors[action], cfg.floor)
-            except NormalizationUnderflow:
-                aborted = True
-                break
-        executed.append(action)
+        out = env.step_batch(rho, [action])
+        if out.fatal[0]:
+            aborted = True
+            break
+        rho = out.rho
+        prob = float(out.prob[0])
         rate *= prob
-        bath = partial_trace_first(rho, 2)
+        bath = out.bath[0]
         stats.append(StepStats(
             success_prob=prob,
-            fidelity=fidelity(bath, target_mat),
-            trace_distance=trace_distance(bath, target_mat),
+            fidelity=float(out.fidelity[0]),
+            trace_distance=trace_distance(bath, env.target_matrix),
             purity=purity(bath),
         ))
 
+    executed = tuple(actions[:len(stats)])
     final_fid = stats[-1].fidelity if stats else 0.0
-    succeeded = (not aborted) and final_fid > cfg.theta
-    return SequenceRecord(start_label, tuple(executed), tuple(stats), rate,
+    succeeded = (not aborted) and final_fid > theta
+    return SequenceRecord(start_label, executed, tuple(stats), rate,
                           final_fid, succeeded, aborted)
 
 
@@ -187,15 +185,18 @@ def verify_steady_state(n_bath: int, repetitions: int,
 def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
                       rate_cutoff: float = 1e-6,
                       max_len_budget: int = SEARCH_MAX_LEN_BUDGET) -> list[SequenceRecord]:
-    """All minimal successful sequences up to max_len from the fixed start.
+    """All minimal successful sequences up to max_len from the config's
+    fixed start.
 
     Depth-first enumeration over the seven actions, sharing prefixes.
-    Branches are pruned when the running success rate drops below
-    rate_cutoff or a projection probability hits the floor. A sequence is
-    recorded the first time its bath fidelity crosses theta and is not
-    extended further (an episode would have terminated there), so the
-    result is exactly the set of successful sequences an episodic policy
-    could execute. Sorted by (length, -success_rate).
+    Nodes of one depth are expanded in blocks of up to SEARCH_BLOCK, all
+    seven children of each in one ``QSEEnv.step_batch`` call. Children
+    are pruned when the running success rate drops below rate_cutoff or
+    a projection probability hits the floor. A sequence is recorded the
+    first time its bath fidelity crosses theta and is not extended
+    further (an episode would have terminated there), so the result is
+    exactly the set of successful sequences an episodic policy could
+    execute. Sorted by (length, -success_rate).
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -207,43 +208,34 @@ def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
     if target != cfg.target:
         cfg = dataclasses.replace(cfg, target=target)
     env = QSEEnv(cfg)
-    u, u_dag = env.propagator, env.propagator.conj().T
-    target_vec = env.target_vector
-
-    root = env.reset(np.random.default_rng(0)).rho
-    start_label = "x+" if cfg.start_mode == "fixed_xplus" else cfg.start_mode
+    root = env.reset()
+    moves = np.arange(ACTION_COUNT)
     found: list[SequenceRecord] = []
 
-    def descend(rho, prefix: tuple[int, ...], probs: tuple[float, ...], rate: float):
-        if len(prefix) == max_len:
-            return
-        evolved = u @ rho @ u_dag
-        for action in range(7):
-            if action == DO_NOTHING:
-                nxt, prob = evolved, 1.0
-            else:
-                projected = env.projectors[action].matrix @ evolved @ env.projectors[action].matrix
-                prob = float(np.trace(projected).real)
-                if prob <= cfg.floor:
-                    continue
-                nxt = projected / prob
-            new_rate = rate * prob
-            if new_rate < rate_cutoff:
-                continue
-            bath = partial_trace_first(nxt, 2)
-            fid = fidelity_to_pure(bath, target_vec)
-            seq = prefix + (action,)
-            seq_probs = probs + (prob,)
-            if fid > cfg.theta:
-                stats = tuple(
-                    StepStats(p, float("nan"), float("nan"), float("nan"))
-                    for p in seq_probs[:-1]
-                ) + (StepStats(prob, fid, float("nan"), float("nan")),)
-                found.append(SequenceRecord(start_label, seq, stats, new_rate, fid, True))
-            else:
-                descend(nxt, seq, seq_probs, new_rate)
+    def expand(rho, prefix, probs, rate):
+        # row-major children: node i's child by action a is row 7*i + a
+        n = len(rate)
+        out = env.step_batch(np.repeat(rho, ACTION_COUNT, axis=0), np.tile(moves, n))
+        prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), np.tile(moves, n)])
+        probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), out.prob])
+        rate = np.repeat(rate, ACTION_COUNT) * out.prob
+        live = ~out.fatal & (rate >= rate_cutoff)
+        hit = live & (out.fidelity > cfg.theta)
+        for i in np.flatnonzero(hit):
+            stats = [StepStats(float(p), float("nan"), float("nan"), float("nan"))
+                     for p in probs[i]]
+            stats[-1] = stats[-1]._replace(fidelity=float(out.fidelity[i]))
+            found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
+                                        tuple(stats), float(rate[i]),
+                                        float(out.fidelity[i]), True))
+        if prefix.shape[1] < max_len:
+            todo = np.flatnonzero(live & ~hit)
+            for lo in range(0, len(todo), SEARCH_BLOCK):
+                block = todo[lo:lo + SEARCH_BLOCK]
+                expand(out.rho[block], prefix[block], probs[block], rate[block])
 
-    descend(root, (), (), 1.0)
+    if max_len > 0:
+        expand(root.rho[None], np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), np.ones(1))
     found.sort(key=lambda r: (len(r.actions), -r.success_rate, r.actions))
     return found
 

@@ -93,6 +93,12 @@ class TestTrain:
         assert cli.main(["train", str(bad)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_unknown_key_exit_code(self, micro_config, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MICRO_CONFIG.replace("[run]\n", "[run]\nworkers = 4\n"))
+        assert cli.main(["train", str(bad)]) == 2
+        assert "run.workers" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_evaluate_with_baseline(self, micro_config, tmp_path, capsys):
@@ -127,6 +133,14 @@ class TestEvaluate:
         assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
                          "--episodes", "5", "--start", "bogus"]) == 2
         assert "--start" in capsys.readouterr().err
+
+    def test_eps_out_of_range_is_a_config_error(self, micro_config, tmp_path, capsys):
+        spec = parse_config(micro_config).mlp
+        checkpoint = tmp_path / "init.npz"
+        save_params(checkpoint, init_params(spec), spec)
+        assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
+                         "--episodes", "5", "--eps", "2"]) == 2
+        assert "--eps" in capsys.readouterr().err
 
     def test_start_override(self, micro_config, tmp_path, capsys):
         assert cli.main(["train", str(micro_config)]) == 0
@@ -187,9 +201,42 @@ class TestSearch:
                          "--max-len", "-1"]) == 2
         assert "--max-len" in capsys.readouterr().err
 
+    def test_out_of_range_flags_are_config_errors(self, micro_config, capsys):
+        search = ["search", str(micro_config), "--target", "psi-", "--max-len", "3"]
+        for flag, value in (("--show", "-1"), ("--rate-cutoff", "-1"),
+                            ("--rate-cutoff", "2")):
+            assert cli.main(search + [flag, value]) == 2
+            assert flag in capsys.readouterr().err
+
     def test_budget_exit_code(self, micro_config, capsys):
         assert cli.main(["search", str(micro_config), "--target", "psi-",
                          "--max-len", "20"]) == 4
+
+    def test_random_start_needs_a_start_flag(self, micro_config, tmp_path, capsys):
+        random_cfg = tmp_path / "random.cfg"
+        random_cfg.write_text(MICRO_CONFIG.replace("start_mode = fixed_xplus",
+                                                   "start_mode = random_pure"))
+        search = ["search", str(random_cfg), "--target", "psi-", "--max-len", "4"]
+        assert cli.main(search) == 2
+        assert "--start" in capsys.readouterr().err
+        assert cli.main(search + ["--start", "bogus"]) == 2
+        assert "--start" in capsys.readouterr().err
+
+    def test_start_flag_sets_the_root(self, micro_config, tmp_path, capsys):
+        def rows():
+            table = next((tmp_path / "out").glob("search_psiminus_len4.tsv"))
+            return table.read_text().splitlines()[2:]
+
+        search = ["search", str(micro_config), "--target", "psi-", "--max-len", "4"]
+        assert cli.main(search) == 0
+        fixed = rows()
+        random_cfg = tmp_path / "random.cfg"
+        random_cfg.write_text(MICRO_CONFIG.replace("start_mode = fixed_xplus",
+                                                   "start_mode = random_pure"))
+        assert cli.main(["search", str(random_cfg)] + search[2:] + ["--start", "x+"]) == 0
+        assert rows() == fixed
+        assert cli.main(search + ["--start", "x-"]) == 0
+        assert rows() != fixed
 
 
 class TestHistogram:

@@ -85,3 +85,25 @@ def test_defaults_fill_missing_sections():
     assert cfg.master_seed == 4
     assert cfg.env.target == "psi-"
     assert cfg.agent.gamma == 0.95
+
+
+def test_misspelled_key_is_rejected():
+    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text().replace(
+        "[agent]\n", "[agent]\nlearning_rte = 1\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert "agent.learning_rte" in str(err.value)
+
+
+def test_leftover_workers_key_is_rejected():
+    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text().replace(
+        "[run]\n", "[run]\nworkers = 4\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert "run.workers" in str(err.value)
+
+
+def test_unknown_section_is_rejected():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[run]\nmaster_seed = 4\n\n[agnet]\ngamma = 0.9\n")
+    assert "[agnet]" in str(err.value)

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_density_matrix
 from qsteer.env import (
@@ -264,6 +267,52 @@ class TestStepBatch:
         for action in (-1, 7):
             with pytest.raises(ValueError):
                 env.step_batch(rho, [action])
+
+
+_AMPLITUDES = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def kernel_stacks(draw, max_rows=8):
+    """A stack of density matrices of random rank, each normalized
+    A A^dagger, and one action per row."""
+    n = draw(st.integers(1, max_rows))
+    rank = draw(st.integers(1, 8))
+    re, im = (draw(hnp.arrays(np.float64, (n, 8, rank), elements=_AMPLITUDES))
+              for _ in range(2))
+    a = re + 1j * im
+    rho = a @ a.conj().swapaxes(-1, -2)
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    assume(np.all(tr > 1e-6))
+    actions = draw(hnp.arrays(np.intp, n, elements=st.integers(0, 6)))
+    return rho / tr[:, None, None], actions
+
+
+class TestStepBatchProperties:
+    env = QSEEnv(EnvConfig())
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_stacks())
+    def test_rows_are_density_matrices(self, stack):
+        rho, actions = stack
+        out = self.env.step_batch(rho, actions)
+        # a branch certain in exact arithmetic can read 1 + 2.2e-16
+        assert np.all((out.prob >= 0.0) & (out.prob <= 1.0 + 1e-12))
+        assert np.all(out.prob[actions == DO_NOTHING] == 1.0)
+        for row in out.rho:
+            assert abs(np.trace(row) - 1.0) < 1e-9
+            assert np.abs(row - row.conj().T).max() < 1e-9
+            assert np.linalg.eigvalsh((row + row.conj().T) / 2)[0] >= -1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_stacks())
+    def test_rows_do_not_depend_on_the_stack(self, stack):
+        rho, actions = stack
+        out = self.env.step_batch(rho, actions)
+        for i, action in enumerate(actions):
+            alone = self.env.step_batch(rho[i:i + 1], [action])
+            for got, want in zip(alone, out):
+                assert np.array_equal(got[0], want[i], equal_nan=True)
 
 
 class TestEnvConfigValidation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FIRST_XPLUS_BRANCH_PROB, random_density_matrix
+from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import DimensionMismatch, NormalizationUnderflow
 from qsteer.linalg import kron, partial_trace_first
 from qsteer.model import (
@@ -15,7 +16,6 @@ from qsteer.model import (
     build_propagator,
     central_product_state,
     central_projector,
-    evolve,
     fidelity,
     fidelity_to_pure,
     measure,
@@ -63,26 +63,30 @@ class TestPropagator:
         assert np.linalg.norm(u2 - u1 @ u1) < 1e-10
 
 
+def idle_step(rho, model):
+    """One interval of free evolution: the idle row of the step kernel."""
+    return QSEEnv(EnvConfig(model=model)).step_batch(rho[None], [DO_NOTHING]).rho[0]
+
+
 class TestEvolve:
     def test_identity_is_noop(self, rng):
         rho = random_density_matrix(rng, 8)
-        assert np.allclose(evolve(rho, np.eye(8, dtype=complex)), rho)
+        frozen = ModelParams.uniform(coupling=(0.0, 0.0, 0.0), omega=0.0)
+        assert np.allclose(idle_step(rho, frozen), rho)
 
     def test_purity_and_spectrum_invariant(self, rng, default_model):
         rho = random_density_matrix(rng, 8)
-        u = build_propagator(default_model)
-        out = evolve(rho, u)
+        out = idle_step(rho, default_model)
         assert abs(purity(out) - purity(rho)) < 1e-10
         assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-10)
 
     def test_start_state_stays_valid(self, default_model):
         rho = central_product_state(SPIN_STATES["x+"], 2)
-        out = evolve(rho, build_propagator(default_model))
-        assert_density_matrix(out)
+        assert_density_matrix(idle_step(rho, default_model))
 
-    def test_dimension_mismatch(self, rng):
+    def test_dimension_mismatch(self, rng, default_model):
         with pytest.raises(DimensionMismatch):
-            evolve(random_density_matrix(rng, 4), np.eye(8, dtype=complex))
+            idle_step(random_density_matrix(rng, 4), default_model)
 
 
 class TestProjectors:
@@ -121,7 +125,8 @@ class TestMeasure:
         # evolve the fixed start for two intervals, then project onto x+
         rho = central_product_state(SPIN_STATES["x+"], 2)
         u = build_propagator(default_model)
-        rho = evolve(evolve(rho, u), u)
+        for _ in range(2):
+            rho = u @ rho @ u.conj().T
         out, prob = measure(rho, central_projector("x", "+", 2))
         assert prob == pytest.approx(FIRST_XPLUS_BRANCH_PROB, abs=1e-9)
         assert_density_matrix(out)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, RATE_ATOL
-from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
+from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
+from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv, start_state_vector
 from qsteer.errors import BudgetExceeded, SequenceParseError
 from qsteer.linalg import partial_trace_first
 from qsteer.model import fidelity
@@ -23,6 +23,20 @@ from qsteer.sequences import (
 )
 
 PX_PLUS, PX_MINUS, PY_MINUS, PZ_PLUS = 2, 3, 5, 0
+
+#: Successful sequences per target from the fixed x+ start, by maximum
+#: length; frozen from the one-child-at-a-time enumeration.
+SEARCH_COUNTS = {
+    5: {"phi+": 0, "phi-": 0, "psi+": 99, "psi-": 9},
+    6: {"phi+": 12, "phi-": 4, "psi+": 612, "psi-": 95},
+}
+
+
+@pytest.fixture(scope="module")
+def searched():
+    """Search results by (max_len, target) from the default config."""
+    return {(n, t): exhaustive_search(n, t, EnvConfig())
+            for n, counts in SEARCH_COUNTS.items() for t in counts}
 
 
 class TestParseFormat:
@@ -129,6 +143,51 @@ class TestExhaustiveSearch:
         # sorted by length, then decreasing rate
         keys = [(len(r.actions), -r.success_rate) for r in records]
         assert keys == sorted(keys)
+
+    def test_frozen_counts(self, searched):
+        counts = {n: {t: len(searched[n, t]) for t in c} for n, c in SEARCH_COUNTS.items()}
+        assert counts == SEARCH_COUNTS
+        for t in SEARCH_COUNTS[5]:
+            # every sequence found up to length 5 is found again up to length 6
+            assert ({r.actions for r in searched[5, t]}
+                    <= {r.actions for r in searched[6, t]})
+
+    def test_golden_psi_plus_row(self, searched):
+        target, start, tokens, fid_ref, rate_ref = GOLDEN_FIXED_START[2]
+        rows = [r for r in searched[5, target] if r.actions == parse_sequence(tokens)]
+        assert len(rows) == 1 and rows[0].start_label == start
+        assert rows[0].final_fidelity == pytest.approx(fid_ref, abs=FIDELITY_ATOL)
+        assert rows[0].success_rate == pytest.approx(rate_ref, abs=RATE_ATOL)
+
+    def test_replay_reproduces_every_record_bit_for_bit(self, searched):
+        for t in SEARCH_COUNTS[5]:
+            env = QSEEnv(dataclasses.replace(EnvConfig(), target=t))
+            start = env.reset()
+            for rec in searched[5, t]:
+                again = replay_sequence(start.rho, rec.actions, env, start.start_label)
+                assert again.succeeded and again.actions == rec.actions
+                assert again.success_rate == rec.success_rate
+                assert again.final_fidelity == rec.final_fidelity
+                assert ([s.success_prob for s in again.per_step]
+                        == [s.success_prob for s in rec.per_step])
+
+    def test_custom_start_is_labelled_and_searched(self, default_env_cfg):
+        xminus = start_state_vector("x-")
+        model = dataclasses.replace(default_env_cfg.model, tau=2.0)
+        cfg = dataclasses.replace(default_env_cfg, model=model, start_mode="fixed_custom",
+                                  custom_start=(complex(xminus[0]), complex(xminus[1])))
+        records = {r.actions: r for r in exhaustive_search(5, "psi-", cfg)}
+        for target, start, tokens, fid_ref, rate_ref in GOLDEN_TAU2_START:
+            if start == "x-":
+                rec = records[parse_sequence(tokens)]
+                assert rec.start_label == "x-"
+                assert rec.final_fidelity == pytest.approx(fid_ref, abs=FIDELITY_ATOL)
+                assert rec.success_rate == pytest.approx(rate_ref, abs=RATE_ATOL)
+
+    def test_random_start_is_rejected(self, default_env_cfg):
+        cfg = dataclasses.replace(default_env_cfg, start_mode="random_pure")
+        with pytest.raises(ValueError):
+            exhaustive_search(3, "psi-", cfg)
 
     def test_results_are_minimal(self, default_env_cfg):
         # no record is a strict prefix of another (episodes stop at success)
