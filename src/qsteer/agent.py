@@ -106,13 +106,6 @@ class ReplayMemory:
         return (self._s[idx], self._a[idx], self._s_next[idx], self._r[idx],
                 self._terminal[idx])
 
-    def oldest_action(self) -> int:
-        """Action of the oldest stored transition (test hook for eviction)."""
-        if self._size == 0:
-            raise ValueError("empty replay memory")
-        start = self._write - self._size  # negative wraps correctly
-        return int(self._a[start % self.capacity])
-
 
 @dataclass(frozen=True)
 class AgentConfig:

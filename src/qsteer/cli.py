@@ -121,17 +121,13 @@ def _env_with_start(cfg: RunConfig, start: str | None) -> EnvConfig:
     if start is None:
         return cfg.env
     if start == "random":
-        return _replace_env(cfg.env, start_mode="random_pure", custom_start=None)
+        return dataclasses.replace(cfg.env, start_mode="random_pure", custom_start=None)
     try:
         v = start_state_vector(start)
     except ValueError as exc:
         raise ConfigError(f"--start: {exc}") from exc
-    return _replace_env(cfg.env, start_mode="fixed_custom",
-                        custom_start=(complex(v[0]), complex(v[1])))
-
-
-def _replace_env(env: EnvConfig, **kw) -> EnvConfig:
-    return dataclasses.replace(env, **kw)
+    return dataclasses.replace(cfg.env, start_mode="fixed_custom",
+                               custom_start=(complex(v[0]), complex(v[1])))
 
 
 def _definite_start(cfg: RunConfig, start: str | None, command: str) -> EnvConfig:
@@ -184,7 +180,7 @@ def cmd_replay(args) -> int:
     actions = parse_sequence(args.sequence)
     env_cfg = _definite_start(cfg, args.start, "replay")
     if args.target:
-        env_cfg = _replace_env(env_cfg, target=args.target)
+        env_cfg = dataclasses.replace(env_cfg, target=args.target)
     env = QSEEnv(env_cfg)
     start_state = env.reset()
     record = replay_sequence(start_state.rho, actions, env,

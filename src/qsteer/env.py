@@ -38,8 +38,6 @@ from .model import (
     fidelity_to_pure,
     hilbert_dim,
     measure,
-    purity,
-    trace_distance,
 )
 
 __all__ = [
@@ -136,8 +134,6 @@ class StepResult:
     success_prob: float
     outcome: str  # success | continue | timeout | fatal
     fidelity: float
-    trace_distance: float = float("nan")
-    purity: float = float("nan")
 
 
 class BatchStep(NamedTuple):
@@ -300,7 +296,7 @@ class QSEEnv:
                         np.where(step_count < self.cfg.max_steps, CONTINUE, TIMEOUT))
         return np.where(fatal, FATAL, code)
 
-    def step(self, state: EnvState, action: int, collect_stats: bool = False) -> StepResult:
+    def step(self, state: EnvState, action: int) -> StepResult:
         """Evolve for tau, apply the chosen action, and score the result:
         one row of ``step_batch`` plus ``classify``."""
         if state.done:
@@ -312,13 +308,8 @@ class QSEEnv:
         code = int(self.classify(out.fidelity, out.fatal, m)[0])
         done = code != CONTINUE
         nxt = EnvState(out.encoding[0], out.rho[0], m, done, state.start_label)
-        result = (nxt, float(self.rewards[code]), done, float(out.prob[0]),
-                  OUTCOMES[code], float(out.fidelity[0]))
-        if collect_stats and code != FATAL:
-            bath = out.bath[0]
-            return StepResult(*result, trace_distance(bath, self.target_matrix),
-                              purity(bath))
-        return StepResult(*result)
+        return StepResult(nxt, float(self.rewards[code]), done, float(out.prob[0]),
+                          OUTCOMES[code], float(out.fidelity[0]))
 
 
 def _label_for(v: np.ndarray) -> str:

@@ -17,7 +17,6 @@ from .errors import DimensionMismatch, NegativeEigenvalue, NoConvergence, NotHer
 
 __all__ = [
     "HermitianEig",
-    "kron",
     "kron_all",
     "hermitian_eig",
     "expm_i_hermitian",
@@ -37,11 +36,6 @@ class HermitianEig(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with (i*rows_b + k, j*cols_b + l) index layout."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -249,15 +249,8 @@ def save_params(path, params: MLPParams, spec: MLPSpec, step: int = 0,
     the layout, init seed, and the training-step index the copy was taken
     at. Extra metadata entries must be JSON-serializable.
     """
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "input_size": spec.input_size,
-        "hidden": list(spec.hidden),
-        "output_size": spec.output_size,
-        "activation": spec.activation,
-        "init_seed": spec.init_seed,
-        "step": int(step),
-    }
+    meta = {"format_version": CHECKPOINT_FORMAT_VERSION, **asdict(spec),
+            "step": int(step)}
     if extra:
         meta.update(extra)
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
@@ -286,13 +279,9 @@ def load_params(path, expected_spec: MLPSpec | None = None):
                 f"{path}: format version {meta.get('format_version')} unsupported"
             )
         try:
-            spec = MLPSpec(
-                input_size=meta["input_size"],
-                hidden=tuple(meta["hidden"]),
-                output_size=meta["output_size"],
-                activation=meta["activation"],
-                init_seed=meta["init_seed"],
-            )
+            layout = {f.name: meta[f.name] for f in fields(MLPSpec)}
+            layout["hidden"] = tuple(layout["hidden"])  # JSON stores it as a list
+            spec = MLPSpec(**layout)
         except (KeyError, ValueError) as exc:
             raise SchemaMismatch(f"{path}: bad layout header: {exc}") from exc
         n_layers = len(spec.layer_sizes) - 1

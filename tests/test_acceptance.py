@@ -47,6 +47,9 @@ from qsteer.sequences import (
 )
 from test_network import max_rel_error, numeric_grads
 
+# the whole module is the slow tier: pytest -m "not slow" leaves it out
+pytestmark = pytest.mark.slow
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LEARNING_SEEDS = (11, 23, 47)
 

@@ -157,7 +157,8 @@ class TestReplayMemory:
         for i in range(8):
             mem.push(Transition(np.array([float(i)]), i, np.array([0.0]), 0.0, False))
         assert len(mem) == 5
-        assert mem.oldest_action() == 3  # 0, 1, 2 were evicted
+        # 0, 1, 2 were evicted
+        assert set(mem.sample(1000)[1]) == {3, 4, 5, 6, 7}
 
     def test_sampling_shapes(self):
         mem = ReplayMemory(capacity=10, state_size=3, seed_seq=1)

@@ -315,6 +315,13 @@ class TestStepBatchProperties:
                 assert np.array_equal(got[0], want[i], equal_nan=True)
 
 
+@settings(max_examples=100, deadline=None)
+@given(kernel_stacks(max_rows=1))
+def test_decode_inverts_encode(stack):
+    rho = stack[0][0]
+    assert np.abs(decode_state(encode_state(rho), 8) - rho).max() < 1e-12
+
+
 class TestEnvConfigValidation:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from qsteer.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
 from qsteer.linalg import (
     expm_i_hermitian,
     hermitian_eig,
-    kron,
     kron_all,
     matrix_sqrt_psd,
     partial_trace_first,
@@ -19,17 +18,17 @@ I4 = np.eye(4)
 
 class TestKron:
     def test_identity_times_identity(self):
-        assert np.array_equal(kron(I2, I2), I4)
+        assert np.array_equal(kron_all(I2, I2), I4)
 
     def test_sigma_z_with_identity(self):
-        assert np.allclose(kron(PAULI_Z, I2), np.diag([1, 1, -1, -1]))
+        assert np.allclose(kron_all(PAULI_Z, I2), np.diag([1, 1, -1, -1]))
 
     def test_projector_extended_by_identities(self):
         # |z+><z+| (x) I4: rank-4 projector with ones at the first four
         # diagonal slots, expanded by hand from the definition
         zplus = np.zeros((2, 2), dtype=complex)
         zplus[0, 0] = 1.0
-        result = kron(zplus, kron(I2, I2))
+        result = kron_all(zplus, I2, I2)
         expected = np.zeros((8, 8), dtype=complex)
         for i in range(4):
             expected[i, i] = 1.0
@@ -39,12 +38,12 @@ class TestKron:
     def test_associative_and_bilinear(self, rng):
         a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                    for _ in range(3))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
+        left = kron_all(kron_all(a, b), c)
+        right = kron_all(a, kron_all(b, c))
         assert np.allclose(left, right, atol=1e-12)
         x = rng.standard_normal((2, 2))
-        assert np.allclose(kron(a + x, b), kron(a, b) + kron(x, b), atol=1e-12)
-        assert np.allclose(kron(2.5 * a, b), 2.5 * kron(a, b), atol=1e-12)
+        assert np.allclose(kron_all(a + x, b), kron_all(a, b) + kron_all(x, b), atol=1e-12)
+        assert np.allclose(kron_all(2.5 * a, b), 2.5 * kron_all(a, b), atol=1e-12)
 
 
 class TestHermitianEig:
@@ -133,7 +132,7 @@ class TestPartialTrace:
     def test_product_state_factorization(self, rng):
         xplus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         rho_bath = random_density_matrix(rng, 4)
-        full = kron(np.outer(xplus, xplus.conj()), rho_bath)
+        full = np.kron(np.outer(xplus, xplus.conj()), rho_bath)
         assert np.allclose(partial_trace_first(full, 2), rho_bath, atol=1e-12)
 
     def test_maximally_mixed(self):
@@ -143,7 +142,7 @@ class TestPartialTrace:
     def test_kron_identity(self, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        reduced = partial_trace_first(kron(a, b), 2)
+        reduced = partial_trace_first(np.kron(a, b), 2)
         assert np.allclose(reduced, np.trace(a) * b, atol=1e-12)
 
     def test_trace_preserved(self, rng):
@@ -166,4 +165,4 @@ class TestPartialTrace:
 
 def test_kron_all_matches_nested():
     ms = [PAULI_X, IDENTITY_2, PAULI_Z]
-    assert np.array_equal(kron_all(*ms), kron(PAULI_X, kron(IDENTITY_2, PAULI_Z)))
+    assert np.array_equal(kron_all(*ms), np.kron(PAULI_X, np.kron(IDENTITY_2, PAULI_Z)))

@@ -4,7 +4,7 @@ import pytest
 from conftest import FIRST_XPLUS_BRANCH_PROB, random_density_matrix
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import DimensionMismatch, NormalizationUnderflow
-from qsteer.linalg import kron, partial_trace_first
+from qsteer.linalg import partial_trace_first
 from qsteer.model import (
     BELL_NAMES,
     IDENTITY_2,
@@ -225,5 +225,5 @@ def test_kron_builds_projector_like_model(default_model):
     # the projector construction matches an explicit kron expansion
     p = central_projector("x", "+", 2)
     v = SPIN_STATES["x+"]
-    explicit = kron(np.outer(v, v.conj()), np.eye(4, dtype=complex))
+    explicit = np.kron(np.outer(v, v.conj()), np.eye(4, dtype=complex))
     assert np.allclose(p.matrix, explicit, atol=1e-15)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv, start_state_vector
@@ -64,6 +66,12 @@ class TestParseFormat:
     def test_empty_rejected(self):
         with pytest.raises(SequenceParseError):
             parse_sequence("   ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, DO_NOTHING), min_size=1, max_size=30), st.booleans())
+    def test_format_parse_round_trip(self, actions, compress):
+        actions = tuple(actions)
+        assert parse_sequence(format_sequence(actions, compress)) == actions
 
 
 class TestReplay:
