@@ -9,6 +9,19 @@ and tooling to replay, enumerate, and analyze those sequences.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# Training's network products gain no wall time from a second BLAS thread
+# and spend twice the CPU on one; results do not depend on the count.
+# OpenBLAS reads the setting when numpy loads, so it holds only when qsteer
+# is imported first, and a value set by the user wins. BLAS_THREADS is the
+# setting this process runs with ("default": numpy came first, unset).
+if "numpy" in sys.modules:
+    BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", "default")
+else:
+    BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import agent, cli, config, env, errors, linalg, model, network, sequences
 from .env import EnvConfig, QSEEnv
 from .model import ModelParams

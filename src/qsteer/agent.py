@@ -361,7 +361,8 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
         avg_return = float(np.mean(episodes.returns))
         if avg_return > best_avg:
             # the copy that collected these episodes, before this step's updates
-            best_avg, best_params, best_step = avg_return, main.clone(), step
+            best_avg, best_step = avg_return, step
+            np.copyto(best_params.flat, main.flat)
         for tr in episodes.transitions:
             replay.push(tr)
 

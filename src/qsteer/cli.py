@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS, __version__
 from .agent import evaluate_policy, run_training
 from .config import RunConfig, config_hash, parse_config, serialize_config
 from .env import ACTION_TOKENS, EnvConfig, QSEEnv, start_state_vector
@@ -107,6 +107,7 @@ def cmd_train(args) -> int:
 
     manifest = _header(cfg)
     manifest.append(f"# wall_seconds={result.wall_seconds:.1f}")
+    manifest.append(f"# openblas_threads={BLAS_THREADS}")
     manifest.append(f"# best_step={result.best_step} best_avg_return={_fmt(result.best_avg_return)}")
     manifest.append("")
     manifest.append(serialize_config(cfg))

@@ -38,6 +38,10 @@ class RunConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
+        # the text format holds one [model] section, read by the env too
+        if self.model != self.env.model:
+            raise ValueError(
+                f"model {self.model} does not match env.model {self.env.model}")
         # the text format holds one coupling vector for every bath spin
         if len(set(self.model.couplings)) > 1:
             raise ValueError(

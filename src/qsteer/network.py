@@ -5,12 +5,17 @@ optimizer, and an npz checkpoint format. The loss is the mean squared
 error on the selected action's output only; the other heads receive no
 error signal. Gradients are validated against central finite differences
 in the test suite.
+
+Every weight and bias is a view into one contiguous parameter vector, and
+gradients and optimizer moments share that layout (per layer: weights row
+by row, then bias). Copies, blends and optimizer steps are therefore a few
+in-place whole-vector operations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,17 +61,45 @@ class MLPSpec:
         return (self.input_size, *self.hidden, self.output_size)
 
 
+def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]):
+    """Per-layer (fan_in x fan_out) weight and bias views into flat."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass
 class MLPParams:
-    """Per-layer weight matrices (fan_in x fan_out) and bias vectors."""
+    """Per-layer weight matrices (fan_in x fan_out) and bias vectors.
+
+    The given arrays are copied into one float64 vector, flat; weights
+    and biases are then views into it.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "relu"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w_shapes = [np.shape(w) for w in self.weights]
+        b_shapes = [np.shape(b) for b in self.biases]
+        sizes = self.layer_sizes if w_shapes and all(len(s) == 2 for s in w_shapes) else ()
+        if (not sizes or w_shapes != list(zip(sizes[:-1], sizes[1:]))
+                or b_shapes != [(n,) for n in sizes[1:]]):
+            raise ShapeMismatch(
+                f"layer arrays do not chain: weights {w_shapes}, biases {b_shapes}")
+        self.flat = np.concatenate(
+            [np.ravel(a) for pair in zip(self.weights, self.biases) for a in pair],
+            dtype=float)
+        self.weights, self.biases = _layer_views(self.flat, sizes)
 
     def clone(self) -> "MLPParams":
-        return MLPParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases], self.activation)
+        return MLPParams(self.weights, self.biases, self.activation)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -85,16 +118,24 @@ def init_params(spec: MLPSpec) -> MLPParams:
     return MLPParams(weights, biases, spec.activation)
 
 
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    z = h @ w
+    z += b
+    return z
+
+
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation, applied to z in place."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output h."""
     if kind == "relu":
-        return (z > 0).astype(z.dtype)
-    return 1.0 - np.tanh(z) ** 2
+        return h > 0
+    return 1.0 - h ** 2
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
@@ -112,19 +153,20 @@ def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
             f"{params.weights[0].shape[0]}"
         )
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = _activate(h @ w + b, params.activation)
-    out = h @ params.weights[-1] + params.biases[-1]
+        h = _activate(_affine(h, w, b), params.activation)
+    out = _affine(h, params.weights[-1], params.biases[-1])
     return out[0] if single else out
 
 
 def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
-              targets: np.ndarray):
+              targets: np.ndarray, out: np.ndarray | None = None):
     """Backpropagated gradients of the selected-head MSE.
 
     loss = mean over the batch of (q(s, a) - y)^2, where only each
     sample's chosen action contributes. Returns (weight grads, bias
-    grads, loss). For a single linear layer this reduces to the textbook
-    2*(q - y)*x per-sample gradient.
+    grads, loss); the grads are views into out, a vector in the layout of
+    params.flat (a new one when out is None). For a single linear layer
+    this reduces to the textbook 2*(q - y)*x per-sample gradient.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2:
@@ -135,14 +177,10 @@ def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     actions = np.asarray(actions, dtype=int)
     targets = np.asarray(targets, dtype=float)
 
-    pre, post = [], [x]
-    h = x
+    post = [x]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ w + b
-        pre.append(z)
-        h = _activate(z, params.activation)
-        post.append(h)
-    q = h @ params.weights[-1] + params.biases[-1]
+        post.append(_activate(_affine(post[-1], w, b), params.activation))
+    q = _affine(post[-1], params.weights[-1], params.biases[-1])
 
     rows = np.arange(n)
     selected = q[rows, actions]
@@ -150,39 +188,42 @@ def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     delta = np.zeros_like(q)
     delta[rows, actions] = 2.0 * (selected - targets) / n
 
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
+    grad_w, grad_b = _layer_views(np.empty_like(params.flat) if out is None else out,
+                                  params.layer_sizes)
     for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w[layer] = post[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(post[layer].T, delta, out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
-            delta = (delta @ params.weights[layer].T) * _activate_grad(
-                pre[layer - 1], params.activation
-            )
+            delta = delta @ params.weights[layer].T
+            delta *= _activate_grad(post[layer], params.activation)
     return grad_w, grad_b, loss
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for adaptive moment descent."""
+    """First/second moment accumulators for adaptive moment descent.
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m and v are flat in the layout of MLPParams.flat; grad and scratch
+    are the buffers one step works in, so a step allocates no vector of
+    parameter size.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.grad = np.empty_like(self.m)
+        self.scratch = np.empty_like(self.m)
 
     @classmethod
     def for_params(cls, params: MLPParams) -> "AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def train_batch(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
@@ -196,32 +237,36 @@ def train_batch(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     """
     if not np.all(np.isfinite(targets)):
         raise NonFiniteLoss("non-finite target values")
-    grad_w, grad_b, loss = gradients(params, inputs, actions, targets)
+    g, s = adam.grad, adam.scratch
+    _, _, loss = gradients(params, inputs, actions, targets, out=g)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss diverged to {loss}")
 
     if grad_clip is not None:
-        norm_sq = sum(float((g ** 2).sum()) for g in grad_w)
-        norm_sq += sum(float((g ** 2).sum()) for g in grad_b)
+        # summed per layer, weights first, so the norm's bits do not depend
+        # on the flat layout
+        sq_w, sq_b = _layer_views(np.square(g, out=s), params.layer_sizes)
+        norm_sq = sum(float(a.sum()) for a in sq_w)
+        norm_sq += sum(float(a.sum()) for a in sq_b)
         norm = np.sqrt(norm_sq)
         if norm > grad_clip:
-            scale = grad_clip / norm
-            grad_w = [g * scale for g in grad_w]
-            grad_b = [g * scale for g in grad_b]
+            g *= grad_clip / norm
 
+    # Adam in the per-element order of operations of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+    #   params -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
     adam.t += 1
     corr1 = 1.0 - adam.beta1 ** adam.t
     corr2 = 1.0 - adam.beta2 ** adam.t
-    for i in range(len(params.weights)):
-        for value, grad, m, v in (
-            (params.weights[i], grad_w[i], adam.m_w[i], adam.v_w[i]),
-            (params.biases[i], grad_b[i], adam.m_b[i], adam.v_b[i]),
-        ):
-            m *= adam.beta1
-            m += (1.0 - adam.beta1) * grad
-            v *= adam.beta2
-            v += (1.0 - adam.beta2) * grad ** 2
-            value -= lr * (m / corr1) / (np.sqrt(v / corr2) + adam.eps)
+    adam.m *= adam.beta1
+    adam.m += np.multiply(g, 1.0 - adam.beta1, out=s)
+    adam.v *= adam.beta2
+    adam.v += np.multiply(np.square(g, out=s), 1.0 - adam.beta2, out=s)
+    np.sqrt(np.divide(adam.v, corr2, out=s), out=s)
+    s += adam.eps
+    np.multiply(np.divide(adam.m, corr1, out=g), lr, out=g)
+    g /= s
+    params.flat -= g
     return loss
 
 
@@ -232,12 +277,8 @@ def soft_update(target: MLPParams, main: MLPParams, rho_mix: float) -> MLPParams
         raise ShapeMismatch(
             f"layer sizes {target.layer_sizes} vs {main.layer_sizes}"
         )
-    for tw, mw in zip(target.weights, main.weights):
-        tw *= 1.0 - rho_mix
-        tw += rho_mix * mw
-    for tb, mb in zip(target.biases, main.biases):
-        tb *= 1.0 - rho_mix
-        tb += rho_mix * mb
+    target.flat *= 1.0 - rho_mix
+    target.flat += rho_mix * main.flat
     return target
 
 
@@ -289,9 +330,12 @@ def load_params(path, expected_spec: MLPSpec | None = None):
         for i in range(n_layers):
             if f"w{i}" not in data or f"b{i}" not in data:
                 raise SchemaMismatch(f"{path}: missing layer {i} arrays")
-            weights.append(np.array(data[f"w{i}"]))
-            biases.append(np.array(data[f"b{i}"]))
-    params = MLPParams(weights, biases, spec.activation)
+            weights.append(data[f"w{i}"])
+            biases.append(data[f"b{i}"])
+    try:
+        params = MLPParams(weights, biases, spec.activation)
+    except ShapeMismatch as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from exc
     expected = tuple(spec.layer_sizes)
     actual = tuple(params.layer_sizes)
     if actual != expected:

@@ -130,6 +130,16 @@ def test_non_uniform_couplings_are_rejected():
     assert "couplings" in str(err.value)
 
 
+def test_model_must_match_env_model():
+    # the text holds one [model] section; a mismatch would hash as one model
+    # and run the other
+    with pytest.raises(ValueError) as err:
+        RunConfig(model=ModelParams(), env=EnvConfig(model=ModelParams.uniform(tau=3.0)),
+                  agent=AgentConfig(), mlp=MLPSpec(input_size=70))
+    assert "model" in str(err.value) and "env.model" in str(err.value)
+    assert "tau=1.0" in str(err.value) and "tau=3.0" in str(err.value)
+
+
 def test_custom_start_round_trip():
     cfg = parse_config_text(
         "[env]\nstart_mode = fixed_custom\ncustom_start = 0.6, -0.8j\n")

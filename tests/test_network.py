@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from qsteer.network import (
     soft_update,
     train_batch,
 )
+
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def small_spec(**kw):
@@ -235,3 +240,174 @@ class TestCheckpoints:
         np.savez(path, junk=np.zeros(3))
         with pytest.raises(SchemaMismatch):
             load_params(path)
+
+
+def reference_step(weights, biases, moments, x, a, y, t, lr, grad_clip):
+    """One optimizer step on separate per-layer arrays, written the way the
+    network did it before its parameters were held in one flat vector:
+    fresh arrays per layer, a per-layer clip and a per-layer Adam loop.
+    Updates weights, biases and moments in place; returns whether it
+    clipped."""
+    pre, post, h = [], [x], x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0)
+        post.append(h)
+    q = h @ weights[-1] + biases[-1]
+    rows = np.arange(len(x))
+    delta = np.zeros_like(q)
+    delta[rows, a] = 2.0 * (q[rows, a] - y) / len(x)
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        grad_w[layer] = post[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (pre[layer - 1] > 0).astype(float)
+
+    clipped = False
+    if grad_clip is not None:
+        norm_sq = sum(float((g ** 2).sum()) for g in grad_w)
+        norm_sq += sum(float((g ** 2).sum()) for g in grad_b)
+        norm = np.sqrt(norm_sq)
+        if norm > grad_clip:
+            clipped = True
+            grad_w = [g * (grad_clip / norm) for g in grad_w]
+            grad_b = [g * (grad_clip / norm) for g in grad_b]
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    corr1, corr2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    m_w, v_w, m_b, v_b = moments
+    for i in range(len(weights)):
+        for value, grad, m, v in ((weights[i], grad_w[i], m_w[i], v_w[i]),
+                                  (biases[i], grad_b[i], m_b[i], v_b[i])):
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad ** 2
+            value -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    return clipped
+
+
+class TestFlatLayout:
+    def test_views_share_the_flat_vector(self):
+        params = init_params(MLPSpec(input_size=70))
+        assert params.flat.size == sum(w.size + b.size
+                                       for w, b in zip(params.weights, params.biases))
+        for arr in params.weights + params.biases:
+            assert np.shares_memory(arr, params.flat)
+        twin = params.clone()
+        assert not np.shares_memory(twin.flat, params.flat)
+        for arr in twin.weights + twin.biases:
+            assert np.shares_memory(arr, twin.flat)
+            assert not np.shares_memory(arr, params.flat)
+        assert np.array_equal(twin.flat, params.flat)
+
+    def test_given_arrays_are_copied(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        params = MLPParams([w], [b])
+        params.flat[:] = 5.0
+        assert np.all(w == 1.0) and np.all(b == 0.0)
+        assert np.all(params.weights[0] == 5.0) and np.all(params.biases[0] == 5.0)
+
+    def test_arrays_that_do_not_chain_are_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            MLPParams([np.ones((2, 3)), np.ones((4, 1))], [np.zeros(3), np.zeros(1)])
+        with pytest.raises(ShapeMismatch):
+            MLPParams([np.ones((2, 3))], [np.zeros(2)])
+        with pytest.raises(ShapeMismatch):
+            MLPParams([np.ones(3)], [np.zeros(3)])
+
+    def test_gradients_write_into_the_given_vector(self):
+        params = init_params(small_spec())
+        rng = np.random.default_rng(4)
+        x, a, y = rng.standard_normal((6, 5)), rng.integers(3, size=6), rng.standard_normal(6)
+        out = np.full_like(params.flat, np.nan)
+        gw, gb, loss = gradients(params, x, a, y, out=out)
+        for g in gw + gb:
+            assert np.shares_memory(g, out)
+        fresh_w, fresh_b, fresh_loss = gradients(params, x, a, y)
+        assert loss == fresh_loss
+        assert np.array_equal(np.concatenate([g.ravel() for pair in zip(fresh_w, fresh_b)
+                                              for g in pair]), out)
+
+    @pytest.mark.parametrize("grad_clip", [None, 1.0])
+    def test_train_batch_matches_per_layer_reference(self, grad_clip):
+        params = init_params(MLPSpec(input_size=70, init_seed=3))
+        weights = [w.copy() for w in params.weights]
+        biases = [b.copy() for b in params.biases]
+        moments = [[np.zeros_like(arr) for arr in arrays]
+                   for arrays in (weights, weights, biases, biases)]
+        adam = AdamState.for_params(params)
+        rng = np.random.default_rng(21)
+        clips = 0
+        for t in range(1, 21):
+            x = rng.standard_normal((32, 70))
+            a = rng.integers(7, size=32)
+            y = 10.0 * rng.standard_normal(32)
+            train_batch(params, x, a, y, adam, lr=5e-4, grad_clip=grad_clip)
+            clips += reference_step(weights, biases, moments, x, a, y, t, 5e-4, grad_clip)
+        if grad_clip is not None:
+            assert clips > 0
+        want = np.concatenate([arr.ravel() for pair in zip(weights, biases) for arr in pair])
+        assert params.flat.tobytes() == want.tobytes()
+        m_w, v_w, m_b, v_b = moments
+        for flat, per_w, per_b in ((adam.m, m_w, m_b), (adam.v, v_w, v_b)):
+            want = np.concatenate([arr.ravel() for pair in zip(per_w, per_b) for arr in pair])
+            assert flat.tobytes() == want.tobytes()
+
+    def test_soft_update_matches_per_layer_blend(self):
+        target = init_params(MLPSpec(input_size=70, init_seed=1))
+        main = init_params(MLPSpec(input_size=70, init_seed=2))
+        want = [(1.0 - 0.01) * t + 0.01 * m for t, m in zip(
+            target.weights + target.biases, main.weights + main.biases)]
+        soft_update(target, main, 0.01)
+        for got, expected in zip(target.weights + target.biases, want):
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestCheckpointLayout:
+    def test_npz_keys_are_per_layer(self, tmp_path):
+        spec = MLPSpec(input_size=70)
+        params = init_params(spec)
+        save_params(tmp_path / "net.npz", params, spec)
+        with np.load(tmp_path / "net.npz") as data:
+            assert sorted(data.files) == ["b0", "b1", "b2", "meta", "w0", "w1", "w2"]
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                assert np.array_equal(data[f"w{i}"], w)
+                assert np.array_equal(data[f"b{i}"], b)
+
+    @pytest.mark.parametrize("name", ["psi_minus_fixed.npz", "psi_minus_random.npz"])
+    def test_reference_agents_load(self, name):
+        params, spec, _ = load_params(REFERENCE_DIR / name,
+                                      expected_spec=MLPSpec(input_size=70))
+        assert spec.layer_sizes == (70, 128, 128, 7)
+        with np.load(REFERENCE_DIR / name) as data:
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                assert w.tobytes() == data[f"w{i}"].tobytes()
+                assert b.tobytes() == data[f"b{i}"].tobytes()
+
+    def test_trained_round_trip_is_bit_exact(self, tmp_path):
+        spec = small_spec()
+        params = init_params(spec)
+        adam = AdamState.for_params(params)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            train_batch(params, rng.standard_normal((8, 5)), rng.integers(3, size=8),
+                        rng.standard_normal(8), adam, grad_clip=1.0)
+        save_params(tmp_path / "a.npz", params, spec, step=5)
+        loaded, _, _ = load_params(tmp_path / "a.npz")
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        save_params(tmp_path / "b.npz", loaded, spec, step=5)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_wrong_bias_shape_rejected(self, tmp_path):
+        spec = small_spec()
+        params = init_params(spec)
+        save_params(tmp_path / "net.npz", params, spec)
+        with np.load(tmp_path / "net.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["b0"] = arrays["b0"][:-1]
+        np.savez(tmp_path / "net.npz", **arrays)
+        with pytest.raises(SchemaMismatch):
+            load_params(tmp_path / "net.npz")
