@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import CONTINUE, FATAL, OUTCOMES, SUCCESS, EnvConfig, QSEEnv, encoding_length
+from .env import (CONTINUE, FATAL, OUTCOMES, SUCCESS, EnvConfig, QSEEnv, encode_state,
+                  encoding_length)
 from .errors import NonFiniteLoss
 from .network import (
     AdamState,
@@ -285,6 +286,7 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
         step += 1
         actions = select_action(params, enc, eps, [rngs[i] for i in live])
         out = env.step_batch(rho, actions)
+        nxt = encode_state(out.rho)
         code = env.classify(out.fidelity, out.fatal, step)
         for j, (i, a, p, f, r, c) in enumerate(zip(
                 live, actions.tolist(), out.prob.tolist(), out.fidelity.tolist(),
@@ -292,13 +294,13 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
             totals[i] += r
             codes[i] = c
             if keep_transitions:
-                kept[i].append(Transition(last[i], a, out.encoding[j], r, c != CONTINUE))
-                last[i] = out.encoding[j]
+                kept[i].append(Transition(last[i], a, nxt[j], r, c != CONTINUE))
+                last[i] = nxt[j]
             else:
                 taken[i].append((a, p, f))
         go = code == CONTINUE
         live = [i for i, g in zip(live, go) if g]
-        rho, enc = out.rho[go], out.encoding[go]
+        rho, enc = out.rho[go], nxt[go]
 
     outcomes = [OUTCOMES[c] for c in codes]
     if keep_transitions:

@@ -12,6 +12,10 @@ real vector (Hermiticity plus unit trace make the on-and-above-diagonal
 entries, minus one diagonal element, a complete parameterization). With
 two bath spins that is 70 numbers.
 
+The bath holds any even number of spins. The target is one copy of the
+named Bell pair per two bath spins, (bath_1, bath_2) (x) (bath_3,
+bath_4) (x) ..., so with two bath spins it is the Bell state itself.
+
 ``QSEEnv.step_batch`` advances a stack of states by one step each, with
 one conjugation ``M rho M^dagger`` per row (``M = P U`` for a projection,
 ``U`` for doing nothing); ``QSEEnv.step`` is its one-row form.
@@ -26,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EpisodeFinished
-from .linalg import partial_trace_first
+from .linalg import kron_all, partial_trace_first
 from .model import (
     BELL_NAMES,
     SPIN_STATES,
@@ -77,7 +81,8 @@ class EnvConfig:
 
     r_fatal punishes choosing a branch whose probability is at or below
     ``floor`` (the state could not be renormalized); it must not beat the
-    worst regular episode, i.e. r_fatal <= r_minus * max_steps.
+    worst regular episode, i.e. r_fatal <= r_minus * max_steps. The
+    model's bath must pair up: n_bath is even and at least 2.
     """
 
     model: ModelParams = field(default_factory=ModelParams)
@@ -103,9 +108,10 @@ class EnvConfig:
             )
         if self.target not in BELL_NAMES:
             raise ValueError(f"target must be one of {BELL_NAMES}, got {self.target!r}")
-        if self.model.n_bath != 2:
+        if self.model.n_bath < 2 or self.model.n_bath % 2:
             raise ValueError(
-                f"two-spin entangled targets need n_bath=2, got {self.model.n_bath}"
+                f"n_bath must be even and >= 2 (one target pair per two bath spins), "
+                f"got {self.model.n_bath}"
             )
         if self.start_mode not in START_MODES:
             raise ValueError(f"start_mode must be one of {START_MODES}, got {self.start_mode!r}")
@@ -144,8 +150,7 @@ class BatchStep(NamedTuple):
     """
 
     rho: np.ndarray       # (N, dim, dim)
-    encoding: np.ndarray  # (N, encoding_length(dim))
-    bath: np.ndarray      # (N, 4, 4) reduced state of the two bath spins
+    bath: np.ndarray      # (N, 2**n_bath, 2**n_bath) reduced state of the bath
     prob: np.ndarray      # (N,) branch probability, exactly 1 when idle
     fidelity: np.ndarray  # (N,) bath fidelity to the target
     fatal: np.ndarray     # (N,) bool
@@ -217,10 +222,10 @@ class QSEEnv:
         self.projectors = tuple(
             central_projector(axis, sign, n) for axis, sign in _PROJECTOR_SPEC
         )
-        self.target_vector = bell_state(cfg.target)
+        self.target_vector = kron_all(*[bell_state(cfg.target)] * (n // 2))
         self.target_matrix = np.outer(self.target_vector, self.target_vector.conj())
         # branch operator per action index: P_a U for a projection, U for idle
-        self._step_ops = np.stack([p.matrix @ self.propagator for p in self.projectors]
+        self._step_ops = np.stack([p @ self.propagator for p in self.projectors]
                                   + [self.propagator])
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
         self._fixed_start = None
@@ -282,7 +287,7 @@ class QSEEnv:
         bath = partial_trace_first(out, 2)
         fid = fidelity_to_pure(bath, self.target_vector)
         fid[fatal] = np.nan
-        return BatchStep(out, encode_state(out), bath, prob, fid, fatal)
+        return BatchStep(out, bath, prob, fid, fatal)
 
     def classify(self, fidelity: np.ndarray, fatal: np.ndarray, step_count) -> np.ndarray:
         """Outcome codes (indices into OUTCOMES) of steps that ended after
@@ -298,7 +303,7 @@ class QSEEnv:
 
     def step(self, state: EnvState, action: int) -> StepResult:
         """Evolve for tau, apply the chosen action, and score the result:
-        one row of ``step_batch`` plus ``classify``."""
+        one row of ``step_batch``, encoded, plus ``classify``."""
         if state.done:
             raise EpisodeFinished(f"episode already ended after {state.step_count} steps")
         if not 0 <= action < ACTION_COUNT:
@@ -307,7 +312,7 @@ class QSEEnv:
         m = state.step_count + 1
         code = int(self.classify(out.fidelity, out.fatal, m)[0])
         done = code != CONTINUE
-        nxt = EnvState(out.encoding[0], out.rho[0], m, done, state.start_label)
+        nxt = EnvState(encode_state(out.rho[0]), out.rho[0], m, done, state.start_label)
         return StepResult(nxt, float(self.rewards[code]), done, float(out.prob[0]),
                           OUTCOMES[code], float(out.fidelity[0]))
 

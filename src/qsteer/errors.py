@@ -21,15 +21,6 @@ class DimensionMismatch(QsteerError):
     """Operand dimensions are incompatible."""
 
 
-class NormalizationUnderflow(QsteerError):
-    """Projective branch probability at or below the cutoff floor."""
-
-    def __init__(self, prob: float, floor: float):
-        super().__init__(f"branch probability {prob:.3e} <= floor {floor:.3e}")
-        self.prob = prob
-        self.floor = floor
-
-
 class EpisodeFinished(QsteerError):
     """step() was called on a terminal state."""
 

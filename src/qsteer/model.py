@@ -19,11 +19,11 @@ unit system, so all propagator phases are dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormalizationUnderflow
+from .errors import DimensionMismatch
 from .linalg import (
     expm_i_hermitian,
     hermiticity_defect,
@@ -39,7 +39,6 @@ __all__ = [
     "SPIN_STATES",
     "BELL_NAMES",
     "ModelParams",
-    "CentralProjector",
     "hilbert_dim",
     "build_hamiltonian",
     "build_propagator",
@@ -110,19 +109,6 @@ class ModelParams:
         return hilbert_dim(self.n_bath)
 
 
-@dataclass(frozen=True)
-class CentralProjector:
-    """Projector onto a central-spin pure state, extended by identities."""
-
-    axis: str
-    sign: str
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def token(self) -> str:
-        return f"P{self.axis}{self.sign}"
-
-
 def hilbert_dim(n_bath: int) -> int:
     """Total Hilbert-space dimension 2**(n_bath + 1)."""
     return 2 ** (n_bath + 1)
@@ -156,14 +142,13 @@ def build_propagator(p: ModelParams, duration: float | None = None) -> np.ndarra
     return expm_i_hermitian(build_hamiltonian(p), duration)
 
 
-def central_projector(axis: str, sign: str, n_bath: int) -> CentralProjector:
+def central_projector(axis: str, sign: str, n_bath: int) -> np.ndarray:
     """Projector |a,s><a,s| (x) identity on every bath spin."""
     key = f"{axis}{sign}"
     if key not in SPIN_STATES:
         raise ValueError(f"unknown central-spin state {key!r}")
     v = SPIN_STATES[key]
-    mat = kron_all(np.outer(v, v.conj()), *([IDENTITY_2] * n_bath))
-    return CentralProjector(axis=axis, sign=sign, matrix=mat)
+    return kron_all(np.outer(v, v.conj()), *([IDENTITY_2] * n_bath))
 
 
 def central_product_state(central: np.ndarray, n_bath: int) -> np.ndarray:
@@ -173,34 +158,21 @@ def central_product_state(central: np.ndarray, n_bath: int) -> np.ndarray:
     return kron_all(np.outer(central, central.conj()), *([IDENTITY_2 / 2] * n_bath))
 
 
-def measure(rho: np.ndarray, p, floor: float = 1e-8):
-    """Apply a measurement branch and renormalize.
+def measure(rho: np.ndarray, ops: np.ndarray, floor: float = 1e-8):
+    """Apply one branch operator M per state and renormalize.
 
-    With a CentralProjector p, returns (P rho P / prob, prob) for the
-    single state rho and raises NormalizationUnderflow when the branch
-    probability is at or below ``floor``; that cutoff separates genuine
-    rank deficiency from round-off and is what episode logic treats as a
-    fatal choice.
-
-    With an array p of branch operators M (a projector, or a projector
-    times the propagator for a step that evolves first), rho and p are
-    stacks of matching shape and the result is (M rho M^dagger / prob,
-    prob) row by row. A row at or below the floor comes back
-    unnormalized instead of raising; the caller flags it.
+    rho and ops are stacks of matching shape; each M is a projector, or a
+    projector times the propagator for a step that evolves first. Returns
+    (M rho M^dagger / prob, prob) row by row. A row whose branch
+    probability is at or below ``floor`` comes back unnormalized; that
+    cutoff separates genuine rank deficiency from round-off, and the
+    caller treats such a row as a fatal choice.
     """
     if not floor > 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    if isinstance(p, CentralProjector):
-        if rho.shape != p.matrix.shape:
-            raise DimensionMismatch(f"state {rho.shape} vs projector {p.matrix.shape}")
-        projected = p.matrix @ rho @ p.matrix
-        prob = float(np.trace(projected).real)
-        if prob <= floor:
-            raise NormalizationUnderflow(prob, floor)
-        return projected / prob, prob
-    if rho.shape != p.shape:
-        raise DimensionMismatch(f"states {rho.shape} vs branch operators {p.shape}")
-    out = p @ rho @ p.conj().swapaxes(-1, -2)
+    if rho.shape != ops.shape:
+        raise DimensionMismatch(f"states {rho.shape} vs branch operators {ops.shape}")
+    out = ops @ rho @ ops.conj().swapaxes(-1, -2)
     prob = np.trace(out, axis1=-2, axis2=-1).real
     out /= np.where(prob > floor, prob, 1.0)[..., None, None]
     return out, prob

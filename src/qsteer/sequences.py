@@ -23,18 +23,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, SequenceParseError
 from .env import ACTION_COUNT, ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
-from .linalg import partial_trace_first
-from .model import (
-    ModelParams,
-    bell_state,
-    build_propagator,
-    central_product_state,
-    central_projector,
-    fidelity_to_pure,
-    measure,
-    purity,
-    trace_distance,
-)
+from .model import ModelParams, purity, trace_distance
+
+# not called here, but perfbench's tracer wraps these names in this module
+from .linalg import partial_trace_first  # noqa: F401
+from .model import fidelity_to_pure, measure  # noqa: F401
 
 __all__ = [
     "StepStats",
@@ -142,11 +135,11 @@ def verify_steady_state(n_bath: int, repetitions: int,
                         lead_in_intervals: int = 2) -> list[float]:
     """Fidelity trajectory of repeated x+ projections on an even bath.
 
-    Starts from the x+ central state over a maximally mixed bath, lets the
-    system evolve for ``lead_in_intervals`` intervals before the first
-    projection, then alternates one interval of evolution with one x+
-    projection. Returns the bath fidelity to a tensor product of singlet
-    pairs after each projection.
+    Replays, from the x+ central state over a maximally mixed bath,
+    ``lead_in_intervals - 1`` idle steps and then ``repetitions`` x+
+    projections, each after one interval of evolution. Returns the bath
+    fidelity to a tensor product of singlet pairs after each projection;
+    a branch at or below the floor ends the list early.
     """
     if n_bath < 2 or n_bath % 2 != 0:
         raise ValueError(f"n_bath must be a positive even count, got {n_bath}")
@@ -159,27 +152,11 @@ def verify_steady_state(n_bath: int, repetitions: int,
     elif model.n_bath != n_bath:
         model = ModelParams.uniform(n_bath=n_bath, coupling=model.couplings[0],
                                     omega=model.omega, tau=model.tau)
-
-    singlet = bell_state("psi-")
-    target = singlet
-    for _ in range(n_bath // 2 - 1):
-        target = np.kron(target, singlet)
-
-    u = build_propagator(model)
-    u_dag = u.conj().T
-    proj = central_projector("x", "+", n_bath)
-    rho = central_product_state(np.array([1, 1], dtype=complex), n_bath)
-
-    for _ in range(lead_in_intervals - 1):
-        rho = u @ rho @ u_dag
-
-    fidelities = []
-    for _ in range(repetitions):
-        rho = u @ rho @ u_dag
-        rho, _prob = measure(rho, proj, floor)
-        bath = partial_trace_first(rho, 2)
-        fidelities.append(fidelity_to_pure(bath, target))
-    return fidelities
+    env = QSEEnv(EnvConfig(model=model, target="psi-", floor=floor))
+    px_plus = _TOKEN_TO_ACTION["Px+"]
+    actions = (DO_NOTHING,) * (lead_in_intervals - 1) + (px_plus,) * repetitions
+    rec = replay_sequence(env.reset().rho, actions, env)
+    return [s.fidelity for s in rec.per_step[lead_in_intervals - 1:]]
 
 
 def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,

@@ -7,6 +7,11 @@ throwaway implementation (plain matrix products, no shared code), so they
 double as an end-to-end check of the operator conventions.
 """
 
+# qsteer before numpy: importing it defaults OPENBLAS_NUM_THREADS to 1, and
+# OpenBLAS reads the setting only when numpy first loads, so the suite's
+# in-process trainings run on the thread count the program uses
+import qsteer  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

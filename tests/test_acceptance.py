@@ -371,7 +371,7 @@ def test_criterion_9_invariant_walk(run_cfg):
     u = env.propagator
     unitary_defect = np.linalg.norm(u @ u.conj().T - np.eye(env.dim))
     completeness = max(
-        np.linalg.norm(env.projectors[i].matrix + env.projectors[i + 1].matrix
+        np.linalg.norm(env.projectors[i] + env.projectors[i + 1]
                        - np.eye(env.dim))
         for i in (0, 2, 4))
 

@@ -99,6 +99,12 @@ class TestTrain:
         assert cli.main(["train", str(bad)]) == 2
         assert "run.workers" in capsys.readouterr().err
 
+    def test_odd_bath_exit_code(self, micro_config, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MICRO_CONFIG.replace("n_bath = 2", "n_bath = 3"))
+        assert cli.main(["train", str(bad)]) == 2
+        assert "n_bath" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_evaluate_with_baseline(self, micro_config, tmp_path, capsys):

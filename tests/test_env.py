@@ -19,7 +19,14 @@ from qsteer.env import (
 )
 from qsteer.errors import EpisodeFinished
 from qsteer.linalg import partial_trace_first
-from qsteer.model import SPIN_STATES, fidelity_to_pure, purity
+from qsteer.model import (
+    BELL_NAMES,
+    SPIN_STATES,
+    ModelParams,
+    bell_state,
+    fidelity_to_pure,
+    purity,
+)
 
 
 class TestReset:
@@ -211,7 +218,7 @@ def _separate_products_reference(env, rho, action):
     evolved = env.propagator @ rho @ env.propagator.conj().T
     if action == DO_NOTHING:
         return evolved, 1.0, False
-    p = env.projectors[action].matrix
+    p = env.projectors[action]
     projected = p @ evolved @ p
     prob = float(np.trace(projected).real)
     if prob <= env.cfg.floor:
@@ -240,7 +247,7 @@ class TestStepBatch:
                 assert np.array_equal(got[0], want[i], equal_nan=True)
             result = env.step(dataclasses.replace(env.reset(), rho=rho[i]), int(action))
             assert np.array_equal(result.next.rho, batch.rho[i])
-            assert np.array_equal(result.next.encoding, batch.encoding[i])
+            assert np.array_equal(result.next.encoding, encode_state(batch.rho[i]))
             assert result.success_prob == batch.prob[i]
             assert result.fidelity == batch.fidelity[i] or batch.fatal[i]
             assert (result.outcome == "fatal") == batch.fatal[i]
@@ -254,7 +261,7 @@ class TestStepBatch:
             assert batch.fatal[i] == fatal
             assert np.abs(batch.rho[i] - want).max() < 1e-12
             assert abs(batch.prob[i] - prob) < 1e-12
-            assert np.abs(batch.encoding[i] - encode_state(want)).max() < 1e-12
+            assert np.abs(encode_state(batch.rho[i]) - encode_state(want)).max() < 1e-12
             if fatal:
                 assert np.isnan(batch.fidelity[i])
             else:
@@ -273,12 +280,13 @@ _AMPLITUDES = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def kernel_stacks(draw, max_rows=8):
+def kernel_stacks(draw, max_rows=8, dims=(8,)):
     """A stack of density matrices of random rank, each normalized
-    A A^dagger, and one action per row."""
+    A A^dagger, and one action per row, at one of the given dimensions."""
+    dim = draw(st.sampled_from(dims))
     n = draw(st.integers(1, max_rows))
     rank = draw(st.integers(1, 8))
-    re, im = (draw(hnp.arrays(np.float64, (n, 8, rank), elements=_AMPLITUDES))
+    re, im = (draw(hnp.arrays(np.float64, (n, dim, rank), elements=_AMPLITUDES))
               for _ in range(2))
     a = re + 1j * im
     rho = a @ a.conj().swapaxes(-1, -2)
@@ -289,13 +297,15 @@ def kernel_stacks(draw, max_rows=8):
 
 
 class TestStepBatchProperties:
-    env = QSEEnv(EnvConfig())
+    # two and four bath spins
+    envs = {8: QSEEnv(EnvConfig()),
+            32: QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=4)))}
 
     @settings(max_examples=200, deadline=None)
-    @given(kernel_stacks())
+    @given(kernel_stacks(dims=(8, 32)))
     def test_rows_are_density_matrices(self, stack):
         rho, actions = stack
-        out = self.env.step_batch(rho, actions)
+        out = self.envs[rho.shape[-1]].step_batch(rho, actions)
         # a branch certain in exact arithmetic can read 1 + 2.2e-16
         assert np.all((out.prob >= 0.0) & (out.prob <= 1.0 + 1e-12))
         assert np.all(out.prob[actions == DO_NOTHING] == 1.0)
@@ -305,12 +315,13 @@ class TestStepBatchProperties:
             assert np.linalg.eigvalsh((row + row.conj().T) / 2)[0] >= -1e-9
 
     @settings(max_examples=100, deadline=None)
-    @given(kernel_stacks())
+    @given(kernel_stacks(dims=(8, 32)))
     def test_rows_do_not_depend_on_the_stack(self, stack):
         rho, actions = stack
-        out = self.env.step_batch(rho, actions)
+        env = self.envs[rho.shape[-1]]
+        out = env.step_batch(rho, actions)
         for i, action in enumerate(actions):
-            alone = self.env.step_batch(rho[i:i + 1], [action])
+            alone = env.step_batch(rho[i:i + 1], [action])
             for got, want in zip(alone, out):
                 assert np.array_equal(got[0], want[i], equal_nan=True)
 
@@ -334,6 +345,19 @@ class TestEnvConfigValidation:
     def test_rejects_unknown_target(self):
         with pytest.raises(ValueError):
             EnvConfig(target="sigma+")
+
+    @pytest.mark.parametrize("n_bath", [0, 1, 3])
+    def test_rejects_unpaired_bath(self, n_bath):
+        with pytest.raises(ValueError, match="n_bath"):
+            EnvConfig(model=ModelParams.uniform(n_bath=n_bath))
+
+
+@pytest.mark.parametrize("target", BELL_NAMES)
+def test_four_spin_target_is_two_pairs(target):
+    env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=4), target=target))
+    pair = bell_state(target)
+    assert np.linalg.norm(env.target_vector) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(env.target_vector, np.kron(pair, pair))
 
 
 class TestEpisodeReturn:

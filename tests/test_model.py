@@ -3,7 +3,7 @@ import pytest
 
 from conftest import FIRST_XPLUS_BRANCH_PROB, random_density_matrix
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
-from qsteer.errors import DimensionMismatch, NormalizationUnderflow
+from qsteer.errors import DimensionMismatch
 from qsteer.linalg import partial_trace_first
 from qsteer.model import (
     BELL_NAMES,
@@ -95,9 +95,9 @@ class TestProjectors:
         plus = central_projector(axis, "+", 2)
         minus = central_projector(axis, "-", 2)
         for p in (plus, minus):
-            assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) < 1e-12
-            assert np.linalg.norm(p.matrix - p.matrix.conj().T) < 1e-12
-        assert np.linalg.norm(plus.matrix + minus.matrix - np.eye(8)) < 1e-12
+            assert np.linalg.norm(p @ p - p) < 1e-12
+            assert np.linalg.norm(p - p.conj().T) < 1e-12
+        assert np.linalg.norm(plus + minus - np.eye(8)) < 1e-12
 
     def test_branch_probabilities_sum_to_one(self, rng):
         rho = random_density_matrix(rng, 8)
@@ -105,21 +105,24 @@ class TestProjectors:
             total = 0.0
             for sign in "+-":
                 p = central_projector(axis, sign, 2)
-                total += float(np.trace(p.matrix @ rho @ p.matrix).real)
+                total += float(np.trace(p @ rho @ p).real)
             assert abs(total - 1.0) < 1e-10
 
 
 class TestMeasure:
     def test_aligned_state_passes_untouched(self):
         rho = central_product_state(SPIN_STATES["z+"], 2)
-        out, prob = measure(rho, central_projector("z", "+", 2))
-        assert abs(prob - 1.0) < 1e-12
-        assert np.allclose(out, rho, atol=1e-12)
+        out, prob = measure(rho[None], central_projector("z", "+", 2)[None])
+        assert abs(prob[0] - 1.0) < 1e-12
+        assert np.allclose(out[0], rho, atol=1e-12)
 
     def test_orthogonal_projection_underflows(self):
+        # the row comes back with its branch probability and unnormalized
         rho = central_product_state(SPIN_STATES["z+"], 2)
-        with pytest.raises(NormalizationUnderflow):
-            measure(rho, central_projector("z", "-", 2))
+        p = central_projector("z", "-", 2)
+        out, prob = measure(rho[None], p[None])
+        assert prob[0] <= 1e-8
+        assert np.array_equal(out[0], p @ rho @ p)
 
     def test_first_branch_probability_of_singlet_route(self, default_model):
         # evolve the fixed start for two intervals, then project onto x+
@@ -127,15 +130,15 @@ class TestMeasure:
         u = build_propagator(default_model)
         for _ in range(2):
             rho = u @ rho @ u.conj().T
-        out, prob = measure(rho, central_projector("x", "+", 2))
-        assert prob == pytest.approx(FIRST_XPLUS_BRANCH_PROB, abs=1e-9)
-        assert_density_matrix(out)
+        out, prob = measure(rho[None], central_projector("x", "+", 2)[None])
+        assert prob[0] == pytest.approx(FIRST_XPLUS_BRANCH_PROB, abs=1e-9)
+        assert_density_matrix(out[0])
 
 
     def test_branch_operator_stack(self, rng):
         stack = np.stack([random_density_matrix(rng, 8) for _ in range(4)])
-        ops = np.stack([central_projector(a, "+", 2).matrix for a in "xyzz"])
-        ops[3] = central_projector("z", "-", 2).matrix
+        ops = np.stack([central_projector(a, "+", 2) for a in "xyzz"])
+        ops[3] = central_projector("z", "-", 2)
         stack[3] = central_product_state(SPIN_STATES["z+"], 2)
         out, prob = measure(stack, ops)
         for i, p in enumerate(ops):
@@ -226,4 +229,4 @@ def test_kron_builds_projector_like_model(default_model):
     p = central_projector("x", "+", 2)
     v = SPIN_STATES["x+"]
     explicit = np.kron(np.outer(v, v.conj()), np.eye(4, dtype=complex))
-    assert np.allclose(p.matrix, explicit, atol=1e-15)
+    assert np.allclose(p, explicit, atol=1e-15)

@@ -9,7 +9,7 @@ from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv, start_state_vector
 from qsteer.errors import BudgetExceeded, SequenceParseError
 from qsteer.linalg import partial_trace_first
-from qsteer.model import fidelity
+from qsteer.model import ModelParams, fidelity
 from qsteer.sequences import (
     SequenceRecord,
     StepStats,
@@ -151,6 +151,10 @@ class TestExhaustiveSearch:
         # sorted by length, then decreasing rate
         keys = [(len(r.actions), -r.success_rate) for r in records]
         assert keys == sorted(keys)
+
+    def test_no_short_route_to_two_singlet_pairs(self):
+        cfg = EnvConfig(model=ModelParams.uniform(n_bath=4))
+        assert exhaustive_search(4, "psi-", cfg) == []
 
     def test_frozen_counts(self, searched):
         counts = {n: {t: len(searched[n, t]) for t in c} for n, c in SEARCH_COUNTS.items()}

@@ -44,6 +44,12 @@ def test_user_setting_wins():
     assert run_python(REPORT, "2").split() == ["2", "2"]
 
 
+def test_this_suite_runs_on_the_programs_setting():
+    # tests/conftest.py imports qsteer before numpy
+    import qsteer
+    assert qsteer.BLAS_THREADS == os.environ.get("OPENBLAS_NUM_THREADS")
+
+
 def test_numpy_imported_first_is_reported_as_default():
     out = run_python("import os, numpy, qsteer; "
                      "print(os.environ.get('OPENBLAS_NUM_THREADS'), qsteer.BLAS_THREADS)",
