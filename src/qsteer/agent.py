@@ -201,15 +201,13 @@ def epsilon_at(step: int, cfg: AgentConfig) -> float:
 def select_action(params: MLPParams, s: np.ndarray, eps: float, rng):
     """Epsilon-greedy choice; greedy ties break toward the lowest index.
 
-    For one state s (1-D) and one generator rng, returns an int. For a
-    batch of states (2-D) and one generator per row, returns an array of
-    actions; every greedy row shares one forward pass. Each generator
-    draws random() when eps > 0, then integers(7) if it explores.
+    s is a batch of states and rng one generator per row; returns one
+    action per row. Every greedy row shares one forward pass. Each
+    generator draws random() when eps > 0, then integers(7) if it
+    explores.
     """
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if np.ndim(s) == 1:
-        return int(select_action(params, np.asarray(s)[None], eps, [rng])[0])
     actions = np.zeros(len(s), dtype=np.int64)
     greedy = np.ones(len(s), dtype=bool)
     if eps > 0:

@@ -193,7 +193,10 @@ def cmd_replay(args) -> int:
     ]
     columns = ["step", "action", "success_prob", "fidelity", "trace_distance", "purity"]
     if args.out:
-        _write_table(Path(args.out), cfg, columns, rows)
+        try:
+            _write_table(Path(args.out), cfg, columns, rows)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         print("\t".join(columns))
@@ -237,8 +240,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    with open(args.records, "r", encoding="utf-8") as fh:
-        records = parse_records(fh)
+    try:
+        with open(args.records, "r", encoding="utf-8") as fh:
+            records = parse_records(fh)
+    except OSError as exc:
+        raise ConfigError(f"--records: {exc}") from exc
     counts = combination_histogram(records, unique_successful=args.unique_successful)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     print("\t".join(["first", "second", "count"]))

@@ -29,7 +29,8 @@ __all__ = ["RunConfig", "parse_config", "parse_config_text", "serialize_config",
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelParams
+    """One run; its model is ``env.model``, written as the [model] section."""
+
     env: EnvConfig
     agent: AgentConfig
     mlp: MLPSpec
@@ -38,14 +39,10 @@ class RunConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
-        # the text format holds one [model] section, read by the env too
-        if self.model != self.env.model:
-            raise ValueError(
-                f"model {self.model} does not match env.model {self.env.model}")
         # the text format holds one coupling vector for every bath spin
-        if len(set(self.model.couplings)) > 1:
-            raise ValueError(
-                f"model.couplings must be uniform, got {self.model.couplings}")
+        couplings = self.env.model.couplings
+        if len(set(couplings)) > 1:
+            raise ValueError(f"model.couplings must be uniform, got {couplings}")
 
 
 #: Section -> (dataclass, fields not read from the file). The skipped
@@ -56,7 +53,7 @@ _SECTIONS = {
     "env": (EnvConfig, ("model",)),
     "agent": (AgentConfig, ()),
     "mlp": (MLPSpec, ("input_size", "output_size")),
-    "run": (RunConfig, ("model", "env", "agent", "mlp")),
+    "run": (RunConfig, ("env", "agent", "mlp")),
 }
 
 
@@ -140,7 +137,7 @@ def parse_config_text(text: str) -> RunConfig:
     values = {name: _read(parser, name) for name in _SECTIONS}
     model = _build("model", ModelParams.uniform, values["model"])
     return _build(
-        "run", RunConfig, values["run"], model=model,
+        "run", RunConfig, values["run"],
         env=_build("env", EnvConfig, values["env"], model=model),
         agent=_build("agent", AgentConfig, values["agent"]),
         mlp=_build("mlp", MLPSpec, values["mlp"],
@@ -171,7 +168,7 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
     blocks = []
     for name, keys in _KEYS.items():
-        obj = cfg if name == "run" else getattr(cfg, name)
+        obj = cfg if name == "run" else cfg.env.model if name == "model" else getattr(cfg, name)
         blocks.append("\n".join([f"[{name}]"] + [
             f"{key} = {_format(get(obj))}" for key, (get, _) in keys.items()]))
     return "\n\n".join(blocks) + "\n"

@@ -40,7 +40,6 @@ from .model import (
     central_product_state,
     central_projector,
     fidelity_to_pure,
-    hilbert_dim,
     measure,
 )
 
@@ -56,8 +55,6 @@ __all__ = [
     "QSEEnv",
     "encoding_length",
     "encode_state",
-    "decode_state",
-    "episode_return",
     "start_state_vector",
 ]
 
@@ -182,29 +179,6 @@ def encode_state(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_state(encoding: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of encode_state, restoring Hermiticity and unit trace."""
-    iu, ju = _triu_indices(dim)
-    entries = encoding[0::2] + 1j * encoding[1::2]
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[iu, ju] = entries
-    lower = rho.conj().T.copy()
-    np.fill_diagonal(lower, 0.0)
-    rho += lower
-    rho[dim - 1, dim - 1] = 1.0 - np.sum(rho.diagonal()[: dim - 1]).real
-    return rho
-
-
-def episode_return(rewards, gamma: float) -> float:
-    """Discounted sum of a reward sequence, evaluated from its start."""
-    if not 0 <= gamma <= 1:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    total = 0.0
-    for i, r in enumerate(rewards):
-        total += (gamma ** i) * r
-    return total
-
-
 class QSEEnv:
     """One environment instance; owns its precomputed operators.
 
@@ -216,7 +190,7 @@ class QSEEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         n = cfg.model.n_bath
-        self.dim = hilbert_dim(n)
+        self.dim = cfg.model.dim
         self.propagator = build_propagator(cfg.model)
         self._propagator_dag = self.propagator.conj().T
         self.projectors = tuple(

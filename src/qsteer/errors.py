@@ -13,10 +13,6 @@ class NoConvergence(QsteerError):
     """The eigensolver failed to converge."""
 
 
-class NegativeEigenvalue(QsteerError):
-    """Matrix has an eigenvalue below the allowed negative drift."""
-
-
 class DimensionMismatch(QsteerError):
     """Operand dimensions are incompatible."""
 

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small exact spin simulations.
 
 Matrices are plain row-major complex numpy arrays. Hermitian
-eigendecomposition is the single backend for matrix functions (exponential
-and square root); at the dimensions handled here (at most a few hundred)
-nothing more elaborate pays off. Sparse storage and non-Hermitian
-eigenproblems are out of scope.
+eigendecomposition is the backend for the matrix exponential; at the
+dimensions handled here (at most a few hundred) nothing more elaborate
+pays off. Sparse storage and non-Hermitian eigenproblems are out of
+scope.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEigenvalue, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 __all__ = [
     "HermitianEig",
     "kron_all",
     "hermitian_eig",
     "expm_i_hermitian",
-    "matrix_sqrt_psd",
     "partial_trace_first",
     "hermiticity_defect",
 ]
@@ -87,21 +86,6 @@ def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     w, v = hermitian_eig(h)
     phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T
-
-
-def matrix_sqrt_psd(m: np.ndarray, neg_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-neg_tol, 0) are treated as floating-point drift and
-    clamped to zero; anything below -neg_tol raises NegativeEigenvalue.
-    """
-    w, v = hermitian_eig(m)
-    if w[0] < -neg_tol:
-        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -{neg_tol:.1e}")
-    w = np.maximum(w, 0.0)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    # symmetrize away the last bits of round-off
-    return (root + root.conj().T) / 2
 
 
 def partial_trace_first(m: np.ndarray, dim_first: int) -> np.ndarray:

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import (
-    expm_i_hermitian,
-    hermiticity_defect,
-    kron_all,
-    matrix_sqrt_psd,
-)
+from .linalg import expm_i_hermitian, kron_all
 
 __all__ = [
     "PAULI_X",
@@ -39,18 +34,15 @@ __all__ = [
     "SPIN_STATES",
     "BELL_NAMES",
     "ModelParams",
-    "hilbert_dim",
     "build_hamiltonian",
     "build_propagator",
     "central_projector",
     "central_product_state",
     "measure",
     "bell_state",
-    "fidelity",
     "fidelity_to_pure",
     "trace_distance",
     "purity",
-    "assert_density_matrix",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -106,12 +98,8 @@ class ModelParams:
 
     @property
     def dim(self) -> int:
-        return hilbert_dim(self.n_bath)
-
-
-def hilbert_dim(n_bath: int) -> int:
-    """Total Hilbert-space dimension 2**(n_bath + 1)."""
-    return 2 ** (n_bath + 1)
+        """Total Hilbert-space dimension 2**(n_bath + 1)."""
+        return 2 ** (self.n_bath + 1)
 
 
 def _bath_pauli(coupling) -> np.ndarray:
@@ -133,13 +121,9 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     return h
 
 
-def build_propagator(p: ModelParams, duration: float | None = None) -> np.ndarray:
-    """Unitary free-evolution operator for the given duration (default tau)."""
-    if duration is None:
-        duration = p.tau
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    return expm_i_hermitian(build_hamiltonian(p), duration)
+def build_propagator(p: ModelParams) -> np.ndarray:
+    """Unitary free-evolution operator for one interval tau."""
+    return expm_i_hermitian(build_hamiltonian(p), p.tau)
 
 
 def central_projector(axis: str, sign: str, n_bath: int) -> np.ndarray:
@@ -198,37 +182,11 @@ def bell_state(which: str) -> np.ndarray:
     return v / _SQ2
 
 
-def fidelity(sigma: np.ndarray, rho: np.ndarray) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
-
-    Symmetric in its arguments and equal to 1 iff sigma == rho. For a pure
-    rho this reduces to the overlap square root; fidelity_to_pure computes
-    that closed form directly.
+def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Fidelity of each matrix in the stack rho with the pure state psi:
+    sqrt(<psi|rho|psi>), the closed form of the Uhlmann fidelity for a
+    pure comparison state. Returns one fidelity per matrix.
     """
-    if sigma.shape != rho.shape:
-        raise DimensionMismatch(f"fidelity operands {sigma.shape} vs {rho.shape}")
-    root = matrix_sqrt_psd(rho)
-    inner = root @ sigma @ root
-    # inner is PSD up to round-off; its eigenvalue square roots sum to F.
-    # Eigenvalues at the round-off floor must be zeroed first: the square
-    # root amplifies O(eps) noise to O(sqrt(eps)).
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    cutoff = inner.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
-    w = np.where(w > cutoff, w, 0.0)
-    return float(min(1.0, np.sum(np.sqrt(w))))
-
-
-def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray):
-    """Fidelity of rho with the pure state psi: sqrt(<psi|rho|psi>).
-
-    Exact closed form of ``fidelity`` for a pure comparison state; used on
-    hot paths where the general eigendecomposition route is too slow. A
-    matrix gives a float; a stack of matrices gives an array with one
-    fidelity per matrix.
-    """
-    if rho.ndim == 2:
-        overlap = float(np.real(psi.conj() @ rho @ psi))
-        return float(np.sqrt(min(1.0, max(0.0, overlap))))
     # einsum rather than matmul: a BLAS matrix-vector product would make a
     # row's bits depend on how many rows share the stack
     overlap = np.einsum("k,...kl,l->...", psi.conj(), rho, psi).real
@@ -247,20 +205,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 def purity(rho: np.ndarray) -> float:
     """tr(rho rho^dagger); 1 for pure states, 1/d for maximally mixed."""
     return float(np.real(np.sum(rho * rho.conj())))
-
-
-def assert_density_matrix(rho: np.ndarray, herm_tol: float = 1e-9,
-                          trace_tol: float = 1e-9, eig_floor: float = -1e-9) -> None:
-    """Validate Hermiticity, unit trace, and positivity within tolerances.
-
-    Meant for tests and debug paths, not the episode hot loop.
-    """
-    defect = hermiticity_defect(rho)
-    if defect > herm_tol:
-        raise AssertionError(f"Hermiticity defect {defect:.3e} > {herm_tol:.1e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise AssertionError(f"trace {tr} deviates from 1 by more than {trace_tol:.1e}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w[0] < eig_floor:
-        raise AssertionError(f"eigenvalue {w[0]:.3e} below {eig_floor:.1e}")

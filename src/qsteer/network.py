@@ -15,6 +15,7 @@ in-place whole-vector operations.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -139,23 +140,19 @@ def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Action values for one state vector or a batch of them.
+    """Action values for a batch of state vectors, one row per state.
 
-    Pure function: no internal state is touched. A 1-D input yields a 1-D
-    output of one value per action.
+    Pure function: no internal state is touched.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.shape[1] != params.weights[0].shape[0]:
+    h = np.asarray(x, dtype=float)
+    if h.ndim != 2 or h.shape[1] != params.weights[0].shape[0]:
         raise ShapeMismatch(
-            f"input width {h.shape[1]} does not match network input "
+            f"input shape {h.shape} is not a batch of network inputs of width "
             f"{params.weights[0].shape[0]}"
         )
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         h = _activate(_affine(h, w, b), params.activation)
-    out = _affine(h, params.weights[-1], params.biases[-1])
-    return out[0] if single else out
+    return _affine(h, params.weights[-1], params.biases[-1])
 
 
 def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
@@ -305,10 +302,16 @@ def save_params(path, params: MLPParams, spec: MLPSpec, step: int = 0,
 def load_params(path, expected_spec: MLPSpec | None = None):
     """Load a checkpoint; returns (params, spec, meta).
 
-    Raises SchemaMismatch when the file is malformed or, if expected_spec
-    is given, when the stored layout disagrees with it.
+    Raises SchemaMismatch when the file cannot be read as a checkpoint or,
+    if expected_spec is given, when the stored layout disagrees with it.
     """
-    with np.load(path) as data:
+    try:
+        data = np.load(path)
+    except OSError as exc:
+        raise SchemaMismatch(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # text, empty, corrupt
+        raise SchemaMismatch(f"{path}: not an npz checkpoint") from exc
+    with data:
         if "meta" not in data:
             raise SchemaMismatch(f"{path}: missing checkpoint header")
         try:

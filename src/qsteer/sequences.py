@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SequenceParseError
 from .env import ACTION_COUNT, ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
-from .model import ModelParams, purity, trace_distance
+from .model import purity, trace_distance
 
 # not called here, but perfbench's tracer wraps these names in this module
 from .linalg import partial_trace_first  # noqa: F401
@@ -33,7 +33,6 @@ __all__ = [
     "StepStats",
     "SequenceRecord",
     "replay_sequence",
-    "verify_steady_state",
     "exhaustive_search",
     "combination_histogram",
     "diagnostic_trace",
@@ -127,36 +126,6 @@ def replay_sequence(start: np.ndarray, actions: Sequence[int], cfg: EnvConfig | 
     succeeded = (not aborted) and final_fid > theta
     return SequenceRecord(start_label, executed, tuple(stats), rate,
                           final_fid, succeeded, aborted)
-
-
-def verify_steady_state(n_bath: int, repetitions: int,
-                        model: ModelParams | None = None,
-                        floor: float = 1e-8,
-                        lead_in_intervals: int = 2) -> list[float]:
-    """Fidelity trajectory of repeated x+ projections on an even bath.
-
-    Replays, from the x+ central state over a maximally mixed bath,
-    ``lead_in_intervals - 1`` idle steps and then ``repetitions`` x+
-    projections, each after one interval of evolution. Returns the bath
-    fidelity to a tensor product of singlet pairs after each projection;
-    a branch at or below the floor ends the list early.
-    """
-    if n_bath < 2 or n_bath % 2 != 0:
-        raise ValueError(f"n_bath must be a positive even count, got {n_bath}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if lead_in_intervals < 1:
-        raise ValueError(f"lead_in_intervals must be >= 1, got {lead_in_intervals}")
-    if model is None:
-        model = ModelParams.uniform(n_bath=n_bath)
-    elif model.n_bath != n_bath:
-        model = ModelParams.uniform(n_bath=n_bath, coupling=model.couplings[0],
-                                    omega=model.omega, tau=model.tau)
-    env = QSEEnv(EnvConfig(model=model, target="psi-", floor=floor))
-    px_plus = _TOKEN_TO_ACTION["Px+"]
-    actions = (DO_NOTHING,) * (lead_in_intervals - 1) + (px_plus,) * repetitions
-    rec = replay_sequence(env.reset().rho, actions, env)
-    return [s.fidelity for s in rec.per_step[lead_in_intervals - 1:]]
 
 
 def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,

@@ -1,0 +1,95 @@
+"""Reference implementations the tests compare the library against;
+the program itself runs none of them."""
+
+import numpy as np
+
+from qsteer.env import ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
+from qsteer.errors import DimensionMismatch, QsteerError
+from qsteer.linalg import hermitian_eig, hermiticity_defect
+from qsteer.model import ModelParams
+from qsteer.sequences import replay_sequence
+
+
+class NegativeEigenvalue(QsteerError):
+    """Matrix has an eigenvalue below the allowed negative drift."""
+
+
+def matrix_sqrt_psd(m: np.ndarray, neg_tol: float = 1e-10) -> np.ndarray:
+    """Hermitian PSD square root of a Hermitian PSD matrix.
+
+    Eigenvalues in [-neg_tol, 0) are treated as floating-point drift and
+    clamped to zero; anything below -neg_tol raises NegativeEigenvalue.
+    """
+    w, v = hermitian_eig(m)
+    if w[0] < -neg_tol:
+        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -{neg_tol:.1e}")
+    w = np.maximum(w, 0.0)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    # symmetrize away the last bits of round-off
+    return (root + root.conj().T) / 2
+
+
+def fidelity(sigma: np.ndarray, rho: np.ndarray) -> float:
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
+
+    Symmetric in its arguments and equal to 1 iff sigma == rho. For a pure
+    rho this reduces to the overlap square root that
+    ``qsteer.model.fidelity_to_pure`` computes directly.
+    """
+    if sigma.shape != rho.shape:
+        raise DimensionMismatch(f"fidelity operands {sigma.shape} vs {rho.shape}")
+    root = matrix_sqrt_psd(rho)
+    inner = root @ sigma @ root
+    # inner is PSD up to round-off; its eigenvalue square roots sum to F.
+    # Eigenvalues at the round-off floor must be zeroed first: the square
+    # root amplifies O(eps) noise to O(sqrt(eps)).
+    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    cutoff = inner.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    w = np.where(w > cutoff, w, 0.0)
+    return float(min(1.0, np.sum(np.sqrt(w))))
+
+
+def assert_density_matrix(rho: np.ndarray, herm_tol: float = 1e-9,
+                          trace_tol: float = 1e-9, eig_floor: float = -1e-9) -> None:
+    """Validate Hermiticity, unit trace, and positivity within tolerances."""
+    defect = hermiticity_defect(rho)
+    if defect > herm_tol:
+        raise AssertionError(f"Hermiticity defect {defect:.3e} > {herm_tol:.1e}")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > trace_tol:
+        raise AssertionError(f"trace {tr} deviates from 1 by more than {trace_tol:.1e}")
+    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    if w[0] < eig_floor:
+        raise AssertionError(f"eigenvalue {w[0]:.3e} below {eig_floor:.1e}")
+
+
+def decode_state(encoding: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of ``qsteer.env.encode_state``, restoring Hermiticity and
+    unit trace."""
+    iu, ju = np.triu_indices(dim)
+    iu, ju = iu[:-1], ju[:-1]  # the last diagonal entry is fixed by the unit trace
+    entries = encoding[0::2] + 1j * encoding[1::2]
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[iu, ju] = entries
+    lower = rho.conj().T.copy()
+    np.fill_diagonal(lower, 0.0)
+    rho += lower
+    rho[dim - 1, dim - 1] = 1.0 - np.sum(rho.diagonal()[: dim - 1]).real
+    return rho
+
+
+def verify_steady_state(n_bath: int, repetitions: int) -> list[float]:
+    """Fidelity trajectory of repeated x+ projections on an even bath.
+
+    Replays, from the x+ central state over a maximally mixed bath of the
+    default model, one idle step and then ``repetitions`` x+ projections,
+    each after one interval of evolution. Returns the bath fidelity to a
+    tensor product of singlet pairs after each projection; a branch at or
+    below the floor ends the list early. An odd bath is a ValueError.
+    """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=n_bath), target="psi-"))
+    actions = (DO_NOTHING,) + (ACTION_TOKENS.index("Px+"),) * repetitions
+    rec = replay_sequence(env.reset().rho, actions, env)
+    return [s.fidelity for s in rec.per_step[1:]]

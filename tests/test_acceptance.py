@@ -22,10 +22,11 @@ from conftest import (
     RATE_ATOL,
     random_density_matrix,
 )
+from oracles import decode_state, fidelity, verify_steady_state
 from qsteer import cli
 from qsteer.agent import evaluate_policy, run_training
 from qsteer.config import parse_config
-from qsteer.env import DO_NOTHING, QSEEnv, decode_state, encode_state
+from qsteer.env import DO_NOTHING, QSEEnv, encode_state
 from qsteer.linalg import kron_all, partial_trace_first
 from qsteer.model import (
     IDENTITY_2,
@@ -34,7 +35,6 @@ from qsteer.model import (
     PAULI_Z,
     SPIN_STATES,
     bell_state,
-    fidelity,
 )
 from qsteer.network import MLPSpec, forward, gradients, init_params
 from qsteer.sequences import (
@@ -43,7 +43,6 @@ from qsteer.sequences import (
     exhaustive_search,
     parse_sequence,
     replay_sequence,
-    verify_steady_state,
 )
 from test_network import max_rel_error, numeric_grads
 
@@ -156,7 +155,7 @@ def test_criterion_1_fixed_start_golden_rows(run_cfg):
 def test_criterion_2_doubled_interval_golden_rows(run_cfg):
     # these reference sequences come from runs at tau = 2; with tau = 1 the
     # mixed x+/y- sequence misses both tolerances (see the repo notes)
-    model = dataclasses.replace(run_cfg.model, tau=2.0)
+    model = dataclasses.replace(run_cfg.env.model, tau=2.0)
     failures = []
     for target, start_label, tokens, fid_ref, rate_ref in GOLDEN_TAU2_START:
         cfg = dataclasses.replace(
@@ -318,7 +317,7 @@ def test_criterion_8_successful_sequences_avoid_z(run_cfg, trained_agents):
                                      master_seed=seed, seed_stream=5)
         counts, left_out = policy_pair_histogram(
             evaluation.records, run_cfg.env,
-            lambda s, params=params: int(np.argmax(forward(params, s))))
+            lambda s, params=params: int(np.argmax(forward(params, s[None])[0])))
         frac = _superposition_share(counts)
         n_pairs = sum(counts.values())
         z_frac = counts.get((PZ_PLUS, PZ_PLUS), 0) / n_pairs

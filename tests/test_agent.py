@@ -45,12 +45,12 @@ def tiny_mlp_spec(**kw):
 class TestSelectAction:
     def test_greedy_argmax(self):
         params = fixed_output_params([1, 5, 2, 0, 0, 0, 0])
-        a = select_action(params, np.zeros(1), 0.0, np.random.default_rng(0))
+        a = select_action(params, np.zeros(1)[None], 0.0, [np.random.default_rng(0)])[0]
         assert a == 1
 
     def test_tie_breaks_to_lowest_index(self):
         params = fixed_output_params([0, 0, 3, 0, 3, 0, 0])
-        a = select_action(params, np.zeros(1), 0.0, np.random.default_rng(0))
+        a = select_action(params, np.zeros(1)[None], 0.0, [np.random.default_rng(0)])[0]
         assert a == 2
 
     def test_uniform_when_fully_random(self):
@@ -59,7 +59,7 @@ class TestSelectAction:
         n = 10_000
         counts = np.zeros(7)
         for _ in range(n):
-            counts[select_action(params, np.zeros(1), 1.0, rng)] += 1
+            counts[select_action(params, np.zeros(1)[None], 1.0, [rng])[0]] += 1
         expected = n / 7
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         # 6 degrees of freedom; 20.1 is the two-sided 3-sigma-ish cutoff
@@ -71,7 +71,7 @@ class TestSelectAction:
         states = np.random.default_rng(5).standard_normal((12, 70))
         batch = select_action(params, states, 0.5,
                               [np.random.default_rng(i) for i in range(12)])
-        single = [select_action(params, s, 0.5, np.random.default_rng(i))
+        single = [select_action(params, s[None], 0.5, [np.random.default_rng(i)])[0]
                   for i, s in enumerate(states)]
         assert batch.tolist() == single
 

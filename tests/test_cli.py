@@ -132,6 +132,17 @@ class TestEvaluate:
         assert cli.main(["evaluate", str(micro_config), "--checkpoint",
                          str(other), "--episodes", "5"]) == 2
 
+    @pytest.mark.parametrize("content", [None, b"a text file\n", b"", b"PK\x03\x04torn"],
+                             ids=["missing", "text", "empty", "torn-zip"])
+    def test_unreadable_checkpoint_is_a_config_error(self, micro_config, tmp_path, capsys,
+                                                     content):
+        bad = tmp_path / "bad.npz"
+        if content is not None:
+            bad.write_bytes(content)
+        assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(bad),
+                         "--episodes", "5"]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_unknown_start_is_a_config_error(self, micro_config, tmp_path, capsys):
         spec = parse_config(micro_config).mlp
         checkpoint = tmp_path / "init.npz"
@@ -174,6 +185,13 @@ class TestReplay:
         lines = out_file.read_text().splitlines()
         assert lines[2] == "step\taction\tsuccess_prob\tfidelity\ttrace_distance\tpurity"
         assert len(lines) == 3 + 3
+
+    def test_out_in_missing_directory_is_a_config_error(self, micro_config, tmp_path, capsys):
+        out_file = tmp_path / "nodir" / "x.tsv"
+        assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
+                         "--out", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out_file) in err
 
     def test_start_and_target_overrides(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence",
@@ -270,6 +288,12 @@ class TestHistogram:
         out = capsys.readouterr().out
         assert "Px+\tPx+\t1" in out
         assert "Py-" not in out
+
+    def test_missing_records_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert cli.main(["histogram", "--records", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "--records" in err and str(missing) in err
 
     def test_empty_file(self, micro_config, tmp_path, capsys):
         records = tmp_path / "empty.txt"

@@ -31,7 +31,7 @@ BUNDLED = [
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_configs_parse(name):
     cfg = parse_config(CONFIG_DIR / name)
-    assert cfg.model.n_bath == 2
+    assert cfg.env.model.n_bath == 2
     assert cfg.mlp.input_size == 70
     assert cfg.mlp.output_size == 7
 
@@ -42,8 +42,8 @@ def test_bundled_singlet_fixed_values():
     assert cfg.env.theta == 0.99
     assert cfg.env.r_plus == 10 and cfg.env.r_minus == -1
     assert cfg.env.max_steps == 50 and cfg.env.r_fatal == -51
-    assert cfg.model.omega == 0.5 and cfg.model.tau == 1
-    assert cfg.model.couplings == ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    assert cfg.env.model.omega == 0.5 and cfg.env.model.tau == 1
+    assert cfg.env.model.couplings == ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert cfg.agent.algorithm == "dqn"
     assert cfg.agent.eps_min == 0.1
 
@@ -51,7 +51,7 @@ def test_bundled_singlet_fixed_values():
 def test_bundled_random_start_values():
     cfg = parse_config(CONFIG_DIR / "psi_minus_random.cfg")
     assert cfg.env.start_mode == "random_pure"
-    assert cfg.model.tau == 2
+    assert cfg.env.model.tau == 2
     assert cfg.agent.algorithm == "ddqn"
     assert cfg.checkpoint_steps == (1900, 2000, 2290, 2500)
 
@@ -125,19 +125,8 @@ def test_non_uniform_couplings_are_rejected():
     # the text format holds one coupling vector for every bath spin
     model = ModelParams(couplings=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
     with pytest.raises(ValueError) as err:
-        RunConfig(model=model, env=EnvConfig(model=model), agent=AgentConfig(),
-                  mlp=MLPSpec(input_size=70))
+        RunConfig(env=EnvConfig(model=model), agent=AgentConfig(), mlp=MLPSpec(input_size=70))
     assert "couplings" in str(err.value)
-
-
-def test_model_must_match_env_model():
-    # the text holds one [model] section; a mismatch would hash as one model
-    # and run the other
-    with pytest.raises(ValueError) as err:
-        RunConfig(model=ModelParams(), env=EnvConfig(model=ModelParams.uniform(tau=3.0)),
-                  agent=AgentConfig(), mlp=MLPSpec(input_size=70))
-    assert "model" in str(err.value) and "env.model" in str(err.value)
-    assert "tau=1.0" in str(err.value) and "tau=3.0" in str(err.value)
 
 
 def test_custom_start_round_trip():
@@ -194,7 +183,7 @@ def run_configs(draw):
         grad_clip=draw(st.none() | _floats(1e-3, 100)))
     mlp = MLPSpec(input_size=70, hidden=draw(st.lists(st.integers(1, 256), max_size=3).map(tuple)),
                   activation=draw(st.sampled_from(("relu", "tanh"))), init_seed=draw(_SEEDS))
-    return RunConfig(model=model, env=env, agent=agent, mlp=mlp, master_seed=draw(_SEEDS),
+    return RunConfig(env=env, agent=agent, mlp=mlp, master_seed=draw(_SEEDS),
                      checkpoint_steps=tuple(draw(st.lists(st.integers(0, 10**4), max_size=5))),
                      output_dir=draw(_WORDS))
 

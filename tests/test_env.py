@@ -7,16 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_density_matrix
-from qsteer.env import (
-    ACTION_TOKENS,
-    DO_NOTHING,
-    EnvConfig,
-    QSEEnv,
-    decode_state,
-    encode_state,
-    encoding_length,
-    episode_return,
-)
+from oracles import decode_state
+from qsteer.env import ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, encode_state, encoding_length
 from qsteer.errors import EpisodeFinished
 from qsteer.linalg import partial_trace_first
 from qsteer.model import (
@@ -266,7 +258,8 @@ class TestStepBatch:
                 assert np.isnan(batch.fidelity[i])
             else:
                 bath = partial_trace_first(want, 2)
-                assert abs(batch.fidelity[i] - fidelity_to_pure(bath, env.target_vector)) < 1e-12
+                want_fid = fidelity_to_pure(bath[None], env.target_vector)[0]
+                assert abs(batch.fidelity[i] - want_fid) < 1e-12
 
     def test_rejects_unknown_actions(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
@@ -358,21 +351,6 @@ def test_four_spin_target_is_two_pairs(target):
     pair = bell_state(target)
     assert np.linalg.norm(env.target_vector) == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(env.target_vector, np.kron(pair, pair))
-
-
-class TestEpisodeReturn:
-    def test_single_reward(self):
-        assert episode_return([10.0], 0.3) == 10.0
-
-    def test_undiscounted_sum(self):
-        assert episode_return([-1.0, -1.0, 10.0], 1.0) == pytest.approx(8.0)
-
-    def test_discounted(self):
-        assert episode_return([-1.0, 10.0], 0.9) == pytest.approx(8.0)
-
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            episode_return([1.0], 1.5)
 
 
 def test_action_tokens_cover_seven_actions():

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import expm_taylor, random_density_matrix, random_hermitian
-from qsteer.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
-from qsteer.linalg import (
-    expm_i_hermitian,
-    hermitian_eig,
-    kron_all,
-    matrix_sqrt_psd,
-    partial_trace_first,
-)
+from oracles import NegativeEigenvalue, matrix_sqrt_psd
+from qsteer.errors import DimensionMismatch, NotHermitian
+from qsteer.linalg import expm_i_hermitian, hermitian_eig, kron_all, partial_trace_first
 from qsteer.model import IDENTITY_2, PAULI_X, PAULI_Z, ModelParams, build_hamiltonian
 
 I2 = np.eye(2)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import FIRST_XPLUS_BRANCH_PROB, random_density_matrix
+from oracles import assert_density_matrix, fidelity
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import DimensionMismatch
 from qsteer.linalg import partial_trace_first
@@ -10,13 +13,11 @@ from qsteer.model import (
     IDENTITY_2,
     SPIN_STATES,
     ModelParams,
-    assert_density_matrix,
     bell_state,
     build_hamiltonian,
     build_propagator,
     central_product_state,
     central_projector,
-    fidelity,
     fidelity_to_pure,
     measure,
     purity,
@@ -50,16 +51,13 @@ class TestHamiltonian:
 
 
 class TestPropagator:
-    def test_zero_duration(self, default_model):
-        assert np.allclose(build_propagator(default_model, 0.0), np.eye(8), atol=1e-12)
-
     def test_unitary(self, default_model):
         u = build_propagator(default_model)
         assert np.linalg.norm(u @ u.conj().T - np.eye(8)) < 1e-10
 
     def test_interval_composition(self, default_model):
-        u1 = build_propagator(default_model, default_model.tau)
-        u2 = build_propagator(default_model, 2 * default_model.tau)
+        u1 = build_propagator(default_model)
+        u2 = build_propagator(dataclasses.replace(default_model, tau=2 * default_model.tau))
         assert np.linalg.norm(u2 - u1 @ u1) < 1e-10
 
 
@@ -172,7 +170,7 @@ class TestMetrics:
         for _ in range(10):
             rho = random_density_matrix(rng, 4)
             assert fidelity(target, rho) == pytest.approx(
-                fidelity_to_pure(rho, psi), abs=1e-8)
+                fidelity_to_pure(rho[None], psi)[0], abs=1e-8)
 
     def test_fidelity_to_pure_on_a_stack(self, rng):
         psi = bell_state("psi-")
@@ -180,7 +178,7 @@ class TestMetrics:
         fids = fidelity_to_pure(stack, psi)
         assert fids.shape == (6,)
         for rho, fid in zip(stack, fids):
-            assert fid == pytest.approx(fidelity_to_pure(rho, psi), abs=1e-15)
+            assert fid == pytest.approx(fidelity_to_pure(rho[None], psi)[0], abs=1e-15)
 
     def test_trace_distance_self_and_orthogonal(self, rng):
         rho = random_density_matrix(rng, 4)

@@ -65,21 +65,21 @@ class TestForward:
             w[:] = 0.0
         for b in params.biases:
             b[:] = 0.0
-        assert np.array_equal(forward(params, np.ones(5)), np.zeros(3))
+        assert np.array_equal(forward(params, np.ones(5)[None])[0], np.zeros(3))
 
     def test_single_linear_layer_selects_inputs(self):
         params = MLPParams(
             weights=[np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])],
             biases=[np.zeros(2)],
         )
-        out = forward(params, np.array([3.0, -2.0, 7.0]))
+        out = forward(params, np.array([3.0, -2.0, 7.0])[None])[0]
         assert np.array_equal(out, [3.0, -2.0])
 
     def test_deterministic_across_instances(self):
         spec = small_spec()
         x = np.linspace(-1, 1, 5)
-        a = forward(init_params(spec), x)
-        b = forward(init_params(spec), x)
+        a = forward(init_params(spec), x[None])
+        b = forward(init_params(spec), x[None])
         assert np.array_equal(a, b)
 
     def test_batch_matches_single(self):
@@ -87,11 +87,11 @@ class TestForward:
         xs = np.random.default_rng(0).standard_normal((4, 5))
         batched = forward(params, xs)
         for i in range(4):
-            assert np.allclose(batched[i], forward(params, xs[i]))
+            assert np.allclose(batched[i], forward(params, xs[i][None])[0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            forward(init_params(small_spec()), np.ones(6))
+            forward(init_params(small_spec()), np.ones(6)[None])
 
 
 class TestGradients:

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
+from oracles import fidelity, verify_steady_state
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv, start_state_vector
 from qsteer.errors import BudgetExceeded, SequenceParseError
 from qsteer.linalg import partial_trace_first
-from qsteer.model import ModelParams, fidelity
+from qsteer.model import ModelParams
 from qsteer.sequences import (
     SequenceRecord,
     StepStats,
@@ -21,7 +22,6 @@ from qsteer.sequences import (
     parse_sequence,
     records_to_lines,
     replay_sequence,
-    verify_steady_state,
 )
 
 PX_PLUS, PX_MINUS, PY_MINUS, PZ_PLUS = 2, 3, 5, 0
