@@ -12,10 +12,10 @@ Episodes are collected in lockstep: the episodes of a training step (or
 a block of evaluation episodes) advance together through one batched
 environment step and one batched forward pass per step.
 
-Reproducibility: every episode draws its generator from a counter-based
-seed split of the master seed, so results are independent of collection
-order; replay sampling has its own stream. Two runs with the same
-configuration and master seed produce identical logs.
+Reproducibility: each episode's generator comes from a counter-based
+seed split of the master seed, so results do not depend on collection
+order (up to a near-tie in Q, see _collect); replay has its own stream.
+Two runs with the same configuration and master seed produce identical logs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .network import (
 from .sequences import SequenceRecord, StepStats
 
 __all__ = [
-    "Transition",
     "ReplayMemory",
     "AgentConfig",
     "TrainingLogRow",
@@ -58,14 +57,6 @@ __all__ = [
 ]
 
 
-class Transition(NamedTuple):
-    s: np.ndarray
-    a: int
-    s_next: np.ndarray
-    r: float
-    terminal: bool
-
-
 class ReplayMemory:
     """Fixed-capacity ring buffer of transitions with uniform sampling.
 
@@ -77,11 +68,9 @@ class ReplayMemory:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._s = np.zeros((capacity, state_size))
-        self._a = np.zeros(capacity, dtype=np.int64)
-        self._s_next = np.zeros((capacity, state_size))
-        self._r = np.zeros(capacity)
-        self._terminal = np.zeros(capacity, dtype=bool)
+        self._columns = (np.zeros((capacity, state_size)), np.zeros(capacity, dtype=np.int64),
+                         np.zeros((capacity, state_size)), np.zeros(capacity),
+                         np.zeros(capacity, dtype=bool))
         self._write = 0
         self._size = 0
         self._rng = np.random.default_rng(seed_seq)
@@ -89,23 +78,23 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
-        i = self._write
-        self._s[i] = t.s
-        self._a[i] = t.a
-        self._s_next[i] = t.s_next
-        self._r[i] = t.r
-        self._terminal[i] = t.terminal
-        self._write = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+    def push(self, s, a, s_next, r, terminal) -> None:
+        """Append a block of transitions: row k lands at (write + k) % capacity,
+        so a block longer than the capacity leaves only its last capacity rows."""
+        m = len(a)
+        keep = slice(max(0, m - self.capacity), m)
+        rows = np.arange(self._write, self._write + m)[keep] % self.capacity
+        for column, block in zip(self._columns, (s, a, s_next, r, terminal)):
+            column[rows] = block[keep]
+        self._write = (self._write + m) % self.capacity
+        self._size = min(self._size + m, self.capacity)
 
     def sample(self, batch_size: int):
         """(states, actions, next_states, rewards, terminals) arrays."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty replay memory")
         idx = self._rng.integers(self._size, size=batch_size)
-        return (self._s[idx], self._a[idx], self._s_next[idx], self._r[idx],
-                self._terminal[idx])
+        return tuple(column[idx] for column in self._columns)
 
 
 @dataclass(frozen=True)
@@ -248,69 +237,62 @@ def _episode_seed(master_seed: int, stream: int, index: int):
 
 
 class _Episodes(NamedTuple):
-    """What a lockstep collection returns, one entry per episode."""
+    """Per-step arrays in episode-major order (rows offsets[i]:offsets[i + 1]
+    are episode i's steps, in order), and per-episode totals and final codes."""
 
-    returns: list[float]
-    outcomes: list[str]
-    records: list[SequenceRecord]  # empty when transitions are kept
-    transitions: list[Transition]  # episode-major; empty unless kept
+    start_labels: list[str]
+    s: np.ndarray
+    a: np.ndarray
+    s_next: np.ndarray
+    code: np.ndarray
+    prob: np.ndarray
+    fidelity: np.ndarray
+    offsets: np.ndarray
+    totals: np.ndarray
+    final: np.ndarray
 
 
 def _collect(env: QSEEnv, params: MLPParams, eps: float,
-             rngs: Sequence[np.random.Generator],
-             keep_transitions: bool) -> _Episodes:
+             rngs: Sequence[np.random.Generator]) -> _Episodes:
     """Run one episode per generator, all in lockstep.
 
     Every live episode takes its step at once: one batched action choice
     and one ``step_batch``. Episode i's generator draws exactly as if it
     ran alone (its reset draws, then per step random() and, when it
-    explores, integers(7)), so the result does not depend on which
-    episodes share a batch. With keep_transitions the transitions come
-    back in episode-major order and no records are built; otherwise the
-    records come back and no transitions.
+    explores, integers(7)). So the result does not depend on which
+    episodes share a batch, with one exception: on a step where exactly
+    one row is greedy, ``forward`` sees a one-row batch, for which numpy
+    takes its matrix-vector path and the Q values can differ in their last
+    bits from the same row inside a larger batch. That can change the
+    action only at a near-tie in Q.
     """
     starts = [env.reset(rng) for rng in rngs]
     n = len(starts)
     rho = np.stack([st.rho for st in starts])
     enc = np.stack([st.encoding for st in starts])
-    last = [st.encoding for st in starts]  # each episode's current encoding
-    live = list(range(n))
-    totals = [0.0] * n
-    codes = [CONTINUE] * n
-    taken = [[] for _ in range(n)]  # per episode: (action, prob, fidelity)
-    kept = [[] for _ in range(n)]
-    step = 0
-    while live:
-        step += 1
+    live = np.arange(n)
+    totals = np.zeros(n)
+    steps = []  # per lockstep step: (episode, a, s_next, code, prob, fidelity)
+    while len(live):
         actions = select_action(params, enc, eps, [rngs[i] for i in live])
         out = env.step_batch(rho, actions)
         nxt = encode_state(out.rho)
-        code = env.classify(out.fidelity, out.fatal, step)
-        for j, (i, a, p, f, r, c) in enumerate(zip(
-                live, actions.tolist(), out.prob.tolist(), out.fidelity.tolist(),
-                env.rewards[code].tolist(), code.tolist())):
-            totals[i] += r
-            codes[i] = c
-            if keep_transitions:
-                kept[i].append(Transition(last[i], a, nxt[j], r, c != CONTINUE))
-                last[i] = nxt[j]
-            else:
-                taken[i].append((a, p, f))
+        code = env.classify(out.fidelity, out.fatal, len(steps) + 1)
+        totals[live] += env.rewards[code]
+        steps.append((live, actions, nxt, code, out.prob, out.fidelity))
         go = code == CONTINUE
-        live = [i for i, g in zip(live, go) if g]
-        rho, enc = out.rho[go], nxt[go]
+        live, rho, enc = live[go], out.rho[go], nxt[go]
 
-    outcomes = [OUTCOMES[c] for c in codes]
-    if keep_transitions:
-        return _Episodes(totals, outcomes, [], [tr for episode in kept for tr in episode])
-    nan = float("nan")
-    records = [
-        SequenceRecord(st.start_label, tuple(a for a, _, _ in steps),
-                       tuple(StepStats(p, f, nan, nan) for _, p, f in steps),
-                       math.prod(p for _, p, _ in steps), steps[-1][2], c == SUCCESS,
-                       aborted=c == FATAL)
-        for st, steps, c in zip(starts, taken, codes)]
-    return _Episodes(totals, outcomes, records, [])
+    episode, *columns = zip(*steps)
+    episode = np.concatenate(episode)
+    order = np.argsort(episode, kind="stable")
+    a, s_next, code, prob, fidelity = (np.concatenate(c)[order] for c in columns)
+    offsets = np.searchsorted(episode[order], np.arange(n + 1))
+    # a row's state is the previous row's next state, except at an episode's start
+    s = np.roll(s_next, 1, axis=0)
+    s[offsets[:-1]] = [st.encoding for st in starts]
+    return _Episodes([st.start_label for st in starts], s, a, s_next, code, prob, fidelity,
+                     offsets, totals, code[offsets[1:] - 1])
 
 
 def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
@@ -356,15 +338,14 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
         episode_counter += agent_cfg.episodes_per_training_step
         rngs = [np.random.default_rng(_episode_seed(master_seed, 1, i))
                 for i in range(first, episode_counter)]
-        episodes = _collect(env, main, eps, rngs, keep_transitions=True)
-        successes = episodes.outcomes.count("success")
-        avg_return = float(np.mean(episodes.returns))
+        episodes = _collect(env, main, eps, rngs)
+        avg_return = float(np.mean(episodes.totals))
         if avg_return > best_avg:
             # the copy that collected these episodes, before this step's updates
             best_avg, best_step = avg_return, step
             np.copyto(best_params.flat, main.flat)
-        for tr in episodes.transitions:
-            replay.push(tr)
+        replay.push(episodes.s, episodes.a, episodes.s_next, env.rewards[episodes.code],
+                    episodes.code != CONTINUE)
 
         losses = []
         if len(replay) >= agent_cfg.batch_size:
@@ -393,7 +374,7 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
             epsilon=eps,
             episodes=agent_cfg.episodes_per_training_step,
             avg_return=avg_return,
-            success_fraction=successes / agent_cfg.episodes_per_training_step,
+            success_fraction=float(np.mean(episodes.final == SUCCESS)),
             loss_mean=float(np.mean(losses)) if losses else float("nan"),
         )
         log.append(row)
@@ -429,8 +410,15 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
     for first in range(0, n_episodes, EVAL_BLOCK):
         rngs = [np.random.default_rng(_episode_seed(master_seed, seed_stream, i))
                 for i in range(first, min(first + EVAL_BLOCK, n_episodes))]
-        block = _collect(env, params, eps, rngs, keep_transitions=False)
-        returns += block.returns
-        outcomes += block.outcomes
-        records += block.records
+        block = _collect(env, params, eps, rngs)
+        final = block.final.tolist()
+        returns += block.totals.tolist()
+        outcomes += [OUTCOMES[c] for c in final]
+        for label, lo, hi, c in zip(block.start_labels, block.offsets[:-1],
+                                    block.offsets[1:], final):
+            probs, fids = block.prob[lo:hi].tolist(), block.fidelity[lo:hi].tolist()
+            records.append(SequenceRecord(
+                label, tuple(block.a[lo:hi].tolist()),
+                tuple(StepStats(p, f, math.nan, math.nan) for p, f in zip(probs, fids)),
+                math.prod(probs), fids[-1], c == SUCCESS, aborted=c == FATAL))
     return EvaluationResult(returns, outcomes, records)

@@ -146,7 +146,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--eps must be in [0, 1], got {args.eps}")
     env_cfg = _env_with_start(cfg, args.start)
     out = _output_dir(cfg)
-    params, _spec, meta = load_params(args.checkpoint, expected_spec=cfg.mlp)
+    try:
+        params, _spec, meta = load_params(args.checkpoint, expected_spec=cfg.mlp)
+    except SchemaMismatch as exc:
+        raise ConfigError(f"--checkpoint: {exc}") from exc
 
     runs = [("trained", args.eps)]
     if args.baseline:
@@ -245,6 +248,8 @@ def cmd_histogram(args) -> int:
             records = parse_records(fh)
     except OSError as exc:
         raise ConfigError(f"--records: {exc}") from exc
+    except (UnicodeDecodeError, SequenceParseError) as exc:
+        raise ConfigError(f"--records: {args.records}: {exc}") from exc
     counts = combination_histogram(records, unique_successful=args.unique_successful)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     print("\t".join(["first", "second", "count"]))

@@ -311,6 +311,8 @@ def load_params(path, expected_spec: MLPSpec | None = None):
         raise SchemaMismatch(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # text, empty, corrupt
         raise SchemaMismatch(f"{path}: not an npz checkpoint") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+        raise SchemaMismatch(f"{path}: not an npz checkpoint")
     with data:
         if "meta" not in data:
             raise SchemaMismatch(f"{path}: missing checkpoint header")

@@ -311,9 +311,12 @@ def parse_records(lines: Iterable[str]) -> list[SequenceRecord]:
             actions = tuple(_TOKEN_TO_ACTION[t] for t in acts.split()) if acts else ()
         except KeyError as exc:
             raise SequenceParseError(f"unknown action token {exc.args[0]!r}", lineno) from exc
-        prob_values = tuple(float(p) for p in probs.split(",")) if probs else ()
-        stats = tuple(StepStats(p, float("nan"), float("nan"), float("nan"))
-                      for p in prob_values)
-        records.append(SequenceRecord(start_label, actions, stats, float(rate),
-                                      float(fid), succ == "1"))
+        try:
+            prob_values = tuple(float(p) for p in probs.split(",")) if probs else ()
+            stats = tuple(StepStats(p, float("nan"), float("nan"), float("nan"))
+                          for p in prob_values)
+            records.append(SequenceRecord(start_label, actions, stats, float(rate),
+                                          float(fid), succ == "1"))
+        except ValueError as exc:  # not a number, or more probabilities than actions
+            raise SequenceParseError(str(exc), lineno) from exc
     return records

@@ -6,7 +6,7 @@ import pytest
 from qsteer.agent import (
     AgentConfig,
     ReplayMemory,
-    Transition,
+    _collect,
     ddqn_targets,
     dqn_targets,
     epsilon_at,
@@ -14,7 +14,7 @@ from qsteer.agent import (
     run_training,
     select_action,
 )
-from qsteer.env import EnvConfig
+from qsteer.env import CONTINUE, EnvConfig, QSEEnv
 from qsteer.network import MLPParams, MLPSpec, init_params
 
 
@@ -151,22 +151,62 @@ class TestTargets:
         assert dqn_targets(batch, target, 1.0)[0] == pytest.approx(4.0)
 
 
+def transition_block(start, n, state_size=2):
+    """n distinguishable transitions numbered from start."""
+    k = np.arange(start, start + n)
+    return (np.repeat(k[:, None], state_size, axis=1).astype(float), k,
+            -np.repeat(k[:, None], state_size, axis=1).astype(float), 0.5 * k, k % 3 == 0)
+
+
+def one_row_ring(capacity, state_size, blocks):
+    """Reference ring: the columns, write index and size after writing
+    each row of each block on its own."""
+    columns = (np.zeros((capacity, state_size)), np.zeros(capacity, dtype=np.int64),
+               np.zeros((capacity, state_size)), np.zeros(capacity),
+               np.zeros(capacity, dtype=bool))
+    write = size = 0
+    for block in blocks:
+        for k in range(len(block[1])):
+            for column, values in zip(columns, block):
+                column[write] = values[k]
+            write = (write + 1) % capacity
+            size = min(size + 1, capacity)
+    return columns, write, size
+
+
 class TestReplayMemory:
     def test_eviction_is_oldest_first(self):
         mem = ReplayMemory(capacity=5, state_size=1, seed_seq=0)
-        for i in range(8):
-            mem.push(Transition(np.array([float(i)]), i, np.array([0.0]), 0.0, False))
+        for first, n in ((0, 3), (3, 5)):
+            k = np.arange(first, first + n)
+            mem.push(k[:, None].astype(float), k, np.zeros((n, 1)), np.zeros(n),
+                     np.zeros(n, dtype=bool))
         assert len(mem) == 5
         # 0, 1, 2 were evicted
         assert set(mem.sample(1000)[1]) == {3, 4, 5, 6, 7}
 
     def test_sampling_shapes(self):
         mem = ReplayMemory(capacity=10, state_size=3, seed_seq=1)
-        for i in range(4):
-            mem.push(Transition(np.zeros(3), i, np.ones(3), -1.0, i == 3))
+        mem.push(np.zeros((4, 3)), np.arange(4), np.ones((4, 3)), np.full(4, -1.0),
+                 np.arange(4) == 3)
         s, a, s2, r, t = mem.sample(16)
         assert s.shape == (16, 3) and s2.shape == (16, 3)
         assert a.shape == r.shape == t.shape == (16,)
+
+    @pytest.mark.parametrize("sizes", [(3, 5, 4, 6), (4, 17, 2), (0, 3, 0, 9, 0)],
+                             ids=["wrapping", "longer-than-capacity", "empty"])
+    def test_block_push_matches_one_row_writes(self, sizes):
+        capacity, state_size = 7, 2
+        starts = np.cumsum((0,) + sizes[:-1])
+        blocks = [transition_block(start, n, state_size) for start, n in zip(starts, sizes)]
+        mem = ReplayMemory(capacity, state_size, seed_seq=0)
+        columns, write, size = one_row_ring(capacity, state_size, blocks)
+        for block in blocks:
+            mem.push(*block)
+        for got, want in zip(mem._columns, columns):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert (mem._write, len(mem)) == (write, size)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +273,24 @@ class TestRunTraining:
         agent_cfg = tiny_agent_cfg(algorithm="ddqn")
         result = run_training(env_cfg, agent_cfg, tiny_mlp_spec(), master_seed=21)
         assert len(result.log) == agent_cfg.training_steps
+
+
+class TestCollect:
+    def test_episodes_are_contiguous_chains_in_step_order(self):
+        env = QSEEnv(dataclasses.replace(tiny_env_cfg(), start_mode="random_pure"))
+        params = init_params(tiny_mlp_spec())
+        seeds = range(12)
+        ep = _collect(env, params, 0.5, [np.random.default_rng(i) for i in seeds])
+        assert ep.offsets[0] == 0 and ep.offsets[-1] == len(ep.a)
+        assert len(set(np.diff(ep.offsets).tolist())) > 1  # lengths differ
+        for i, lo, hi in zip(seeds, ep.offsets[:-1], ep.offsets[1:]):
+            assert hi > lo
+            reset = env.reset(np.random.default_rng(i)).encoding
+            assert np.array_equal(ep.s[lo], reset)
+            assert np.array_equal(ep.s_next[lo:hi - 1], ep.s[lo + 1:hi])
+            assert (ep.code[lo:hi - 1] == CONTINUE).all() and ep.code[hi - 1] != CONTINUE
+            assert ep.final[i] == ep.code[hi - 1]
+            assert ep.totals[i] == sum(env.rewards[ep.code[lo:hi]].tolist())
 
 
 class TestEvaluatePolicy:

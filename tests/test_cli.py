@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,12 @@ def micro_config(tmp_path, monkeypatch):
     path = tmp_path / "micro.cfg"
     path.write_text(MICRO_CONFIG)
     return path
+
+
+def npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
 
 
 def read_out(tmp_path, name):
@@ -132,8 +139,9 @@ class TestEvaluate:
         assert cli.main(["evaluate", str(micro_config), "--checkpoint",
                          str(other), "--episodes", "5"]) == 2
 
-    @pytest.mark.parametrize("content", [None, b"a text file\n", b"", b"PK\x03\x04torn"],
-                             ids=["missing", "text", "empty", "torn-zip"])
+    @pytest.mark.parametrize("content", [None, b"a text file\n", b"", b"PK\x03\x04torn",
+                                         npy_bytes()],
+                             ids=["missing", "text", "empty", "torn-zip", "npy"])
     def test_unreadable_checkpoint_is_a_config_error(self, micro_config, tmp_path, capsys,
                                                      content):
         bad = tmp_path / "bad.npz"
@@ -141,7 +149,8 @@ class TestEvaluate:
             bad.write_bytes(content)
         assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(bad),
                          "--episodes", "5"]) == 2
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--checkpoint" in err and str(bad) in err
 
     def test_unknown_start_is_a_config_error(self, micro_config, tmp_path, capsys):
         spec = parse_config(micro_config).mlp
@@ -294,6 +303,18 @@ class TestHistogram:
         assert cli.main(["histogram", "--records", str(missing)]) == 2
         err = capsys.readouterr().err
         assert "--records" in err and str(missing) in err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff not utf-8\n",
+        b"x+\tPx+ Px+\t0.5,0.9\tabc\t0.995\t1\n",
+        b"x+\tPx+\t0.5,0.9\t0.45\t0.995\t1\n",
+    ], ids=["not-utf8", "rate-not-a-number", "more-probabilities-than-actions"])
+    def test_malformed_records_is_a_config_error(self, tmp_path, capsys, content):
+        records = tmp_path / "records.txt"
+        records.write_bytes(content)
+        assert cli.main(["histogram", "--records", str(records)]) == 2
+        err = capsys.readouterr().err
+        assert "--records" in err and str(records) in err
 
     def test_empty_file(self, micro_config, tmp_path, capsys):
         records = tmp_path / "empty.txt"
