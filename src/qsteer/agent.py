@@ -14,7 +14,7 @@ environment step and one batched forward pass per step.
 
 Reproducibility: each episode's generator comes from a counter-based
 seed split of the master seed, so results do not depend on collection
-order (up to a near-tie in Q, see _collect); replay has its own stream.
+order; replay has its own stream.
 Two runs with the same configuration and master seed produce identical logs.
 """
 
@@ -227,9 +227,12 @@ def ddqn_targets(batch, main: MLPParams, target: MLPParams, gamma: float) -> np.
     return r + gamma * q_target[rows, choice] * ~terminal
 
 
-#: Episodes evaluate_policy runs in lockstep at a time; bounds the memory a
-#: long evaluation holds while still batching every step.
-EVAL_BLOCK = 64
+#: Episodes evaluate_policy runs in lockstep at a time. A block lasts as
+#: long as its longest episode, so the CLI default of 500 episodes runs as
+#: one block. The cap bounds the memory a longer evaluation holds: a block
+#: keeps every step's rows until it ends, and 2000 episodes at eps 1 peak
+#: about 28 MB higher than in blocks of 64.
+EVAL_BLOCK = 512
 
 
 def _episode_seed(master_seed: int, stream: int, index: int):
@@ -258,19 +261,14 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
 
     Every live episode takes its step at once: one batched action choice
     and one ``step_batch``. Episode i's generator draws exactly as if it
-    ran alone (its reset draws, then per step random() and, when it
-    explores, integers(7)). So the result does not depend on which
-    episodes share a batch, with one exception: on a step where exactly
-    one row is greedy, ``forward`` sees a one-row batch, for which numpy
-    takes its matrix-vector path and the Q values can differ in their last
-    bits from the same row inside a larger batch. That can change the
-    action only at a near-tie in Q.
+    ran alone (its start draws, then per step random() and, when it
+    explores, integers(7)), and ``forward`` gives each row the same bits
+    in any batch. So the result does not depend on which episodes share a
+    batch.
     """
-    starts = [env.reset(rng) for rng in rngs]
-    n = len(starts)
-    rho = np.stack([st.rho for st in starts])
-    enc = np.stack([st.encoding for st in starts])
-    live = np.arange(n)
+    rho, s0, start_labels = env.starts(rngs)
+    n = len(rngs)
+    live, enc = np.arange(n), s0
     totals = np.zeros(n)
     steps = []  # per lockstep step: (episode, a, s_next, code, prob, fidelity)
     while len(live):
@@ -290,8 +288,8 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
     offsets = np.searchsorted(episode[order], np.arange(n + 1))
     # a row's state is the previous row's next state, except at an episode's start
     s = np.roll(s_next, 1, axis=0)
-    s[offsets[:-1]] = [st.encoding for st in starts]
-    return _Episodes([st.start_label for st in starts], s, a, s_next, code, prob, fidelity,
+    s[offsets[:-1]] = s0
+    return _Episodes(start_labels, s, a, s_next, code, prob, fidelity,
                      offsets, totals, code[offsets[1:] - 1])
 
 

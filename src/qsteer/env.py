@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,8 +183,8 @@ class QSEEnv:
     """One environment instance; owns its precomputed operators.
 
     Instances are cheap and single-threaded. ``step`` is deterministic
-    given (state, action); randomness only enters through ``reset`` in
-    random_pure mode, via the generator the caller passes in.
+    given (state, action); randomness only enters through ``starts`` in
+    random_pure mode, via the generators the caller passes in.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -204,39 +204,44 @@ class QSEEnv:
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
         self._fixed_start = None
         if cfg.start_mode != "random_pure":
-            central, label = self._start(None)
-            rho = central_product_state(central, n)
-            enc = encode_state(rho)
+            if cfg.start_mode == "fixed_xplus":
+                central = SPIN_STATES["x+"]
+            else:
+                central = _unit(np.asarray(cfg.custom_start, dtype=complex))
+            (rho,), (enc,), (label,) = self._product_states([central])
             rho.flags.writeable = enc.flags.writeable = False
-            self._fixed_start = (enc, rho, label)
+            self._fixed_start = (rho, enc, label)
 
     # -- start states -------------------------------------------------
 
-    def _start(self, rng: np.random.Generator | None):
-        cfg = self.cfg
-        if cfg.start_mode == "fixed_xplus":
-            return SPIN_STATES["x+"], "x+"
-        if cfg.start_mode == "fixed_custom":
-            v = np.asarray(cfg.custom_start, dtype=complex)
-            v = v / np.linalg.norm(v)
-            return v, _label_for(v)
-        if rng is None:
+    def _product_states(self, central):
+        central = np.stack(central)
+        rho = central_product_state(central, self.cfg.model.n_bath)
+        return rho, encode_state(rho), _labels_for(central)
+
+    def starts(self, rngs: Sequence[np.random.Generator | None]):
+        """Start states of len(rngs) new episodes, stacked: (rho, encodings,
+        labels). A fixed start is broadcast from the read-only arrays built
+        once per instance; a random start draws from its own generator."""
+        n = len(rngs)
+        if self._fixed_start is not None:
+            rho, enc, label = self._fixed_start
+            return (np.broadcast_to(rho, (n,) + rho.shape),
+                    np.broadcast_to(enc, (n,) + enc.shape), [label] * n)
+        if any(rng is None for rng in rngs):
             raise ValueError("random_pure start mode needs a random generator")
         # two independent complex standard Gaussians, normalized: uniform
         # over single-spin pure states
-        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = raw / np.linalg.norm(raw)
-        return v, _label_for(v)
+        return self._product_states([
+            _unit(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for rng in rngs])
 
     def reset(self, rng: np.random.Generator | None = None) -> EnvState:
-        """Start state of a new episode. A fixed start is built once per
-        instance and shared read-only; a random start draws from rng."""
+        """Start state of a new episode: one row of ``starts``. A fixed
+        start is the shared read-only pair itself."""
         if self._fixed_start is not None:
-            enc, rho, label = self._fixed_start
+            rho, enc, label = self._fixed_start
         else:
-            central, label = self._start(rng)
-            rho = central_product_state(central, self.cfg.model.n_bath)
-            enc = encode_state(rho)
+            (rho,), (enc,), (label,) = self.starts([rng])
         return EnvState(encoding=enc, rho=rho, step_count=0, done=False,
                         start_label=label)
 
@@ -291,12 +296,17 @@ class QSEEnv:
                           OUTCOMES[code], float(out.fidelity[0]))
 
 
-def _label_for(v: np.ndarray) -> str:
-    for name, ref in SPIN_STATES.items():
-        # match up to global phase
-        if abs(abs(np.vdot(ref, v)) - 1.0) < 1e-12:
-            return name
-    return f"({v[0]:.6f},{v[1]:.6f})"
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _labels_for(central: np.ndarray) -> list[str]:
+    """Each state's cardinal name, matched up to global phase, or else its
+    amplitudes."""
+    names, refs = zip(*SPIN_STATES.items())
+    match = np.abs(np.abs(central @ np.conj(refs).T) - 1.0) < 1e-12
+    return [names[m.argmax()] if m.any() else f"({v[0]:.6f},{v[1]:.6f})"
+            for v, m in zip(central, match)]
 
 
 def start_state_vector(name: str) -> np.ndarray:

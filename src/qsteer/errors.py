@@ -42,8 +42,9 @@ class ConfigError(QsteerError):
 
 
 class SequenceParseError(QsteerError):
-    """A sequence string could not be parsed."""
+    """A sequence string or a records file could not be parsed; position
+    counts tokens or lines, as ``unit`` says."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (token {position})")
+    def __init__(self, message: str, position: int, unit: str = "token"):
+        super().__init__(f"{message} ({unit} {position})")
         self.position = position

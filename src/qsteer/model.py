@@ -136,10 +136,16 @@ def central_projector(axis: str, sign: str, n_bath: int) -> np.ndarray:
 
 
 def central_product_state(central: np.ndarray, n_bath: int) -> np.ndarray:
-    """Pure central state (x) maximally mixed bath, as a density matrix."""
+    """Pure central state (x) maximally mixed bath, as a density matrix.
+
+    A stack of states (N, 2) gives a stack of matrices. Each state is
+    normalized on its own: a norm over an axis rounds differently.
+    """
     central = np.asarray(central, dtype=complex)
-    central = central / np.linalg.norm(central)
-    return kron_all(np.outer(central, central.conj()), *([IDENTITY_2 / 2] * n_bath))
+    central = np.stack([v / np.linalg.norm(v) for v in central.reshape(-1, 2)]
+                       ).reshape(central.shape)
+    outer = central[..., :, None] * central[..., None, :].conj()
+    return kron_all(outer, *([IDENTITY_2 / 2] * n_bath))
 
 
 def measure(rho: np.ndarray, ops: np.ndarray, floor: float = 1e-8):

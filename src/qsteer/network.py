@@ -142,7 +142,8 @@ def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
     """Action values for a batch of state vectors, one row per state.
 
-    Pure function: no internal state is touched.
+    Pure function: no internal state is touched. A row's values have the
+    same bits whatever batch it is in.
     """
     h = np.asarray(x, dtype=float)
     if h.ndim != 2 or h.shape[1] != params.weights[0].shape[0]:
@@ -150,9 +151,14 @@ def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
             f"input shape {h.shape} is not a batch of network inputs of width "
             f"{params.weights[0].shape[0]}"
         )
+    n = len(h)
+    if n == 1:
+        # numpy multiplies a one-row batch on its matrix-vector path, which
+        # rounds differently from the matrix-matrix path of a larger batch
+        h = np.concatenate([h, h])
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         h = _activate(_affine(h, w, b), params.activation)
-    return _affine(h, params.weights[-1], params.biases[-1])
+    return _affine(h, params.weights[-1], params.biases[-1])[:n]
 
 
 def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,

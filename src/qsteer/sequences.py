@@ -305,12 +305,13 @@ def parse_records(lines: Iterable[str]) -> list[SequenceRecord]:
         fields = line.split("\t")
         if len(fields) != 6:
             raise SequenceParseError(f"expected 6 tab-separated fields, got {len(fields)}",
-                                     lineno)
+                                     lineno, "line")
         start_label, acts, probs, rate, fid, succ = fields
         try:
             actions = tuple(_TOKEN_TO_ACTION[t] for t in acts.split()) if acts else ()
         except KeyError as exc:
-            raise SequenceParseError(f"unknown action token {exc.args[0]!r}", lineno) from exc
+            raise SequenceParseError(f"unknown action token {exc.args[0]!r}", lineno,
+                                     "line") from exc
         try:
             prob_values = tuple(float(p) for p in probs.split(",")) if probs else ()
             stats = tuple(StepStats(p, float("nan"), float("nan"), float("nan"))
@@ -318,5 +319,5 @@ def parse_records(lines: Iterable[str]) -> list[SequenceRecord]:
             records.append(SequenceRecord(start_label, actions, stats, float(rate),
                                           float(fid), succ == "1"))
         except ValueError as exc:  # not a number, or more probabilities than actions
-            raise SequenceParseError(str(exc), lineno) from exc
+            raise SequenceParseError(str(exc), lineno, "line") from exc
     return records

@@ -306,12 +306,15 @@ class TestEvaluatePolicy:
             assert rec.succeeded == (outcome == "success")
             assert len(rec.actions) == len(rec.per_step)
 
-    def test_records_do_not_depend_on_collection_order(self):
-        # 50 episodes run as one lockstep block; in a 500-episode run they
-        # share their block with 14 others
+    @pytest.mark.parametrize("block", [1, 7, 64, 512])
+    def test_records_do_not_depend_on_collection_order(self, monkeypatch, block):
+        # 50 random-start episodes run as one lockstep block, then as the
+        # first of 500 episodes run in blocks of another size
         params = init_params(tiny_mlp_spec())
-        short = evaluate_policy(params, tiny_env_cfg(), 0.3, 50, master_seed=4)
-        full = evaluate_policy(params, tiny_env_cfg(), 0.3, 500, master_seed=4)
+        env_cfg = dataclasses.replace(tiny_env_cfg(), start_mode="random_pure")
+        short = evaluate_policy(params, env_cfg, 0.3, 50, master_seed=4)
+        monkeypatch.setattr("qsteer.agent.EVAL_BLOCK", block)
+        full = evaluate_policy(params, env_cfg, 0.3, 500, master_seed=4)
         assert short.returns == full.returns[:50]
         assert short.outcomes == full.outcomes[:50]
         assert [repr(r) for r in short.records] == [repr(r) for r in full.records[:50]]

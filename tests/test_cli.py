@@ -316,6 +316,13 @@ class TestHistogram:
         err = capsys.readouterr().err
         assert "--records" in err and str(records) in err
 
+    def test_malformed_records_error_names_the_line(self, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_text("x+\tPx+ Px+\t0.5,0.9\tabc\t0.995\t1\n")
+        assert cli.main(["histogram", "--records", str(records)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "token" not in err
+
     def test_empty_file(self, micro_config, tmp_path, capsys):
         records = tmp_path / "empty.txt"
         records.write_text("")

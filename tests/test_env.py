@@ -65,6 +65,30 @@ class TestReset:
         assert not a.rho.flags.writeable and not a.encoding.flags.writeable
         assert np.array_equal(a.encoding, encode_state(a.rho))
 
+    @pytest.mark.parametrize("mode", ["random_pure", "fixed_xplus", "fixed_custom"])
+    def test_starts_match_reset_row_by_row(self, mode):
+        custom = (0.3 + 0.1j, -0.7j) if mode == "fixed_custom" else None
+        env = QSEEnv(dataclasses.replace(EnvConfig(), start_mode=mode, custom_start=custom))
+        rho, enc, labels = env.starts([np.random.default_rng(i) for i in range(40)])
+        assert rho.shape == (40, 8, 8) and enc.shape == (40, 70) and len(labels) == 40
+        for i in range(40):
+            one = env.reset(np.random.default_rng(i))
+            # tobytes() also tells a signed zero from an unsigned one
+            assert rho[i].tobytes() == one.rho.tobytes()
+            assert enc[i].tobytes() == one.encoding.tobytes()
+            assert labels[i] == one.start_label
+
+    def test_random_starts_match_the_one_state_formula(self):
+        env = QSEEnv(dataclasses.replace(EnvConfig(), start_mode="random_pure"))
+        rho, _enc, _labels = env.starts([np.random.default_rng(i) for i in range(40)])
+        for i in range(40):
+            g = np.random.default_rng(i)
+            raw = g.standard_normal(2) + 1j * g.standard_normal(2)
+            v = raw / np.linalg.norm(raw)
+            v = v / np.linalg.norm(v)
+            expected = np.kron(np.kron(np.outer(v, v.conj()), np.eye(2) / 2), np.eye(2) / 2)
+            assert rho[i].tobytes() == expected.tobytes()
+
     def test_custom_start(self):
         cfg = dataclasses.replace(EnvConfig(), start_mode="fixed_custom",
                                   custom_start=(1 + 0j, -1 + 0j))

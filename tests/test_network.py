@@ -89,6 +89,15 @@ class TestForward:
         for i in range(4):
             assert np.allclose(batched[i], forward(params, xs[i][None])[0])
 
+    def test_row_bits_do_not_depend_on_batch_size(self):
+        # a one-row batch must round like a row of a larger one: the
+        # collector's greedy batches shrink to one row as episodes end
+        params = init_params(small_spec(input_size=70, hidden=(128, 128), output_size=7))
+        xs = np.random.default_rng(1).standard_normal((200, 70))
+        batched = forward(params, xs)
+        for i in range(len(xs)):
+            assert forward(params, xs[i:i + 1])[0].tobytes() == batched[i].tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             forward(init_params(small_spec()), np.ones(6)[None])
