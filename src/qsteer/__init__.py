@@ -22,7 +22,7 @@ if "numpy" in sys.modules:
 else:
     BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import agent, cli, config, env, errors, linalg, model, network, sequences
+from . import agent, cli, config, env, errors, model, network, sequences
 from .env import EnvConfig, QSEEnv
 from .model import ModelParams
 
@@ -33,7 +33,6 @@ __all__ = [
     "config",
     "env",
     "errors",
-    "linalg",
     "model",
     "network",
     "sequences",

@@ -25,7 +25,7 @@ import numpy as np
 from . import BLAS_THREADS, __version__
 from .agent import evaluate_policy, run_training
 from .config import RunConfig, config_hash, parse_config, serialize_config
-from .env import ACTION_TOKENS, EnvConfig, QSEEnv, start_state_vector
+from .env import ACTION_TOKENS, EnvConfig, QSEEnv
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -33,6 +33,7 @@ from .errors import (
     SchemaMismatch,
     SequenceParseError,
 )
+from .model import SPIN_STATES
 from .network import load_params
 from .sequences import (
     combination_histogram,
@@ -123,10 +124,10 @@ def _env_with_start(cfg: RunConfig, start: str | None) -> EnvConfig:
         return cfg.env
     if start == "random":
         return dataclasses.replace(cfg.env, start_mode="random_pure", custom_start=None)
-    try:
-        v = start_state_vector(start)
-    except ValueError as exc:
-        raise ConfigError(f"--start: {exc}") from exc
+    if start not in SPIN_STATES:
+        raise ConfigError(f"--start: unknown start state {start!r}; "
+                          f"expected one of {sorted(SPIN_STATES)}")
+    v = SPIN_STATES[start]
     return dataclasses.replace(cfg.env, start_mode="fixed_custom",
                                custom_start=(complex(v[0]), complex(v[1])))
 

@@ -11,6 +11,7 @@ the one list of keys. The network input width is derived from the model
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import hashlib
 import typing
@@ -57,13 +58,25 @@ _SECTIONS = {
 }
 
 
+def _finite(tp):
+    def convert(raw):
+        value = tp(raw)
+        if not cmath.isfinite(value):
+            raise ValueError(f"must be finite, got {raw!r}")
+        return value
+    return convert
+
+
 def _converter(tp):
-    """Text-to-value converter for a field annotation."""
+    """Text-to-value converter for a field annotation; float and complex
+    values must be finite."""
     args = typing.get_args(tp)
     if type(None) in args:
         (inner,) = (a for a in args if a is not type(None))
         conv = _converter(inner)
         return lambda raw: None if raw.lower() in ("", "none") else conv(raw)
+    if tp in (float, complex):
+        return _finite(tp)
     if typing.get_origin(tp) is not tuple:
         return tp
     if args[-1] is Ellipsis:

@@ -30,7 +30,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EpisodeFinished
-from .linalg import kron_all, partial_trace_first
 from .model import (
     BELL_NAMES,
     SPIN_STATES,
@@ -40,7 +39,9 @@ from .model import (
     central_product_state,
     central_projector,
     fidelity_to_pure,
+    kron_all,
     measure,
+    partial_trace_first,
 )
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "QSEEnv",
     "encoding_length",
     "encode_state",
-    "start_state_vector",
 ]
 
 #: Action index -> token. Order: z+, z-, x+, x-, y+, y-, do nothing.
@@ -114,6 +114,11 @@ class EnvConfig:
             raise ValueError(f"start_mode must be one of {START_MODES}, got {self.start_mode!r}")
         if self.start_mode == "fixed_custom" and self.custom_start is None:
             raise ValueError("start_mode=fixed_custom requires custom_start amplitudes")
+        if self.custom_start is not None:
+            norm = np.linalg.norm(np.asarray(self.custom_start, dtype=complex))
+            if not 0 < norm < np.inf:
+                raise ValueError(f"custom_start {self.custom_start} cannot be normalized "
+                                 f"(norm {norm})")
         if not self.floor > 0:
             raise ValueError(f"floor must be positive, got {self.floor}")
 
@@ -307,10 +312,3 @@ def _labels_for(central: np.ndarray) -> list[str]:
     match = np.abs(np.abs(central @ np.conj(refs).T) - 1.0) < 1e-12
     return [names[m.argmax()] if m.any() else f"({v[0]:.6f},{v[1]:.6f})"
             for v, m in zip(central, match)]
-
-
-def start_state_vector(name: str) -> np.ndarray:
-    """Named single-spin state for CLI start overrides."""
-    if name not in SPIN_STATES:
-        raise ValueError(f"unknown start state {name!r}; expected one of {sorted(SPIN_STATES)}")
-    return SPIN_STATES[name]

@@ -5,14 +5,6 @@ class QsteerError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitian(QsteerError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
-class NoConvergence(QsteerError):
-    """The eigensolver failed to converge."""
-
-
 class DimensionMismatch(QsteerError):
     """Operand dimensions are incompatible."""
 

@@ -1,5 +1,6 @@
 """Central-spin system: Hamiltonian, propagator, projective measurements,
-and the density-matrix metrics used to score measurement sequences.
+the partial trace onto the bath, and the density-matrix metrics used to
+score measurement sequences.
 
 The system is one controllable central spin coupled to ``n_bath``
 non-interacting bath spins, each a two-level system. The Hamiltonian is
@@ -15,6 +16,10 @@ independently of those fixtures.
 
 Frequencies (couplings, omega) and the interval tau share one relative
 unit system, so all propagator phases are dimensionless.
+
+Matrices are plain dense complex numpy arrays. At these dimensions (at
+most a few hundred) the propagator is simply ``numpy.linalg.eigh`` of the
+Hamiltonian, whose real couplings make it exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import expm_i_hermitian, kron_all
 
 __all__ = [
     "PAULI_X",
@@ -34,11 +38,13 @@ __all__ = [
     "SPIN_STATES",
     "BELL_NAMES",
     "ModelParams",
+    "kron_all",
     "build_hamiltonian",
     "build_propagator",
     "central_projector",
     "central_product_state",
     "measure",
+    "partial_trace_first",
     "bell_state",
     "fidelity_to_pure",
     "trace_distance",
@@ -102,6 +108,14 @@ class ModelParams:
         return 2 ** (self.n_bath + 1)
 
 
+def kron_all(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of several factors, left to right."""
+    out = np.asarray(factors[0])
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
 def _bath_pauli(coupling) -> np.ndarray:
     gx, gy, gz = coupling
     return gx * PAULI_X + gy * PAULI_Y + gz * PAULI_Z
@@ -122,8 +136,9 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
 
 
 def build_propagator(p: ModelParams) -> np.ndarray:
-    """Unitary free-evolution operator for one interval tau."""
-    return expm_i_hermitian(build_hamiltonian(p), p.tau)
+    """Unitary free-evolution operator exp(-i H tau) for one interval tau."""
+    w, v = np.linalg.eigh(build_hamiltonian(p))
+    return (v * np.exp(-1j * w * p.tau)) @ v.conj().T
 
 
 def central_projector(axis: str, sign: str, n_bath: int) -> np.ndarray:
@@ -166,6 +181,24 @@ def measure(rho: np.ndarray, ops: np.ndarray, floor: float = 1e-8):
     prob = np.trace(out, axis1=-2, axis2=-1).real
     out /= np.where(prob > floor, prob, 1.0)[..., None, None]
     return out, prob
+
+
+def partial_trace_first(m: np.ndarray, dim_first: int) -> np.ndarray:
+    """Trace out the leading tensor factor of dimension dim_first.
+
+    For m acting on C^dim_first (x) C^d, returns the reduced d x d matrix;
+    the total trace is preserved. Leading axes of a stack of matrices are
+    kept.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if dim_first < 1 or m.shape[-1] % dim_first != 0:
+        raise DimensionMismatch(
+            f"dimension {m.shape[-1]} is not divisible by leading factor {dim_first}"
+        )
+    d = m.shape[-1] // dim_first
+    return np.einsum("...ikil->...kl", m.reshape(m.shape[:-2] + (dim_first, d, dim_first, d)))
 
 
 def bell_state(which: str) -> np.ndarray:

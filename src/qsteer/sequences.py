@@ -26,8 +26,7 @@ from .env import ACTION_COUNT, ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
 from .model import purity, trace_distance
 
 # not called here, but perfbench's tracer wraps these names in this module
-from .linalg import partial_trace_first  # noqa: F401
-from .model import fidelity_to_pure, measure  # noqa: F401
+from .model import fidelity_to_pure, measure, partial_trace_first  # noqa: F401
 
 __all__ = [
     "StepStats",

@@ -5,9 +5,20 @@ import numpy as np
 
 from qsteer.env import ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import DimensionMismatch, QsteerError
-from qsteer.linalg import hermitian_eig, hermiticity_defect
 from qsteer.model import ModelParams
 from qsteer.sequences import replay_sequence
+
+
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Relative Frobenius distance of m from its Hermitian part.
+
+    Returns 0 for the zero matrix.
+    """
+    m = np.asarray(m)
+    norm = np.linalg.norm(m)
+    if norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(m - m.conj().T) / norm)
 
 
 class NegativeEigenvalue(QsteerError):
@@ -20,7 +31,7 @@ def matrix_sqrt_psd(m: np.ndarray, neg_tol: float = 1e-10) -> np.ndarray:
     Eigenvalues in [-neg_tol, 0) are treated as floating-point drift and
     clamped to zero; anything below -neg_tol raises NegativeEigenvalue.
     """
-    w, v = hermitian_eig(m)
+    w, v = np.linalg.eigh(m)
     if w[0] < -neg_tol:
         raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -{neg_tol:.1e}")
     w = np.maximum(w, 0.0)

@@ -27,7 +27,6 @@ from qsteer import cli
 from qsteer.agent import evaluate_policy, run_training
 from qsteer.config import parse_config
 from qsteer.env import DO_NOTHING, QSEEnv, encode_state
-from qsteer.linalg import kron_all, partial_trace_first
 from qsteer.model import (
     IDENTITY_2,
     PAULI_X,
@@ -35,6 +34,8 @@ from qsteer.model import (
     PAULI_Z,
     SPIN_STATES,
     bell_state,
+    kron_all,
+    partial_trace_first,
 )
 from qsteer.network import MLPSpec, forward, gradients, init_params
 from qsteer.sequences import (

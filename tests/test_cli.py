@@ -245,6 +245,21 @@ class TestSearch:
         assert cli.main(["search", str(micro_config), "--target", "psi-",
                          "--max-len", "20"]) == 4
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("start_mode = fixed_xplus",
+         "start_mode = fixed_custom\ncustom_start = 0, 0", "custom_start"),
+        ("start_mode = fixed_xplus",
+         "start_mode = fixed_custom\ncustom_start = nan, 1", "env.custom_start"),
+        ("coupling = 1, 0, 0", "coupling = nan, 0, 0", "model.coupling"),
+        ("tau = 1", "tau = inf", "model.tau"),
+    ], ids=["zero_start", "nan_start", "nan_coupling", "inf_tau"])
+    def test_bad_numbers_are_config_errors(self, micro_config, tmp_path, capsys, old, new,
+                                           field):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MICRO_CONFIG.replace(old, new))
+        assert cli.main(["search", str(bad), "--target", "psi-", "--max-len", "2"]) == 2
+        assert field in capsys.readouterr().err
+
     def test_random_start_needs_a_start_flag(self, micro_config, tmp_path, capsys):
         random_cfg = tmp_path / "random.cfg"
         random_cfg.write_text(MICRO_CONFIG.replace("start_mode = fixed_xplus",

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,28 @@ def test_custom_start_needs_two_amplitudes():
     assert "env.custom_start" in str(err.value)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "tau", "inf"),
+    ("env", "r_plus", "nan"),
+    ("env", "floor", "inf"),
+    ("agent", "learning_rate", "nan"),
+    ("model", "coupling", "nan, 0, 0"),
+    ("model", "omega", "inf"),
+    ("env", "custom_start", "nan, 1"),
+])
+def test_non_finite_value_names_field(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[{section}]\n{key} = {value}\n")
+    assert f"{section}.{key}" in str(err.value)
+
+
+@pytest.mark.parametrize("amplitudes", ["0, 0", "1e-200, 1e-200j"])
+def test_custom_start_that_cannot_be_normalized(amplitudes):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[env]\nstart_mode = fixed_custom\ncustom_start = {amplitudes}\n")
+    assert "custom_start" in str(err.value)
+
+
 # Floats the canonical text writes with 12 significant digits, so that
 # serializing is exact.
 def _floats(lo, hi):
@@ -161,7 +184,9 @@ def run_configs(draw):
     r_minus = draw(_floats(-5, 0))
     start_mode = draw(st.sampled_from(START_MODES))
     amplitude = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
-    custom = st.tuples(amplitude, amplitude)
+    # EnvConfig rejects amplitudes that cannot be normalized
+    custom = st.tuples(amplitude, amplitude).filter(
+        lambda v: 0 < np.linalg.norm(np.asarray(v, dtype=complex)) < np.inf)
     env = EnvConfig(
         model=model, target=draw(st.sampled_from(BELL_NAMES)),
         theta=draw(_floats(1e-3, 0.999)), r_plus=draw(_floats(0, 100)),

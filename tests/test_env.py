@@ -10,13 +10,13 @@ from conftest import random_density_matrix
 from oracles import decode_state
 from qsteer.env import ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, encode_state, encoding_length
 from qsteer.errors import EpisodeFinished
-from qsteer.linalg import partial_trace_first
 from qsteer.model import (
     BELL_NAMES,
     SPIN_STATES,
     ModelParams,
     bell_state,
     fidelity_to_pure,
+    partial_trace_first,
     purity,
 )
 

@@ -1,4 +1,5 @@
-"""Every function, class and method in the library has a caller in the library.
+"""Every function, class and method in the library has a caller in the
+library, and every module's ``__all__`` names only what the module has.
 
 An ``ast`` scan of ``src/qsteer``: each top-level function and class and
 each method (special ``__dunder__`` methods aside, which the language
@@ -9,7 +10,10 @@ something else (``fidelity`` is a field as well) escapes it.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qsteer"
 
@@ -31,3 +35,11 @@ def test_every_definition_is_used_by_the_library():
                 used.add(node.attr)
     unused = {name for name in defined - used if not name.startswith("__")}
     assert not unused, f"defined in src/qsteer but used only outside it: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_all_names_exist(path):
+    name = "qsteer" if path.stem == "__init__" else f"qsteer.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names what the module lacks: {missing}"

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import expm_taylor, random_density_matrix, random_hermitian
+from conftest import expm_taylor, random_density_matrix
 from oracles import NegativeEigenvalue, matrix_sqrt_psd
-from qsteer.errors import DimensionMismatch, NotHermitian
-from qsteer.linalg import expm_i_hermitian, hermitian_eig, kron_all, partial_trace_first
-from qsteer.model import IDENTITY_2, PAULI_X, PAULI_Z, ModelParams, build_hamiltonian
+from qsteer.errors import DimensionMismatch
+from qsteer.model import (
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Z,
+    ModelParams,
+    build_hamiltonian,
+    build_propagator,
+    kron_all,
+    partial_trace_first,
+)
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -41,58 +49,34 @@ class TestKron:
         assert np.allclose(kron_all(2.5 * a, b), 2.5 * kron_all(a, b), atol=1e-12)
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        eig = hermitian_eig(np.diag([3.0, 1.0]).astype(complex))
-        assert np.allclose(eig.eigenvalues, [1.0, 3.0])
-        assert np.allclose(np.abs(eig.eigenvectors), [[0, 1], [1, 0]])
-
-    def test_pauli_x(self):
-        eig = hermitian_eig(PAULI_X)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-        # eigenvectors are (|z+> -/+ |z->)/sqrt(2) up to phase
-        for col, sign in ((0, -1), (1, 1)):
-            v = eig.eigenvectors[:, col]
-            ref = np.array([1, sign]) / np.sqrt(2)
-            assert abs(abs(np.vdot(ref, v)) - 1.0) < 1e-12
-
-    def test_reconstruction_random(self, rng):
-        for _ in range(20):
-            m = random_hermitian(rng, 8)
-            w, v = hermitian_eig(m)
-            rebuilt = (v * w) @ v.conj().T
-            assert np.linalg.norm(rebuilt - m) / np.linalg.norm(m) < 1e-10
-            assert np.linalg.norm(v.conj().T @ v - np.eye(8)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            hermitian_eig(np.zeros((2, 3)))
-
-
 class TestExpm:
-    def test_zero_time_is_identity(self, rng):
-        h = random_hermitian(rng, 8)
-        assert np.allclose(expm_i_hermitian(h, 0.0), np.eye(8), atol=1e-12)
+    def test_zero_time_is_identity(self):
+        # tau must be positive, so zero phase comes from a model with no
+        # frequencies: H = 0 evolves nothing over any interval
+        p = ModelParams.uniform(coupling=(0.0, 0.0, 0.0), omega=0.0, tau=0.7)
+        assert np.allclose(build_propagator(p), np.eye(8), atol=1e-12)
 
     def test_pauli_z_quarter_period(self):
-        u = expm_i_hermitian(PAULI_Z, np.pi / 2)
-        assert np.allclose(u, np.diag([-1j, 1j]), atol=1e-12)
+        # one uncoupled bath spin precessing: H = 1 (x) sigma_z
+        p = ModelParams.uniform(n_bath=1, coupling=(0.0, 0.0, 0.0), omega=1.0, tau=np.pi / 2)
+        u = build_propagator(p)
+        assert np.allclose(u, np.kron(IDENTITY_2, np.diag([-1j, 1j])), atol=1e-12)
 
     def test_against_taylor_oracle(self):
-        h = build_hamiltonian(ModelParams())
-        u = expm_i_hermitian(h, 1.0)
-        reference = expm_taylor(-1j * h)
+        p = ModelParams()
+        u = build_propagator(p)
+        reference = expm_taylor(-1j * p.tau * build_hamiltonian(p))
         assert np.linalg.norm(u - reference) < 1e-9
 
     def test_unitary_and_inverse(self, rng):
-        h = random_hermitian(rng, 8)
-        u = expm_i_hermitian(h, 0.7)
+        couplings = tuple(tuple(rng.standard_normal(3)) for _ in range(2))
+        omega = float(rng.standard_normal())
+        u = build_propagator(ModelParams(couplings=couplings, omega=omega, tau=0.7))
         assert np.linalg.norm(u @ u.conj().T - np.eye(8)) < 1e-10
-        assert np.linalg.norm(u @ expm_i_hermitian(h, -0.7) - np.eye(8)) < 1e-10
+        # negating every coupling and omega negates H
+        negated = ModelParams(couplings=tuple(tuple(-g for g in c) for c in couplings),
+                              omega=-omega, tau=0.7)
+        assert np.linalg.norm(u @ build_propagator(negated) - np.eye(8)) < 1e-10
 
 
 class TestMatrixSqrt:

@@ -7,7 +7,6 @@ from conftest import FIRST_XPLUS_BRANCH_PROB, random_density_matrix
 from oracles import assert_density_matrix, fidelity
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import DimensionMismatch
-from qsteer.linalg import partial_trace_first
 from qsteer.model import (
     BELL_NAMES,
     IDENTITY_2,
@@ -20,6 +19,7 @@ from qsteer.model import (
     central_projector,
     fidelity_to_pure,
     measure,
+    partial_trace_first,
     purity,
     trace_distance,
 )

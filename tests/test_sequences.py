@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
 from oracles import fidelity, verify_steady_state
-from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv, start_state_vector
+from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import BudgetExceeded, SequenceParseError
-from qsteer.linalg import partial_trace_first
-from qsteer.model import ModelParams
+from qsteer.model import SPIN_STATES, ModelParams, partial_trace_first
 from qsteer.sequences import (
     SequenceRecord,
     StepStats,
@@ -184,7 +183,7 @@ class TestExhaustiveSearch:
                         == [s.success_prob for s in rec.per_step])
 
     def test_custom_start_is_labelled_and_searched(self, default_env_cfg):
-        xminus = start_state_vector("x-")
+        xminus = SPIN_STATES["x-"]
         model = dataclasses.replace(default_env_cfg.model, tau=2.0)
         cfg = dataclasses.replace(default_env_cfg, model=model, start_mode="fixed_custom",
                                   custom_start=(complex(xminus[0]), complex(xminus[1])))
