@@ -40,7 +40,7 @@ from .network import (
     soft_update,
     train_batch,
 )
-from .sequences import SequenceRecord, StepStats
+from .sequences import SequenceRecord
 
 __all__ = [
     "ReplayMemory",
@@ -148,7 +148,6 @@ class AgentConfig:
 class TrainingLogRow:
     step: int
     epsilon: float
-    episodes: int
     avg_return: float
     success_fraction: float
     loss_mean: float
@@ -370,7 +369,6 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
         row = TrainingLogRow(
             step=step,
             epsilon=eps,
-            episodes=agent_cfg.episodes_per_training_step,
             avg_return=avg_return,
             success_fraction=float(np.mean(episodes.final == SUCCESS)),
             loss_mean=float(np.mean(losses)) if losses else float("nan"),
@@ -399,7 +397,7 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
     """Run episodes without learning and record what the policy did.
 
     Returns per-episode totals, outcomes, and sequence records carrying
-    each step's branch probability and fidelity.
+    each step's branch probability.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -414,9 +412,8 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
         outcomes += [OUTCOMES[c] for c in final]
         for label, lo, hi, c in zip(block.start_labels, block.offsets[:-1],
                                     block.offsets[1:], final):
-            probs, fids = block.prob[lo:hi].tolist(), block.fidelity[lo:hi].tolist()
+            probs = tuple(block.prob[lo:hi].tolist())
             records.append(SequenceRecord(
-                label, tuple(block.a[lo:hi].tolist()),
-                tuple(StepStats(p, f, math.nan, math.nan) for p, f in zip(probs, fids)),
-                math.prod(probs), fids[-1], c == SUCCESS, aborted=c == FATAL))
+                label, tuple(block.a[lo:hi].tolist()), probs, math.prod(probs),
+                block.fidelity[hi - 1].item(), c == SUCCESS, aborted=c == FATAL))
     return EvaluationResult(returns, outcomes, records)

@@ -37,7 +37,6 @@ from .model import SPIN_STATES
 from .network import load_params
 from .sequences import (
     combination_histogram,
-    diagnostic_trace,
     exhaustive_search,
     format_sequence,
     parse_records,
@@ -186,14 +185,12 @@ def cmd_replay(args) -> int:
     env_cfg = _definite_start(cfg, args.start, "replay")
     if args.target:
         env_cfg = dataclasses.replace(env_cfg, target=args.target)
-    env = QSEEnv(env_cfg)
-    start_state = env.reset()
-    record = replay_sequence(start_state.rho, actions, env,
-                             start_label=start_state.start_label)
+    record, diagnostics = replay_sequence(QSEEnv(env_cfg), actions)
 
     rows = [
-        (str(step), token, _fmt(prob), _fmt(fid), _fmt(td), _fmt(pur))
-        for step, token, prob, fid, td, pur in diagnostic_trace(record)
+        (str(step), ACTION_TOKENS[a], _fmt(prob), _fmt(fid), _fmt(td), _fmt(pur))
+        for step, (a, prob, (fid, td, pur)) in enumerate(
+            zip(record.actions, record.probs, diagnostics), start=1)
     ]
     columns = ["step", "action", "success_prob", "fidelity", "trace_distance", "purity"]
     if args.out:

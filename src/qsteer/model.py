@@ -92,6 +92,9 @@ class ModelParams:
                 f"need one coupling vector per bath spin: got {len(self.couplings)} "
                 f"for n_bath={self.n_bath}"
             )
+        for name in ("couplings", "omega", "tau"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 

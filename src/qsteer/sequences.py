@@ -17,7 +17,7 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,12 +29,10 @@ from .model import purity, trace_distance
 from .model import fidelity_to_pure, measure, partial_trace_first  # noqa: F401
 
 __all__ = [
-    "StepStats",
     "SequenceRecord",
     "replay_sequence",
     "exhaustive_search",
     "combination_histogram",
-    "diagnostic_trace",
     "parse_sequence",
     "format_sequence",
     "records_to_lines",
@@ -48,83 +46,60 @@ SEARCH_MAX_LEN_BUDGET = 6
 SEARCH_BLOCK = 7
 
 
-class StepStats(NamedTuple):
-    """Per-step diagnostics; trace_distance/purity are NaN when a record
-    was collected on a fast path that skips them."""
-
-    success_prob: float
-    fidelity: float
-    trace_distance: float
-    purity: float
-
-
 @dataclass(frozen=True)
 class SequenceRecord:
-    """One executed sequence with its per-step diagnostics.
+    """One executed sequence with each step's branch probability.
 
-    success_rate is the product of the recorded branch probabilities
-    (do-nothing steps contribute a factor of one). aborted marks records
-    cut short by a branch probability under the floor.
+    success_rate is the product of probs (do-nothing steps contribute a
+    factor of one). aborted marks records cut short by a branch
+    probability under the floor.
     """
 
     start_label: str
     actions: tuple[int, ...]
-    per_step: tuple[StepStats, ...]
+    probs: tuple[float, ...]
     success_rate: float
     final_fidelity: float
     succeeded: bool
     aborted: bool = False
 
     def __post_init__(self):
-        if len(self.per_step) > len(self.actions):
-            raise ValueError("more per-step entries than actions")
+        if len(self.probs) > len(self.actions):
+            raise ValueError("more probabilities than actions")
 
 
-def replay_sequence(start: np.ndarray, actions: Sequence[int], cfg: EnvConfig | QSEEnv,
-                    start_label: str = "custom") -> SequenceRecord:
-    """Execute a sequence from an explicit full-system start state.
+def replay_sequence(env: QSEEnv, actions: Sequence[int]
+                    ) -> tuple[SequenceRecord, list[tuple[float, float, float]]]:
+    """Execute a sequence from the env's own start state.
 
-    cfg is an EnvConfig or an environment already built from one. Each
-    step is one row of ``QSEEnv.step_batch``, so a replay reproduces the
-    search's rates and fidelities bit for bit. Unlike an episode, replay
-    never terminates early on crossing the fidelity threshold;
-    diagnostics are recorded after every step. An empty sequence still
-    reports the fidelity after one free-evolution interval. A branch
-    probability at or below the floor aborts the replay and returns the
-    partial record.
+    Each step is one row of ``QSEEnv.step_batch``, so a replay reproduces
+    the search's rates and fidelities bit for bit. Unlike an episode,
+    replay never terminates early on crossing the fidelity threshold. A
+    branch probability at or below the floor aborts the replay and
+    returns the partial record. Beside the record come the bath
+    diagnostics, one (fidelity, trace_distance, purity) row per executed
+    step.
     """
-    env = cfg if isinstance(cfg, QSEEnv) else QSEEnv(cfg)
-    theta = env.cfg.theta
-    rho = np.asarray(start, dtype=complex)[None]
-
-    if len(actions) == 0:
-        fid = float(env.step_batch(rho, [DO_NOTHING]).fidelity[0])
-        return SequenceRecord(start_label, (), (), 1.0, fid, fid > theta)
-
-    stats: list[StepStats] = []
-    rate = 1.0
+    start = env.reset()
+    rho = start.rho[None]
+    probs: list[float] = []
+    diagnostics: list[tuple[float, float, float]] = []
     aborted = False
     for action in actions:
         out = env.step_batch(rho, [action])
         if out.fatal[0]:
             aborted = True
             break
-        rho = out.rho
-        prob = float(out.prob[0])
-        rate *= prob
-        bath = out.bath[0]
-        stats.append(StepStats(
-            success_prob=prob,
-            fidelity=float(out.fidelity[0]),
-            trace_distance=trace_distance(bath, env.target_matrix),
-            purity=purity(bath),
-        ))
+        rho, bath = out.rho, out.bath[0]
+        probs.append(float(out.prob[0]))
+        diagnostics.append((float(out.fidelity[0]),
+                            trace_distance(bath, env.target_matrix), purity(bath)))
 
-    executed = tuple(actions[:len(stats)])
-    final_fid = stats[-1].fidelity if stats else 0.0
-    succeeded = (not aborted) and final_fid > theta
-    return SequenceRecord(start_label, executed, tuple(stats), rate,
-                          final_fid, succeeded, aborted)
+    final_fid = diagnostics[-1][0] if diagnostics else 0.0
+    succeeded = (not aborted) and final_fid > env.cfg.theta
+    record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
+                            math.prod(probs, start=1.0), final_fid, succeeded, aborted)
+    return record, diagnostics
 
 
 def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
@@ -167,11 +142,8 @@ def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
         live = ~out.fatal & (rate >= rate_cutoff)
         hit = live & (out.fidelity > cfg.theta)
         for i in np.flatnonzero(hit):
-            stats = [StepStats(float(p), float("nan"), float("nan"), float("nan"))
-                     for p in probs[i]]
-            stats[-1] = stats[-1]._replace(fidelity=float(out.fidelity[i]))
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
-                                        tuple(stats), float(rate[i]),
+                                        tuple(probs[i].tolist()), float(rate[i]),
                                         float(out.fidelity[i]), True))
         if prefix.shape[1] < max_len:
             todo = np.flatnonzero(live & ~hit)
@@ -203,20 +175,6 @@ def combination_histogram(records: Iterable[SequenceRecord],
         for a, b in zip(rec.actions, rec.actions[1:]):
             counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
-
-
-def diagnostic_trace(record: SequenceRecord):
-    """Rows (step, action token, success_prob, fidelity, trace_distance,
-    purity) for a fully replayed record."""
-    rows = []
-    for i, (action, stats) in enumerate(zip(record.actions, record.per_step), start=1):
-        if math.isnan(stats.trace_distance) or math.isnan(stats.purity):
-            raise ValueError(
-                "record lacks full diagnostics; replay it with replay_sequence first"
-            )
-        rows.append((i, ACTION_TOKENS[action], stats.success_prob, stats.fidelity,
-                     stats.trace_distance, stats.purity))
-    return rows
 
 
 # -- sequence notation ------------------------------------------------
@@ -284,8 +242,8 @@ def records_to_lines(records: Iterable[SequenceRecord]) -> list[str]:
     probabilities, success rate, final fidelity, succeeded flag."""
     lines = []
     for rec in records:
-        acts = " ".join(ACTION_TOKENS[a] for a in rec.actions)
-        probs = ",".join(f"{s.success_prob:.12g}" for s in rec.per_step)
+        acts = format_sequence(rec.actions, compress=False)
+        probs = ",".join(f"{p:.12g}" for p in rec.probs)
         lines.append(
             f"{rec.start_label}\t{acts}\t{probs}\t{rec.success_rate:.12g}"
             f"\t{rec.final_fidelity:.12g}\t{int(rec.succeeded)}"
@@ -294,8 +252,7 @@ def records_to_lines(records: Iterable[SequenceRecord]) -> list[str]:
 
 
 def parse_records(lines: Iterable[str]) -> list[SequenceRecord]:
-    """Inverse of records_to_lines; per-step diagnostics other than the
-    probabilities come back as NaN."""
+    """Inverse of records_to_lines."""
     records = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -313,9 +270,7 @@ def parse_records(lines: Iterable[str]) -> list[SequenceRecord]:
                                      "line") from exc
         try:
             prob_values = tuple(float(p) for p in probs.split(",")) if probs else ()
-            stats = tuple(StepStats(p, float("nan"), float("nan"), float("nan"))
-                          for p in prob_values)
-            records.append(SequenceRecord(start_label, actions, stats, float(rate),
+            records.append(SequenceRecord(start_label, actions, prob_values, float(rate),
                                           float(fid), succ == "1"))
         except ValueError as exc:  # not a number, or more probabilities than actions
             raise SequenceParseError(str(exc), lineno, "line") from exc

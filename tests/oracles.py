@@ -102,5 +102,5 @@ def verify_steady_state(n_bath: int, repetitions: int) -> list[float]:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=n_bath), target="psi-"))
     actions = (DO_NOTHING,) + (ACTION_TOKENS.index("Px+"),) * repetitions
-    rec = replay_sequence(env.reset().rho, actions, env)
-    return [s.fidelity for s in rec.per_step[1:]]
+    _, diagnostics = replay_sequence(env, actions)
+    return [fid for fid, _, _ in diagnostics[1:]]

@@ -136,11 +136,10 @@ def test_prerequisite_convention_sweep():
 
 def test_criterion_1_fixed_start_golden_rows(run_cfg):
     t0 = time.monotonic()
-    start = QSEEnv(run_cfg.env).reset().rho
     failures = []
     for target, start_label, tokens, fid_ref, rate_ref in GOLDEN_FIXED_START:
         cfg = dataclasses.replace(run_cfg.env, target=target)
-        rec = replay_sequence(start, parse_sequence(tokens), cfg, start_label)
+        rec, _ = replay_sequence(QSEEnv(cfg), parse_sequence(tokens))
         if abs(rec.final_fidelity - fid_ref) >= FIDELITY_ATOL:
             failures.append(f"{target} fidelity {rec.final_fidelity:.5f} vs {fid_ref}")
         if abs(rec.success_rate - rate_ref) >= RATE_ATOL:
@@ -162,8 +161,7 @@ def test_criterion_2_doubled_interval_golden_rows(run_cfg):
         cfg = dataclasses.replace(
             run_cfg.env, model=model, start_mode="fixed_custom",
             custom_start=tuple(complex(c) for c in SPIN_STATES[start_label]))
-        start = QSEEnv(cfg).reset().rho
-        rec = replay_sequence(start, parse_sequence(tokens), cfg, start_label)
+        rec, _ = replay_sequence(QSEEnv(cfg), parse_sequence(tokens))
         if abs(rec.final_fidelity - fid_ref) >= FIDELITY_ATOL:
             failures.append(f"{start_label}/{tokens}: fidelity {rec.final_fidelity:.5f}")
         if abs(rec.success_rate - rate_ref) >= RATE_ATOL:
@@ -174,15 +172,13 @@ def test_criterion_2_doubled_interval_golden_rows(run_cfg):
 
 
 def _replay_singlet_row(env_cfg):
-    start = QSEEnv(env_cfg).reset().rho
+    """Per-step (fidelity, trace_distance, purity) of the golden singlet row."""
     tokens = GOLDEN_FIXED_START[3][2]
-    return replay_sequence(start, parse_sequence(tokens), env_cfg, "x+")
+    return replay_sequence(QSEEnv(env_cfg), parse_sequence(tokens))[1]
 
 
 def test_criterion_3_monotone_fidelity_and_trace_distance(run_cfg):
-    rec = _replay_singlet_row(run_cfg.env)
-    fids = [s.fidelity for s in rec.per_step]
-    dists = [s.trace_distance for s in rec.per_step]
+    fids, dists, _ = zip(*_replay_singlet_row(run_cfg.env))
     fid_monotone = all(b >= a - 1e-12 for a, b in zip(fids, fids[1:]))
     dist_monotone = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
     report(3, fid_monotone and dist_monotone,
@@ -198,16 +194,15 @@ def test_criterion_3_monotone_fidelity_and_trace_distance(run_cfg):
     "(it lands at roughly fidelity^4 + (1-fidelity^2)^2). See the repo notes.",
 )
 def test_criterion_3_final_purity_clause(run_cfg):
-    rec = _replay_singlet_row(run_cfg.env)
-    final_purity = rec.per_step[-1].purity
+    final_purity = _replay_singlet_row(run_cfg.env)[-1][2]
     report("3p", final_purity >= 0.98, f"final bath purity {final_purity:.5f} >= 0.98")
 
 
 def test_criterion_4_threshold_reward_rationale(run_cfg):
     cfg = dataclasses.replace(run_cfg.env, target="phi+")
-    start = QSEEnv(cfg).reset().rho
-    rec = replay_sequence(start, parse_sequence(GOLDEN_FIXED_START[0][2]), cfg, "x+")
-    fourth = rec.per_step[3].fidelity
+    tokens = GOLDEN_FIXED_START[0][2]
+    rec, diagnostics = replay_sequence(QSEEnv(cfg), parse_sequence(tokens))
+    fourth = diagnostics[3][0]
     final = rec.final_fidelity
     report(4, fourth < 0.2 and final > 0.99,
            f"phi+ route dips to {fourth:.4f} at step 4 yet ends at {final:.5f}: "

@@ -304,7 +304,7 @@ class TestEvaluatePolicy:
         assert len(res.returns) == len(res.records) == 20
         for rec, outcome in zip(res.records, res.outcomes):
             assert rec.succeeded == (outcome == "success")
-            assert len(rec.actions) == len(rec.per_step)
+            assert len(rec.actions) == len(rec.probs)
 
     @pytest.mark.parametrize("block", [1, 7, 64, 512])
     def test_records_do_not_depend_on_collection_order(self, monkeypatch, block):

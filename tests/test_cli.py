@@ -6,7 +6,9 @@ import pytest
 
 from qsteer import cli
 from qsteer.config import parse_config
+from qsteer.env import QSEEnv
 from qsteer.network import MLPSpec, init_params, save_params
+from qsteer.sequences import parse_sequence, replay_sequence
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -189,11 +191,27 @@ class TestReplay:
 
     def test_diagnostic_file(self, micro_config, tmp_path, capsys):
         out_file = tmp_path / "diag.tsv"
-        assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+ U1 Px+",
+        tokens = "U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+"
+        assert cli.main(["replay", str(micro_config), "--sequence", tokens,
                          "--out", str(out_file)]) == 0
         lines = out_file.read_text().splitlines()
         assert lines[2] == "step\taction\tsuccess_prob\tfidelity\ttrace_distance\tpurity"
-        assert len(lines) == 3 + 3
+        rows = [line.split("\t") for line in lines[3:]]
+        assert len(rows) == 6
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+        assert " ".join(r[1] for r in rows) == "- Px+ Px+ Px+ Px+ Px+"
+        assert rows[0][2] == "1"
+        env = QSEEnv(parse_config(micro_config).env)
+        record, _ = replay_sequence(env, parse_sequence(tokens))
+        assert rows[-1][3] == cli._fmt(record.final_fidelity)
+
+    def test_aborted_replay_writes_executed_steps(self, micro_config, tmp_path, capsys):
+        out_file = tmp_path / "diag.tsv"
+        assert cli.main(["replay", str(micro_config), "--sequence", "Pz+ Pz-",
+                         "--out", str(out_file)]) == 0
+        rows = out_file.read_text().splitlines()[3:]
+        assert len(rows) == 1 and rows[0].split("\t")[:2] == ["1", "Pz+"]
+        assert "aborted" in capsys.readouterr().out
 
     def test_out_in_missing_directory_is_a_config_error(self, micro_config, tmp_path, capsys):
         out_file = tmp_path / "nodir" / "x.tsv"

@@ -49,6 +49,15 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             ModelParams.uniform(tau=0.0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("tau", {"tau": float("inf")}),
+        ("omega", {"omega": float("nan")}),
+        ("couplings", {"coupling": (1.0, float("nan"), 0.0)}),
+    ])
+    def test_non_finite_params_name_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams.uniform(**kwargs)
+
 
 class TestPropagator:
     def test_unitary(self, default_model):

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
-from oracles import fidelity, verify_steady_state
+from oracles import verify_steady_state
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import BudgetExceeded, SequenceParseError
-from qsteer.model import SPIN_STATES, ModelParams, partial_trace_first
+from qsteer.model import SPIN_STATES, ModelParams
 from qsteer.sequences import (
     SequenceRecord,
-    StepStats,
     combination_histogram,
-    diagnostic_trace,
     exhaustive_search,
     format_sequence,
     parse_records,
@@ -77,46 +75,33 @@ class TestReplay:
     def test_golden_row_replays(self, default_env_cfg):
         target, start, tokens, fid_ref, rate_ref = GOLDEN_FIXED_START[3]
         cfg = dataclasses.replace(default_env_cfg, target=target)
-        start_rho = QSEEnv(cfg).reset().rho
-        rec = replay_sequence(start_rho, parse_sequence(tokens), cfg, start)
+        rec, _ = replay_sequence(QSEEnv(cfg), parse_sequence(tokens))
+        assert rec.start_label == start
         assert rec.final_fidelity == pytest.approx(fid_ref, abs=FIDELITY_ATOL)
         assert rec.success_rate == pytest.approx(rate_ref, abs=RATE_ATOL)
         assert rec.succeeded and not rec.aborted
 
     def test_success_rate_is_product_of_probs(self, default_env_cfg):
-        start_rho = QSEEnv(default_env_cfg).reset().rho
-        rec = replay_sequence(start_rho, parse_sequence("U2 Px+ U1 Py+ U1 Px+"),
-                              default_env_cfg)
+        rec, _ = replay_sequence(QSEEnv(default_env_cfg),
+                                 parse_sequence("U2 Px+ U1 Py+ U1 Px+"))
         product = 1.0
-        for s in rec.per_step:
-            product *= s.success_prob
+        for p in rec.probs:
+            product *= p
         assert rec.success_rate == pytest.approx(product, abs=1e-12)
         # idle steps carry probability exactly 1
-        assert rec.per_step[0].success_prob == 1.0
-
-    def test_empty_sequence_reports_evolved_start(self, default_env_cfg):
-        env = QSEEnv(default_env_cfg)
-        start_rho = env.reset().rho
-        rec = replay_sequence(start_rho, (), default_env_cfg)
-        assert rec.actions == () and rec.per_step == ()
-        evolved = env.propagator @ start_rho @ env.propagator.conj().T
-        expected = fidelity(partial_trace_first(evolved, 2), env.target_matrix)
-        assert rec.final_fidelity == pytest.approx(expected, abs=1e-12)
+        assert rec.probs[0] == 1.0
 
     def test_underflow_aborts_with_partial_record(self, default_env_cfg):
-        start_rho = QSEEnv(default_env_cfg).reset().rho
         # z+ then z-: the second branch has probability zero
-        rec = replay_sequence(start_rho, (PZ_PLUS, 1), default_env_cfg)
+        rec, diagnostics = replay_sequence(QSEEnv(default_env_cfg), (PZ_PLUS, 1))
         assert rec.aborted and not rec.succeeded
         assert rec.actions == (PZ_PLUS,)
-        assert len(rec.per_step) == 1
+        assert len(rec.probs) == len(diagnostics) == 1
 
     def test_deterministic(self, default_env_cfg):
-        start_rho = QSEEnv(default_env_cfg).reset().rho
+        env = QSEEnv(default_env_cfg)
         actions = parse_sequence("U2 Px+ U1 Px+ U1 Px+")
-        a = replay_sequence(start_rho, actions, default_env_cfg)
-        b = replay_sequence(start_rho, actions, default_env_cfg)
-        assert a == b
+        assert replay_sequence(env, actions) == replay_sequence(env, actions)
 
 
 class TestSteadyState:
@@ -146,7 +131,7 @@ class TestExhaustiveSearch:
         assert (PX_PLUS,) * 4 in sequences
         for rec in records:
             assert rec.final_fidelity > default_env_cfg.theta
-            assert all(s.success_prob > default_env_cfg.floor for s in rec.per_step)
+            assert all(p > default_env_cfg.floor for p in rec.probs)
         # sorted by length, then decreasing rate
         keys = [(len(r.actions), -r.success_rate) for r in records]
         assert keys == sorted(keys)
@@ -173,14 +158,13 @@ class TestExhaustiveSearch:
     def test_replay_reproduces_every_record_bit_for_bit(self, searched):
         for t in SEARCH_COUNTS[5]:
             env = QSEEnv(dataclasses.replace(EnvConfig(), target=t))
-            start = env.reset()
             for rec in searched[5, t]:
-                again = replay_sequence(start.rho, rec.actions, env, start.start_label)
+                again, _ = replay_sequence(env, rec.actions)
                 assert again.succeeded and again.actions == rec.actions
+                assert again.start_label == rec.start_label
                 assert again.success_rate == rec.success_rate
                 assert again.final_fidelity == rec.final_fidelity
-                assert ([s.success_prob for s in again.per_step]
-                        == [s.success_prob for s in rec.per_step])
+                assert again.probs == rec.probs
 
     def test_custom_start_is_labelled_and_searched(self, default_env_cfg):
         xminus = SPIN_STATES["x-"]
@@ -211,8 +195,7 @@ class TestExhaustiveSearch:
 
 class TestHistogram:
     def make(self, actions, succeeded=True):
-        stats = tuple(StepStats(1.0, 0.0, float("nan"), float("nan")) for _ in actions)
-        return SequenceRecord("x+", tuple(actions), stats, 1.0,
+        return SequenceRecord("x+", tuple(actions), (1.0,) * len(actions), 1.0,
                               0.999 if succeeded else 0.1, succeeded)
 
     def test_single_record_counts(self):
@@ -239,29 +222,19 @@ class TestHistogram:
 
 class TestDiagnosticTrace:
     def test_full_record_rows(self, default_env_cfg):
-        start_rho = QSEEnv(default_env_cfg).reset().rho
-        rec = replay_sequence(start_rho, parse_sequence("U2 Px+ U1 Px+"),
-                              default_env_cfg)
-        rows = diagnostic_trace(rec)
+        rec, rows = replay_sequence(QSEEnv(default_env_cfg), parse_sequence("U2 Px+ U1 Px+"))
         assert len(rows) == 3
-        assert rows[0][1] == "-" and rows[0][2] == 1.0
-        for row in rows:
-            assert 0.0 <= row[3] <= 1.0  # fidelity column
-
-    def test_rejects_records_without_stats(self):
-        stats = (StepStats(0.5, 0.7, float("nan"), float("nan")),)
-        rec = SequenceRecord("x+", (PX_PLUS,), stats, 0.5, 0.7, False)
-        with pytest.raises(ValueError):
-            diagnostic_trace(rec)
+        assert rec.actions[0] == DO_NOTHING and rec.probs[0] == 1.0
+        for fid, dist, pur in rows:
+            assert 0.0 <= fid <= 1.0 and 0.0 <= dist <= 1.0 and 0.0 < pur <= 1.0
+        assert rows[-1][0] == rec.final_fidelity
 
 
 class TestRecordFiles:
     def test_round_trip(self, default_env_cfg):
-        start_rho = QSEEnv(default_env_cfg).reset().rho
-        original = [
-            replay_sequence(start_rho, parse_sequence(tokens), default_env_cfg, "x+")
-            for tokens in ("U2 Px+ U1 Px+", "U1 Py- U1 Py-")
-        ]
+        env = QSEEnv(default_env_cfg)
+        original = [replay_sequence(env, parse_sequence(tokens))[0]
+                    for tokens in ("U2 Px+ U1 Px+", "U1 Py- U1 Py-")]
         lines = records_to_lines(original)
         parsed = parse_records(lines)
         for before, after in zip(original, parsed):
@@ -270,9 +243,7 @@ class TestRecordFiles:
             assert after.success_rate == pytest.approx(before.success_rate, rel=1e-10)
             assert after.final_fidelity == pytest.approx(before.final_fidelity, rel=1e-10)
             assert after.succeeded == before.succeeded
-            probs_before = [s.success_prob for s in before.per_step]
-            probs_after = [s.success_prob for s in after.per_step]
-            assert probs_after == pytest.approx(probs_before, rel=1e-10)
+            assert after.probs == pytest.approx(before.probs, rel=1e-10)
 
     def test_bad_line_rejected(self):
         with pytest.raises(SequenceParseError):
