@@ -33,15 +33,13 @@ from .errors import (
     SchemaMismatch,
     SequenceParseError,
 )
-from .model import SPIN_STATES
+from .model import BELL_NAMES, SPIN_STATES
 from .network import load_params
 from .sequences import (
     combination_histogram,
     exhaustive_search,
     format_sequence,
-    parse_records,
     parse_sequence,
-    records_to_lines,
     replay_sequence,
 )
 
@@ -161,17 +159,14 @@ def cmd_evaluate(args) -> int:
         rows = [
             (str(i), rec.start_label, _fmt(ret), outcome, str(len(rec.actions)),
              _fmt(rec.success_rate), _fmt(rec.final_fidelity),
-             format_sequence(rec.actions))
+             format_sequence(rec.actions), ",".join(format(p, ".12g") for p in rec.probs))
             for i, (ret, outcome, rec) in enumerate(
                 zip(res.returns, res.outcomes, res.records))
         ]
         suffix = "" if tag == "trained" else "_baseline"
         _write_table(out / f"evaluation{suffix}.tsv", cfg,
                      ["episode", "start", "return", "outcome", "steps",
-                      "success_rate", "final_fidelity", "sequence"], rows)
-        rec_path = out / f"records{suffix}.txt"
-        rec_lines = _header(cfg) + records_to_lines(res.records)
-        rec_path.write_text("\n".join(rec_lines) + "\n", encoding="utf-8")
+                      "success_rate", "final_fidelity", "sequence", "probs"], rows)
         print(f"{tag} (eps={eps}, checkpoint step {meta.get('step')}): "
               f"mean return {res.mean_return:.2f}, "
               f"success {res.success_fraction:.1%} over {args.episodes} episodes")
@@ -241,14 +236,36 @@ def cmd_search(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    where = f"--records: {args.records}"
     try:
         with open(args.records, "r", encoding="utf-8") as fh:
-            records = parse_records(fh)
+            rows = [(lineno, line.rstrip("\n").split("\t"))
+                    for lineno, line in enumerate(fh, start=1)
+                    if line.strip() and not line.startswith("#")]
     except OSError as exc:
         raise ConfigError(f"--records: {exc}") from exc
-    except (UnicodeDecodeError, SequenceParseError) as exc:
-        raise ConfigError(f"--records: {args.records}: {exc}") from exc
-    counts = combination_histogram(records, unique_successful=args.unique_successful)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    sequences = []
+    if rows:
+        columns = rows[0][1]
+        if "sequence" not in columns or "outcome" not in columns:
+            raise ConfigError(f"{where}: not an evaluation table; the header needs "
+                              f"'sequence' and 'outcome' columns")
+        seq_col, outcome_col = columns.index("sequence"), columns.index("outcome")
+        for lineno, fields in rows[1:]:
+            if len(fields) != len(columns):
+                raise ConfigError(f"{where}: line {lineno}: expected {len(columns)} "
+                                  f"tab-separated fields, got {len(fields)}")
+            try:
+                actions = parse_sequence(fields[seq_col])
+            except SequenceParseError as exc:
+                raise ConfigError(f"{where}: line {lineno}: {exc}") from exc
+            if not args.unique_successful or fields[outcome_col] == "success":
+                sequences.append(actions)
+    if args.unique_successful:
+        sequences = list(dict.fromkeys(sequences))
+    counts = combination_histogram(sequences)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     print("\t".join(["first", "second", "count"]))
     for (a, b), count in ordered:
@@ -286,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True,
                    help="tokens like 'U2 Px+ U1 Px+' or 'Px+ - Px-'")
     p.add_argument("--start", default=None)
-    p.add_argument("--target", default=None, choices=["phi+", "phi-", "psi+", "psi-"])
+    p.add_argument("--target", default=None, choices=BELL_NAMES)
     p.add_argument("--out", default=None, help="write the diagnostic table here")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("search", help="enumerate successful sequences")
     p.add_argument("config")
-    p.add_argument("--target", required=True, choices=["phi+", "phi-", "psi+", "psi-"])
+    p.add_argument("--target", required=True, choices=BELL_NAMES)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--rate-cutoff", type=float, default=1e-6)
     p.add_argument("--start", default=None,
@@ -300,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show", type=int, default=10, help="print the top N results")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("histogram", help="adjacent action-pair counts from records")
-    p.add_argument("--records", required=True)
+    p = sub.add_parser("histogram",
+                       help="adjacent action-pair counts from an evaluation table")
+    p.add_argument("--records", required=True, help="an evaluation*.tsv from evaluate")
     p.add_argument("--unique-successful", action="store_true")
     p.set_defaults(func=cmd_histogram)
 

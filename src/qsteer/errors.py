@@ -34,9 +34,8 @@ class ConfigError(QsteerError):
 
 
 class SequenceParseError(QsteerError):
-    """A sequence string or a records file could not be parsed; position
-    counts tokens or lines, as ``unit`` says."""
+    """A sequence string could not be parsed; position counts tokens."""
 
-    def __init__(self, message: str, position: int, unit: str = "token"):
-        super().__init__(f"{message} ({unit} {position})")
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (token {position})")
         self.position = position

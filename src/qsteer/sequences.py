@@ -35,8 +35,6 @@ __all__ = [
     "combination_histogram",
     "parse_sequence",
     "format_sequence",
-    "records_to_lines",
-    "parse_records",
 ]
 
 SEARCH_MAX_LEN_BUDGET = 6
@@ -75,27 +73,28 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
     Each step is one row of ``QSEEnv.step_batch``, so a replay reproduces
     the search's rates and fidelities bit for bit. Unlike an episode,
     replay never terminates early on crossing the fidelity threshold. A
-    branch probability at or below the floor aborts the replay and
-    returns the partial record. Beside the record come the bath
-    diagnostics, one (fidelity, trace_distance, purity) row per executed
-    step.
+    branch probability at or below the floor aborts the replay; the
+    record then ends with that step and its probability and has a NaN
+    final fidelity, as an evaluation episode's does. Beside the record
+    come the bath diagnostics, one (fidelity, trace_distance, purity) row
+    per state reached, so an aborted replay has one row fewer than steps.
     """
     start = env.reset()
     rho = start.rho[None]
     probs: list[float] = []
     diagnostics: list[tuple[float, float, float]] = []
+    final_fid = 0.0
     aborted = False
     for action in actions:
         out = env.step_batch(rho, [action])
+        probs.append(float(out.prob[0]))
+        final_fid = float(out.fidelity[0])  # NaN on a fatal step
         if out.fatal[0]:
             aborted = True
             break
         rho, bath = out.rho, out.bath[0]
-        probs.append(float(out.prob[0]))
-        diagnostics.append((float(out.fidelity[0]),
-                            trace_distance(bath, env.target_matrix), purity(bath)))
+        diagnostics.append((final_fid, trace_distance(bath, env.target_matrix), purity(bath)))
 
-    final_fid = diagnostics[-1][0] if diagnostics else 0.0
     succeeded = (not aborted) and final_fid > env.cfg.theta
     record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
                             math.prod(probs, start=1.0), final_fid, succeeded, aborted)
@@ -103,8 +102,7 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
 
 
 def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
-                      rate_cutoff: float = 1e-6,
-                      max_len_budget: int = SEARCH_MAX_LEN_BUDGET) -> list[SequenceRecord]:
+                      rate_cutoff: float = 1e-6) -> list[SequenceRecord]:
     """All minimal successful sequences up to max_len from the config's
     fixed start.
 
@@ -120,9 +118,9 @@ def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if max_len > max_len_budget:
+    if max_len > SEARCH_MAX_LEN_BUDGET:
         raise BudgetExceeded(
-            f"max_len {max_len} exceeds the enumeration budget {max_len_budget} "
+            f"max_len {max_len} exceeds the enumeration budget {SEARCH_MAX_LEN_BUDGET} "
             f"({7 ** max_len:,} sequences)"
         )
     if target != cfg.target:
@@ -157,22 +155,15 @@ def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
     return found
 
 
-def combination_histogram(records: Iterable[SequenceRecord],
-                          unique_successful: bool = False) -> dict[tuple[int, int], int]:
-    """Counts of ordered adjacent action pairs across records.
+def combination_histogram(sequences: Iterable[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """Counts of ordered adjacent action pairs across action sequences.
 
-    With unique_successful set, records are first filtered to successful
-    ones and deduplicated by their action sequence.
+    Callers that want each successful sequence once filter first, e.g.
+    ``dict.fromkeys(rec.actions for rec in records if rec.succeeded)``.
     """
-    if unique_successful:
-        seen: dict[tuple[int, ...], SequenceRecord] = {}
-        for rec in records:
-            if rec.succeeded and rec.actions not in seen:
-                seen[rec.actions] = rec
-        records = list(seen.values())
     counts: dict[tuple[int, int], int] = {}
-    for rec in records:
-        for a, b in zip(rec.actions, rec.actions[1:]):
+    for actions in sequences:
+        for a, b in zip(actions, actions[1:]):
             counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
@@ -234,44 +225,3 @@ def format_sequence(actions: Sequence[int], compress: bool = True) -> str:
         parts.append(f"U{pending - 1}")
     return " ".join(parts)
 
-
-# -- record files -----------------------------------------------------
-
-def records_to_lines(records: Iterable[SequenceRecord]) -> list[str]:
-    """One tab-separated line per record: start, actions, per-step
-    probabilities, success rate, final fidelity, succeeded flag."""
-    lines = []
-    for rec in records:
-        acts = format_sequence(rec.actions, compress=False)
-        probs = ",".join(f"{p:.12g}" for p in rec.probs)
-        lines.append(
-            f"{rec.start_label}\t{acts}\t{probs}\t{rec.success_rate:.12g}"
-            f"\t{rec.final_fidelity:.12g}\t{int(rec.succeeded)}"
-        )
-    return lines
-
-
-def parse_records(lines: Iterable[str]) -> list[SequenceRecord]:
-    """Inverse of records_to_lines."""
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise SequenceParseError(f"expected 6 tab-separated fields, got {len(fields)}",
-                                     lineno, "line")
-        start_label, acts, probs, rate, fid, succ = fields
-        try:
-            actions = tuple(_TOKEN_TO_ACTION[t] for t in acts.split()) if acts else ()
-        except KeyError as exc:
-            raise SequenceParseError(f"unknown action token {exc.args[0]!r}", lineno,
-                                     "line") from exc
-        try:
-            prob_values = tuple(float(p) for p in probs.split(",")) if probs else ()
-            records.append(SequenceRecord(start_label, actions, prob_values, float(rate),
-                                          float(fid), succ == "1"))
-        except ValueError as exc:  # not a number, or more probabilities than actions
-            raise SequenceParseError(str(exc), lineno, "line") from exc
-    return records

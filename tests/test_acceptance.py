@@ -318,7 +318,8 @@ def test_criterion_8_successful_sequences_avoid_z(run_cfg, trained_agents):
         n_pairs = sum(counts.values())
         z_frac = counts.get((PZ_PLUS, PZ_PLUS), 0) / n_pairs
         all_frac = _superposition_share(
-            combination_histogram(evaluation.records, unique_successful=True))
+            combination_histogram(dict.fromkeys(
+                rec.actions for rec in evaluation.records if rec.succeeded)))
         ok = ok and frac >= 0.90 and z_frac < 0.01
         details.append(
             f"seed {seed}: {frac:.1%} of {n_pairs} policy pairs, "

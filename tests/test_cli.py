@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qsteer import cli
+from qsteer.agent import evaluate_policy
 from qsteer.config import parse_config
-from qsteer.env import QSEEnv
-from qsteer.network import MLPSpec, init_params, save_params
-from qsteer.sequences import parse_sequence, replay_sequence
+from qsteer.env import ACTION_TOKENS, QSEEnv
+from qsteer.network import MLPSpec, init_params, load_params, save_params
+from qsteer.sequences import combination_histogram, parse_sequence, replay_sequence
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,6 +75,20 @@ def read_out(tmp_path, name):
     return (tmp_path / "out" / name).read_text()
 
 
+EVAL_COLUMNS = ("episode\tstart\treturn\toutcome\tsteps\tsuccess_rate\tfinal_fidelity"
+                "\tsequence\tprobs")
+
+
+def write_table(path, rows, columns=EVAL_COLUMNS):
+    """An evaluation table as evaluate writes it, from (outcome, sequence)
+    pairs; the columns histogram does not read hold placeholders."""
+    lines = ["# config_hash=0 master_seed=0", "# qsteer=0", columns]
+    lines += [f"{i}\tx+\t0\t{outcome}\t0\t0\t0\t{sequence}\t1"
+              for i, (outcome, sequence) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestTrain:
     def test_writes_tables_checkpoints_manifest(self, micro_config, tmp_path, capsys):
         assert cli.main(["train", str(micro_config)]) == 0
@@ -121,11 +136,11 @@ class TestEvaluate:
         checkpoint = tmp_path / "out" / "checkpoint_best.npz"
         assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
                          "--eps", "0.1", "--episodes", "20", "--baseline"]) == 0
-        for name in ("evaluation.tsv", "evaluation_baseline.tsv", "records.txt",
-                     "records_baseline.txt"):
-            assert (tmp_path / "out" / name).exists()
+        assert sorted(p.name for p in (tmp_path / "out").glob("evaluation*")) == [
+            "evaluation.tsv", "evaluation_baseline.tsv"]
+        assert not list((tmp_path / "out").glob("records*"))
         table = read_out(tmp_path, "evaluation.tsv")
-        assert table.splitlines()[2].startswith("episode\tstart\treturn")
+        assert table.splitlines()[2] == EVAL_COLUMNS
         assert len(table.splitlines()) == 3 + 20
 
     def test_zero_episodes_rejected(self, micro_config, tmp_path, capsys):
@@ -175,9 +190,8 @@ class TestEvaluate:
         checkpoint = tmp_path / "out" / "checkpoint_best.npz"
         assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
                          "--episodes", "5", "--start", "x-"]) == 0
-        records = read_out(tmp_path, "records.txt")
-        data_lines = [ln for ln in records.splitlines() if not ln.startswith("#")]
-        assert all(ln.startswith("x-\t") for ln in data_lines)
+        rows = read_out(tmp_path, "evaluation.tsv").splitlines()[3:]
+        assert len(rows) == 5 and all(row.split("\t")[1] == "x-" for row in rows)
 
 
 class TestReplay:
@@ -306,59 +320,99 @@ class TestSearch:
 
 
 class TestHistogram:
-    def test_counts_from_records_file(self, micro_config, tmp_path, capsys):
-        records = tmp_path / "records.txt"
-        records.write_text(
-            "x+\tPx+ Px+ Px+\t0.5,0.9,0.9\t0.405\t0.995\t1\n"
-            "x+\tPy- Px+\t0.5,0.5\t0.25\t0.4\t0\n"
-        )
-        assert cli.main(["histogram", "--records", str(records)]) == 0
+    def test_counts_from_records_file(self, tmp_path, capsys):
+        table = write_table(tmp_path / "evaluation.tsv", [
+            ("success", "U1 Px+ U1 Px+ U1 Px+"),
+            ("timeout", "U1 Py- U1 Px+"),
+        ])
+        assert cli.main(["histogram", "--records", str(table)]) == 0
         out = capsys.readouterr().out
         assert "first\tsecond\tcount" in out
         assert "Px+\tPx+\t2" in out
         assert "Py-\tPx+\t1" in out
 
-    def test_unique_successful_filter(self, micro_config, tmp_path, capsys):
-        records = tmp_path / "records.txt"
-        records.write_text(
-            "x+\tPx+ Px+\t0.5,0.9\t0.45\t0.995\t1\n"
-            "x+\tPx+ Px+\t0.5,0.9\t0.45\t0.995\t1\n"
-            "x+\tPy- Py-\t0.5,0.5\t0.25\t0.4\t0\n"
-        )
-        assert cli.main(["histogram", "--records", str(records),
+    def test_unique_successful_filter(self, tmp_path, capsys):
+        table = write_table(tmp_path / "evaluation.tsv", [
+            ("success", "U1 Px+ U1 Px+"),
+            ("success", "U1 Px+ U1 Px+"),
+            ("fatal", "U1 Py- U1 Py-"),
+        ])
+        assert cli.main(["histogram", "--records", str(table),
                          "--unique-successful"]) == 0
         out = capsys.readouterr().out
         assert "Px+\tPx+\t1" in out
         assert "Py-" not in out
 
     def test_missing_records_is_a_config_error(self, tmp_path, capsys):
-        missing = tmp_path / "missing.txt"
+        missing = tmp_path / "missing.tsv"
         assert cli.main(["histogram", "--records", str(missing)]) == 2
         err = capsys.readouterr().err
         assert "--records" in err and str(missing) in err
 
     @pytest.mark.parametrize("content", [
         b"\xff not utf-8\n",
-        b"x+\tPx+ Px+\t0.5,0.9\tabc\t0.995\t1\n",
-        b"x+\tPx+\t0.5,0.9\t0.45\t0.995\t1\n",
-    ], ids=["not-utf8", "rate-not-a-number", "more-probabilities-than-actions"])
+        EVAL_COLUMNS.encode() + b"\n0\tx+\t0\tsuccess\t2\t1\t1\tU1 Pq+\t1\n",
+        EVAL_COLUMNS.encode() + b"\n0\tx+\t0\tsuccess\t2\t1\t1\tU1 Px+\n",
+    ], ids=["not-utf8", "bad-token", "wrong-field-count"])
     def test_malformed_records_is_a_config_error(self, tmp_path, capsys, content):
-        records = tmp_path / "records.txt"
+        records = tmp_path / "evaluation.tsv"
         records.write_bytes(content)
         assert cli.main(["histogram", "--records", str(records)]) == 2
         err = capsys.readouterr().err
         assert "--records" in err and str(records) in err
 
-    def test_malformed_records_error_names_the_line(self, tmp_path, capsys):
-        records = tmp_path / "records.txt"
-        records.write_text("x+\tPx+ Px+\t0.5,0.9\tabc\t0.995\t1\n")
-        assert cli.main(["histogram", "--records", str(records)]) == 2
+    def test_table_without_sequence_and_outcome_columns(self, tmp_path, capsys):
+        table = write_table(tmp_path / "learning_curve.tsv", [],
+                            columns="step\tepsilon\tavg_return")
+        assert cli.main(["histogram", "--records", str(table)]) == 2
         err = capsys.readouterr().err
-        assert "line 1" in err and "token" not in err
+        assert str(table) in err and "'sequence'" in err and "'outcome'" in err
 
-    def test_empty_file(self, micro_config, tmp_path, capsys):
-        records = tmp_path / "empty.txt"
+    def test_malformed_records_error_names_the_line(self, tmp_path, capsys):
+        # two comment lines, the column names, one good row: the bad row is line 5
+        for sequence, message in (
+                ("U1 Pq+", "unknown action token 'Pq+' (token 2)"),
+                ("U1 Px+\textra", "expected 9 tab-separated fields, got 10")):
+            table = write_table(tmp_path / "evaluation.tsv",
+                                [("success", "U1 Px+ U1 Px+"), ("timeout", sequence)])
+            assert cli.main(["histogram", "--records", str(table)]) == 2
+            assert f"--records: {table}: line 5: {message}" in capsys.readouterr().err
+
+    def test_empty_file(self, tmp_path, capsys):
+        records = tmp_path / "empty.tsv"
         records.write_text("")
         assert cli.main(["histogram", "--records", str(records)]) == 0
         out = capsys.readouterr().out
         assert out.strip() == "first\tsecond\tcount"
+
+    def test_evaluate_then_histogram(self, micro_config, tmp_path, capsys):
+        # the baseline table must give the histogram of the in-process
+        # records, and carry each record's branch probabilities; at
+        # theta = 0.9 some random episodes succeed, some on the same route
+        loose = tmp_path / "loose.cfg"
+        loose.write_text(MICRO_CONFIG.replace("theta = 0.99", "theta = 0.9"))
+        cfg = parse_config(loose)
+        checkpoint = tmp_path / "init.npz"
+        save_params(checkpoint, init_params(cfg.mlp), cfg.mlp)
+        assert cli.main(["evaluate", str(loose), "--checkpoint", str(checkpoint),
+                         "--episodes", "200", "--baseline"]) == 0
+        table = tmp_path / "out" / "evaluation_baseline.tsv"
+        capsys.readouterr()
+        assert cli.main(["histogram", "--records", str(table), "--unique-successful"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+
+        records = evaluate_policy(load_params(checkpoint)[0], cfg.env, 1.0, 200,
+                                  cfg.master_seed, seed_stream=4).records
+        counts = combination_histogram(
+            dict.fromkeys(rec.actions for rec in records if rec.succeeded))
+        assert counts, "expected successful baseline episodes with adjacent pairs"
+        expected = [f"{ACTION_TOKENS[a]}\t{ACTION_TOKENS[b]}\t{n}"
+                    for (a, b), n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+        assert printed == ["first\tsecond\tcount"] + expected
+
+        rows = [line.split("\t") for line in table.read_text().splitlines()[3:]]
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert parse_sequence(row[7]) == rec.actions
+            probs = tuple(float(p) for p in row[8].split(","))
+            assert probs == pytest.approx(rec.probs, rel=1e-11, abs=0)

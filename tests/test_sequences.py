@@ -7,21 +7,20 @@ from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
 from oracles import verify_steady_state
+from qsteer.agent import evaluate_policy
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import BudgetExceeded, SequenceParseError
 from qsteer.model import SPIN_STATES, ModelParams
+from qsteer.network import MLPParams
 from qsteer.sequences import (
-    SequenceRecord,
     combination_histogram,
     exhaustive_search,
     format_sequence,
-    parse_records,
     parse_sequence,
-    records_to_lines,
     replay_sequence,
 )
 
-PX_PLUS, PX_MINUS, PY_MINUS, PZ_PLUS = 2, 3, 5, 0
+PX_PLUS, PX_MINUS, PY_MINUS, PZ_PLUS, PZ_MINUS = 2, 3, 5, 0, 1
 
 #: Successful sequences per target from the fixed x+ start, by maximum
 #: length; frozen from the one-child-at-a-time enumeration.
@@ -93,10 +92,26 @@ class TestReplay:
 
     def test_underflow_aborts_with_partial_record(self, default_env_cfg):
         # z+ then z-: the second branch has probability zero
-        rec, diagnostics = replay_sequence(QSEEnv(default_env_cfg), (PZ_PLUS, 1))
+        rec, diagnostics = replay_sequence(QSEEnv(default_env_cfg), (PZ_PLUS, PZ_MINUS))
         assert rec.aborted and not rec.succeeded
-        assert rec.actions == (PZ_PLUS,)
-        assert len(rec.probs) == len(diagnostics) == 1
+        assert rec.actions == (PZ_PLUS, PZ_MINUS)
+        assert len(rec.probs) == 2 and len(diagnostics) == 1
+        assert rec.success_rate == 0.0 and np.isnan(rec.final_fidelity)
+
+    def test_aborted_replay_matches_aborted_episode(self, default_env_cfg):
+        # from z+, Pz- is fatal at once; an episode of a policy that always
+        # picks Pz- must leave the same record as replaying that one step
+        zplus = SPIN_STATES["z+"]
+        cfg = dataclasses.replace(default_env_cfg, start_mode="fixed_custom",
+                                  custom_start=(complex(zplus[0]), complex(zplus[1])))
+        n_inputs = QSEEnv(cfg).reset().encoding.size
+        # one linear layer with zero weights: the bias row picks Pz- everywhere
+        params = MLPParams(weights=[np.zeros((n_inputs, 7))],
+                           biases=[np.eye(7)[PZ_MINUS]])
+        episode = evaluate_policy(params, cfg, 0.0, 1, master_seed=0).records[0]
+        replayed, diagnostics = replay_sequence(QSEEnv(cfg), (PZ_MINUS, PX_PLUS))
+        assert repr(replayed) == repr(episode)
+        assert replayed.actions == (PZ_MINUS,) and diagnostics == []
 
     def test_deterministic(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
@@ -194,30 +209,25 @@ class TestExhaustiveSearch:
 
 
 class TestHistogram:
-    def make(self, actions, succeeded=True):
-        return SequenceRecord("x+", tuple(actions), (1.0,) * len(actions), 1.0,
-                              0.999 if succeeded else 0.1, succeeded)
-
     def test_single_record_counts(self):
-        counts = combination_histogram([self.make([PX_PLUS, PX_PLUS, PX_PLUS])])
+        counts = combination_histogram([(PX_PLUS, PX_PLUS, PX_PLUS)])
         assert counts == {(PX_PLUS, PX_PLUS): 2}
 
     def test_empty_input(self):
         assert combination_histogram([]) == {}
 
     def test_manual_two_records(self):
-        records = [self.make([PX_PLUS, PY_MINUS, PY_MINUS]),
-                   self.make([DO_NOTHING, PX_PLUS])]
-        counts = combination_histogram(records)
+        counts = combination_histogram([(PX_PLUS, PY_MINUS, PY_MINUS),
+                                        (DO_NOTHING, PX_PLUS)])
         assert counts == {(PX_PLUS, PY_MINUS): 1, (PY_MINUS, PY_MINUS): 1,
                           (DO_NOTHING, PX_PLUS): 1}
 
     def test_unique_successful_filter(self):
-        records = [self.make([PX_PLUS, PX_PLUS]),
-                   self.make([PX_PLUS, PX_PLUS]),  # duplicate, dropped
-                   self.make([PY_MINUS, PY_MINUS], succeeded=False)]
-        counts = combination_histogram(records, unique_successful=True)
-        assert counts == {(PX_PLUS, PX_PLUS): 1}
+        # every sequence is counted; callers deduplicate with dict.fromkeys
+        sequences = [(PX_PLUS, PX_PLUS), (PX_PLUS, PX_PLUS), (PY_MINUS, PY_MINUS)]
+        assert combination_histogram(sequences) == {(PX_PLUS, PX_PLUS): 2,
+                                                    (PY_MINUS, PY_MINUS): 1}
+        assert combination_histogram(dict.fromkeys(sequences[:2])) == {(PX_PLUS, PX_PLUS): 1}
 
 
 class TestDiagnosticTrace:
@@ -229,22 +239,3 @@ class TestDiagnosticTrace:
             assert 0.0 <= fid <= 1.0 and 0.0 <= dist <= 1.0 and 0.0 < pur <= 1.0
         assert rows[-1][0] == rec.final_fidelity
 
-
-class TestRecordFiles:
-    def test_round_trip(self, default_env_cfg):
-        env = QSEEnv(default_env_cfg)
-        original = [replay_sequence(env, parse_sequence(tokens))[0]
-                    for tokens in ("U2 Px+ U1 Px+", "U1 Py- U1 Py-")]
-        lines = records_to_lines(original)
-        parsed = parse_records(lines)
-        for before, after in zip(original, parsed):
-            assert after.start_label == before.start_label
-            assert after.actions == before.actions
-            assert after.success_rate == pytest.approx(before.success_rate, rel=1e-10)
-            assert after.final_fidelity == pytest.approx(before.final_fidelity, rel=1e-10)
-            assert after.succeeded == before.succeeded
-            assert after.probs == pytest.approx(before.probs, rel=1e-10)
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(SequenceParseError):
-            parse_records(["just one field"])
