@@ -9,6 +9,7 @@ and tooling to replay, enumerate, and analyze those sequences.
 
 __version__ = "0.1.0"
 
+import importlib
 import os
 import sys
 
@@ -22,7 +23,7 @@ if "numpy" in sys.modules:
 else:
     BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import agent, cli, config, env, errors, model, network, sequences
+from . import agent, config, env, errors, model, network, sequences
 from .env import EnvConfig, QSEEnv
 from .model import ModelParams
 
@@ -40,3 +41,11 @@ __all__ = [
     "QSEEnv",
     "ModelParams",
 ]
+
+
+def __getattr__(name):
+    # cli loads on first use, so `python -m qsteer.cli` does not find it
+    # already imported by the package
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,6 +61,11 @@ __all__ = [
 class ReplayMemory:
     """Fixed-capacity ring buffer of transitions with uniform sampling.
 
+    Each state is stored once. A block holds whole episodes and ends on a
+    terminal row, so a non-terminal row's next state is the state of the
+    following ring row: written in the same push and, as the write index
+    always sits just after a terminal row, overwritten only after the row
+    itself. A terminal row's next state is whatever row follows.
     Insertion evicts oldest-first once full; sampling is with replacement
     from its own seeded stream.
     """
@@ -69,8 +75,7 @@ class ReplayMemory:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._columns = (np.zeros((capacity, state_size)), np.zeros(capacity, dtype=np.int64),
-                         np.zeros((capacity, state_size)), np.zeros(capacity),
-                         np.zeros(capacity, dtype=bool))
+                         np.zeros(capacity), np.zeros(capacity, dtype=bool))
         self._write = 0
         self._size = 0
         self._rng = np.random.default_rng(seed_seq)
@@ -78,13 +83,16 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, s, a, s_next, r, terminal) -> None:
-        """Append a block of transitions: row k lands at (write + k) % capacity,
-        so a block longer than the capacity leaves only its last capacity rows."""
+    def push(self, s, a, r, terminal) -> None:
+        """Append a block of whole episodes, which must end on a terminal row:
+        row k lands at (write + k) % capacity, so a block longer than the
+        capacity leaves only its last capacity rows."""
         m = len(a)
+        if m and not terminal[-1]:
+            raise ValueError("a replay block must end on a terminal row")
         keep = slice(max(0, m - self.capacity), m)
         rows = np.arange(self._write, self._write + m)[keep] % self.capacity
-        for column, block in zip(self._columns, (s, a, s_next, r, terminal)):
+        for column, block in zip(self._columns, (s, a, r, terminal)):
             column[rows] = block[keep]
         self._write = (self._write + m) % self.capacity
         self._size = min(self._size + m, self.capacity)
@@ -94,7 +102,8 @@ class ReplayMemory:
         if self._size == 0:
             raise ValueError("cannot sample from an empty replay memory")
         idx = self._rng.integers(self._size, size=batch_size)
-        return tuple(column[idx] for column in self._columns)
+        s, a, r, terminal = self._columns
+        return s[idx], a[idx], s[(idx + 1) % self.capacity], r[idx], terminal[idx]
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,10 @@ def select_action(params: MLPParams, s: np.ndarray, eps: float, rng):
 
 def dqn_targets(batch, main: MLPParams, gamma: float) -> np.ndarray:
     """Bootstrapped targets, maximum taken through the trained network:
-    r for terminal transitions, else r + gamma * max_a' Q(s', a')."""
+    r for terminal transitions, else r + gamma * max_a' Q(s', a').
+
+    A terminal row's s' may be any state: its finite value is multiplied
+    by 0, and r + (+-0.0) is r bit for bit."""
     _s, _a, s_next, r, terminal = batch
     q_next = forward(main, s_next)
     return r + gamma * q_next.max(axis=1) * ~terminal
@@ -230,7 +242,7 @@ def ddqn_targets(batch, main: MLPParams, target: MLPParams, gamma: float) -> np.
 #: long as its longest episode, so the CLI default of 500 episodes runs as
 #: one block. The cap bounds the memory a longer evaluation holds: a block
 #: keeps every step's rows until it ends, and 2000 episodes at eps 1 peak
-#: about 28 MB higher than in blocks of 64.
+#: about 11 MB higher than in blocks of 64.
 EVAL_BLOCK = 512
 
 
@@ -238,20 +250,33 @@ def _episode_seed(master_seed: int, stream: int, index: int):
     return np.random.SeedSequence((master_seed, stream, index))
 
 
-class _Episodes(NamedTuple):
-    """Per-step arrays in episode-major order (rows offsets[i]:offsets[i + 1]
-    are episode i's steps, in order), and per-episode totals and final codes."""
+class _Episodes:
+    """One lockstep block of episodes.
 
-    start_labels: list[str]
-    s: np.ndarray
-    a: np.ndarray
-    s_next: np.ndarray
-    code: np.ndarray
-    prob: np.ndarray
-    fidelity: np.ndarray
-    offsets: np.ndarray
-    totals: np.ndarray
-    final: np.ndarray
+    Per episode: start_labels, totals, and final and final_fidelity, the
+    code and fidelity of its last step. Per step, in episode-major order
+    (rows offsets[i]:offsets[i + 1] are episode i's steps, in order): s,
+    the encoding each action was chosen in, then a, code and prob. A
+    column is gathered into that order when first read, so a caller pays
+    only for the columns it reads.
+    """
+
+    def __init__(self, start_labels, steps, totals):
+        self.start_labels, self.totals = start_labels, totals
+        episode, *self._steps = zip(*steps)
+        episode = np.concatenate(episode)
+        self._order = np.argsort(episode, kind="stable")
+        self.offsets = np.searchsorted(episode[self._order], np.arange(len(totals) + 1))
+
+    def _gather(self, k: int, rows=slice(None)) -> np.ndarray:
+        return np.concatenate(self._steps[k])[self._order[rows]]
+
+    s = cached_property(lambda self: self._gather(0))
+    a = cached_property(lambda self: self._gather(1))
+    code = cached_property(lambda self: self._gather(2))
+    prob = cached_property(lambda self: self._gather(3))
+    final = cached_property(lambda self: self._gather(2, self.offsets[1:] - 1))
+    final_fidelity = cached_property(lambda self: self._gather(4, self.offsets[1:] - 1))
 
 
 def _collect(env: QSEEnv, params: MLPParams, eps: float,
@@ -265,31 +290,21 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
     in any batch. So the result does not depend on which episodes share a
     batch.
     """
-    rho, s0, start_labels = env.starts(rngs)
+    rho, enc, start_labels = env.starts(rngs)
     n = len(rngs)
-    live, enc = np.arange(n), s0
+    live = np.arange(n)
     totals = np.zeros(n)
-    steps = []  # per lockstep step: (episode, a, s_next, code, prob, fidelity)
+    steps = []  # per lockstep step: (episode, s, a, code, prob, fidelity)
     while len(live):
         actions = select_action(params, enc, eps, [rngs[i] for i in live])
         out = env.step_batch(rho, actions)
-        nxt = encode_state(out.rho)
         code = env.classify(out.fidelity, out.fatal, len(steps) + 1)
         totals[live] += env.rewards[code]
-        steps.append((live, actions, nxt, code, out.prob, out.fidelity))
+        steps.append((live, enc, actions, code, out.prob, out.fidelity))
         go = code == CONTINUE
-        live, rho, enc = live[go], out.rho[go], nxt[go]
-
-    episode, *columns = zip(*steps)
-    episode = np.concatenate(episode)
-    order = np.argsort(episode, kind="stable")
-    a, s_next, code, prob, fidelity = (np.concatenate(c)[order] for c in columns)
-    offsets = np.searchsorted(episode[order], np.arange(n + 1))
-    # a row's state is the previous row's next state, except at an episode's start
-    s = np.roll(s_next, 1, axis=0)
-    s[offsets[:-1]] = s0
-    return _Episodes(start_labels, s, a, s_next, code, prob, fidelity,
-                     offsets, totals, code[offsets[1:] - 1])
+        live, rho = live[go], out.rho[go]
+        enc = encode_state(rho)
+    return _Episodes(start_labels, steps, totals)
 
 
 def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
@@ -341,7 +356,7 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
             # the copy that collected these episodes, before this step's updates
             best_avg, best_step = avg_return, step
             np.copyto(best_params.flat, main.flat)
-        replay.push(episodes.s, episodes.a, episodes.s_next, env.rewards[episodes.code],
+        replay.push(episodes.s, episodes.a, env.rewards[episodes.code],
                     episodes.code != CONTINUE)
 
         losses = []
@@ -410,10 +425,10 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
         final = block.final.tolist()
         returns += block.totals.tolist()
         outcomes += [OUTCOMES[c] for c in final]
-        for label, lo, hi, c in zip(block.start_labels, block.offsets[:-1],
-                                    block.offsets[1:], final):
+        for label, lo, hi, c, f in zip(block.start_labels, block.offsets[:-1],
+                                       block.offsets[1:], final, block.final_fidelity.tolist()):
             probs = tuple(block.prob[lo:hi].tolist())
             records.append(SequenceRecord(
                 label, tuple(block.a[lo:hi].tolist()), probs, math.prod(probs),
-                block.fidelity[hi - 1].item(), c == SUCCESS, aborted=c == FATAL))
+                f, c == SUCCESS, aborted=c == FATAL))
     return EvaluationResult(returns, outcomes, records)

@@ -202,6 +202,11 @@ def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     return grad_w, grad_b, loss
 
 
+#: Every this many steps, train_batch zeroes the subnormal entries of Adam's m.
+_FLUSH_EVERY = 256
+_TINY = np.finfo(float).tiny
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for adaptive moment descent.
@@ -270,6 +275,11 @@ def train_batch(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     np.multiply(np.divide(adam.m, corr1, out=g), lr, out=g)
     g /= s
     params.flat -= g
+    if adam.t % _FLUSH_EVERY == 0:
+        # m *= beta1 never reaches 0: it stalls among the subnormals
+        # (0.9 * 5e-324 == 5e-324), where every operation on it is slow, and
+        # such an m moves no weight
+        adam.m[np.abs(adam.m) < _TINY] = 0.0
     return loss
 
 

@@ -152,18 +152,19 @@ class TestTargets:
 
 
 def transition_block(start, n, state_size=2):
-    """n distinguishable transitions numbered from start."""
+    """n distinguishable transitions numbered from start; the last ends an
+    episode, as every pushed block must."""
     k = np.arange(start, start + n)
-    return (np.repeat(k[:, None], state_size, axis=1).astype(float), k,
-            -np.repeat(k[:, None], state_size, axis=1).astype(float), 0.5 * k, k % 3 == 0)
+    terminal = k % 3 == 0
+    terminal[-1:] = True
+    return (np.repeat(k[:, None], state_size, axis=1).astype(float), k, 0.5 * k, terminal)
 
 
 def one_row_ring(capacity, state_size, blocks):
     """Reference ring: the columns, write index and size after writing
     each row of each block on its own."""
     columns = (np.zeros((capacity, state_size)), np.zeros(capacity, dtype=np.int64),
-               np.zeros((capacity, state_size)), np.zeros(capacity),
-               np.zeros(capacity, dtype=bool))
+               np.zeros(capacity), np.zeros(capacity, dtype=bool))
     write = size = 0
     for block in blocks:
         for k in range(len(block[1])):
@@ -179,16 +180,14 @@ class TestReplayMemory:
         mem = ReplayMemory(capacity=5, state_size=1, seed_seq=0)
         for first, n in ((0, 3), (3, 5)):
             k = np.arange(first, first + n)
-            mem.push(k[:, None].astype(float), k, np.zeros((n, 1)), np.zeros(n),
-                     np.zeros(n, dtype=bool))
+            mem.push(k[:, None].astype(float), k, np.zeros(n), np.arange(n) == n - 1)
         assert len(mem) == 5
         # 0, 1, 2 were evicted
         assert set(mem.sample(1000)[1]) == {3, 4, 5, 6, 7}
 
     def test_sampling_shapes(self):
         mem = ReplayMemory(capacity=10, state_size=3, seed_seq=1)
-        mem.push(np.zeros((4, 3)), np.arange(4), np.ones((4, 3)), np.full(4, -1.0),
-                 np.arange(4) == 3)
+        mem.push(np.zeros((4, 3)), np.arange(4), np.full(4, -1.0), np.arange(4) == 3)
         s, a, s2, r, t = mem.sample(16)
         assert s.shape == (16, 3) and s2.shape == (16, 3)
         assert a.shape == r.shape == t.shape == (16,)
@@ -207,6 +206,34 @@ class TestReplayMemory:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         assert (mem._write, len(mem)) == (write, size)
+
+    @pytest.mark.parametrize("sizes", [(3, 5, 4, 6, 2, 5), (4, 17, 2), (2, 1, 1, 1)],
+                             ids=["wrapping", "longer-than-capacity", "one-row-episodes"])
+    def test_sampled_next_state_is_the_true_next_state(self, sizes):
+        # state k is the vector (k, k); within an episode k's next state is k + 1
+        capacity, state_size = 7, 2
+        starts = np.cumsum((0,) + sizes[:-1])
+        mem = ReplayMemory(capacity, state_size, seed_seq=3)
+        params = init_params(MLPSpec(input_size=state_size, hidden=(4,), init_seed=1))
+        for start, n in zip(starts, sizes):
+            mem.push(*transition_block(start, n, state_size))
+            s, a, s_next, r, terminal = batch = mem.sample(200)
+            assert set(a.tolist()) == set(range(start + n - len(mem), start + n))
+            assert np.array_equal(s_next[~terminal], s[~terminal] + 1)
+            # a terminal row's next state is another episode's, and counts for
+            # nothing: its target is its reward, bit for bit
+            assert terminal.any()
+            for y in (dqn_targets(batch, params, 0.95),
+                      ddqn_targets(batch, params, params.clone(), 0.95)):
+                assert y[terminal].tobytes() == r[terminal].tobytes()
+
+    def test_block_must_end_terminal(self):
+        mem = ReplayMemory(capacity=8, state_size=2, seed_seq=0)
+        s, a, r, terminal = transition_block(0, 4)
+        terminal[-1] = False
+        with pytest.raises(ValueError, match="terminal"):
+            mem.push(s, a, r, terminal)
+        assert len(mem) == 0
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -285,9 +312,15 @@ class TestCollect:
         assert len(set(np.diff(ep.offsets).tolist())) > 1  # lengths differ
         for i, lo, hi in zip(seeds, ep.offsets[:-1], ep.offsets[1:]):
             assert hi > lo
-            reset = env.reset(np.random.default_rng(i)).encoding
-            assert np.array_equal(ep.s[lo], reset)
-            assert np.array_equal(ep.s_next[lo:hi - 1], ep.s[lo + 1:hi])
+            # row j holds the state episode i's action j was chosen in
+            state = env.reset(np.random.default_rng(i))
+            for j in range(lo, hi):
+                assert np.array_equal(ep.s[j], state.encoding)
+                result = env.step(state, int(ep.a[j]))
+                assert ep.prob[j] == result.success_prob
+                state = result.next
+            assert state.done
+            assert repr(ep.final_fidelity[i].item()) == repr(result.fidelity)
             assert (ep.code[lo:hi - 1] == CONTINUE).all() and ep.code[hi - 1] != CONTINUE
             assert ep.final[i] == ep.code[hi - 1]
             assert ep.totals[i] == sum(env.rewards[ep.code[lo:hi]].tolist())

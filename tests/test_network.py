@@ -188,6 +188,29 @@ class TestTrainBatch:
         assert any(not np.allclose(w0, w1)
                    for w0, w1 in zip(clipped.weights, free.weights))
 
+    def test_subnormal_first_moments_are_zeroed(self):
+        # an input that is always 0 gives its first-layer weights (flat[:8],
+        # row 0 of the first layer) a zero gradient, so 0.9 * m is all their
+        # m ever gets; from a subnormal m that product rounds back to m
+        params = init_params(small_spec())
+        adam = AdamState.for_params(params)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, 5))
+        x[:, 0] = 0.0
+        a = rng.integers(3, size=8)
+        y = rng.standard_normal(8)
+        stalled = np.array([5e-324, -5e-324, 2e-323, -2e-323, 1.5e-323, 0.0, 1e-323, 5e-324])
+        adam.m[:8] = stalled
+        weights = params.flat[:8].copy()
+        for _ in range(255):
+            train_batch(params, x, a, y, adam)
+        assert adam.m[:8].tobytes() == stalled.tobytes()
+        train_batch(params, x, a, y, adam)
+        assert adam.t == 256
+        assert np.all(adam.m[:8] == 0.0)
+        assert params.flat[:8].tobytes() == weights.tobytes()
+        assert np.count_nonzero(adam.m[8:]) > 0
+
 
 class TestSoftUpdate:
     def test_full_mix_copies_main(self):

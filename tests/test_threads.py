@@ -1,7 +1,9 @@
 """The BLAS thread policy: importing qsteer first runs numpy on one
 OpenBLAS thread unless the user chose otherwise, and training writes the
 same bytes at any thread count. Each check runs in a fresh interpreter,
-because OpenBLAS reads its setting once, when numpy loads."""
+because OpenBLAS reads its setting once, when numpy loads. The package's
+import order is checked the same way: it loads cli only on first use, so
+running it as a module warns nothing."""
 
 import os
 import subprocess
@@ -55,6 +57,15 @@ def test_numpy_imported_first_is_reported_as_default():
                      "print(os.environ.get('OPENBLAS_NUM_THREADS'), qsteer.BLAS_THREADS)",
                      None)
     assert out.split() == ["None", "default"]
+
+
+def test_running_the_cli_module_warns_nothing():
+    # the package loads cli only on first use, so runpy does not find it
+    # imported before it runs it as __main__
+    out = run_python("import runpy, sys, warnings; warnings.simplefilter('error'); "
+                     "sys.argv = ['qsteer', '--help']; "
+                     "runpy.run_module('qsteer.cli', run_name='__main__')", None)
+    assert out.startswith("usage: qsteer")
 
 
 # At criterion 11's reduced widths (32) OpenBLAS keeps every product on one
