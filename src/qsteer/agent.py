@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import (CONTINUE, FATAL, OUTCOMES, SUCCESS, EnvConfig, QSEEnv, encode_state,
-                  encoding_length)
+from .env import (ACTION_COUNT, CONTINUE, FATAL, OUTCOMES, SUCCESS, EnvConfig, QSEEnv,
+                  encode_state, encoding_length)
 from .errors import NonFiniteLoss
 from .network import (
     AdamState,
@@ -142,9 +141,14 @@ class AgentConfig:
         if not 0 <= self.target_mix <= 1:
             raise ValueError(f"target_mix must be in [0, 1], got {self.target_mix}")
         for name in ("episodes_per_training_step", "batch_size", "replay_capacity",
-                     "training_steps", "updates_per_training_step"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                     "training_steps", "updates_per_training_step", "eps_decay_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("learning_rate", "grad_clip"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
     @property
     def decay_steps(self) -> int:
@@ -200,8 +204,8 @@ def select_action(params: MLPParams, s: np.ndarray, eps: float, rng):
 
     s is a batch of states and rng one generator per row; returns one
     action per row. Every greedy row shares one forward pass. Each
-    generator draws random() when eps > 0, then integers(7) if it
-    explores.
+    generator draws random() when eps > 0, then integers(ACTION_COUNT)
+    if it explores.
     """
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
@@ -210,7 +214,7 @@ def select_action(params: MLPParams, s: np.ndarray, eps: float, rng):
     if eps > 0:
         for i, g in enumerate(rng):
             if g.random() < eps:
-                actions[i] = g.integers(7)
+                actions[i] = g.integers(ACTION_COUNT)
                 greedy[i] = False
     if greedy.any():
         actions[greedy] = forward(params, s[greedy]).argmax(axis=1)
@@ -240,9 +244,9 @@ def ddqn_targets(batch, main: MLPParams, target: MLPParams, gamma: float) -> np.
 
 #: Episodes evaluate_policy runs in lockstep at a time. A block lasts as
 #: long as its longest episode, so the CLI default of 500 episodes runs as
-#: one block. The cap bounds the memory a longer evaluation holds: a block
-#: keeps every step's rows until it ends, and 2000 episodes at eps 1 peak
-#: about 11 MB higher than in blocks of 64.
+#: one block. The cap bounds the live state stack and the step kernel's
+#: temporaries, which grow as dim**2 per row: 2000 episodes at eps 1 peak
+#: about 2.5 MB higher than in blocks of 64.
 EVAL_BLOCK = 512
 
 
@@ -250,61 +254,45 @@ def _episode_seed(master_seed: int, stream: int, index: int):
     return np.random.SeedSequence((master_seed, stream, index))
 
 
-class _Episodes:
-    """One lockstep block of episodes.
-
-    Per episode: start_labels, totals, and final and final_fidelity, the
-    code and fidelity of its last step. Per step, in episode-major order
-    (rows offsets[i]:offsets[i + 1] are episode i's steps, in order): s,
-    the encoding each action was chosen in, then a, code and prob. A
-    column is gathered into that order when first read, so a caller pays
-    only for the columns it reads.
-    """
-
-    def __init__(self, start_labels, steps, totals):
-        self.start_labels, self.totals = start_labels, totals
-        episode, *self._steps = zip(*steps)
-        episode = np.concatenate(episode)
-        self._order = np.argsort(episode, kind="stable")
-        self.offsets = np.searchsorted(episode[self._order], np.arange(len(totals) + 1))
-
-    def _gather(self, k: int, rows=slice(None)) -> np.ndarray:
-        return np.concatenate(self._steps[k])[self._order[rows]]
-
-    s = cached_property(lambda self: self._gather(0))
-    a = cached_property(lambda self: self._gather(1))
-    code = cached_property(lambda self: self._gather(2))
-    prob = cached_property(lambda self: self._gather(3))
-    final = cached_property(lambda self: self._gather(2, self.offsets[1:] - 1))
-    final_fidelity = cached_property(lambda self: self._gather(4, self.offsets[1:] - 1))
-
-
 def _collect(env: QSEEnv, params: MLPParams, eps: float,
-             rngs: Sequence[np.random.Generator]) -> _Episodes:
+             rngs: Sequence[np.random.Generator], columns: Sequence[str]):
     """Run one episode per generator, all in lockstep.
 
     Every live episode takes its step at once: one batched action choice
     and one ``step_batch``. Episode i's generator draws exactly as if it
     ran alone (its start draws, then per step random() and, when it
-    explores, integers(7)), and ``forward`` gives each row the same bits
-    in any batch. So the result does not depend on which episodes share a
-    batch.
+    explores, integers(ACTION_COUNT)), and ``forward`` gives each row the
+    same bits in any batch. So the result does not depend on which
+    episodes share a batch.
+
+    Returns (start_labels, totals, offsets, steps): steps maps each name in
+    columns (s, the encoding each action was chosen in; a; code; prob;
+    fidelity) to its per-step array, the only ones held while the block
+    runs, in episode-major order: offsets[i]:offsets[i + 1] are episode i's.
     """
     rho, enc, start_labels = env.starts(rngs)
     n = len(rngs)
     live = np.arange(n)
     totals = np.zeros(n)
-    steps = []  # per lockstep step: (episode, s, a, code, prob, fidelity)
+    episode = []  # per lockstep step: the episodes that took it
+    held = {name: [] for name in columns}
     while len(live):
         actions = select_action(params, enc, eps, [rngs[i] for i in live])
         out = env.step_batch(rho, actions)
-        code = env.classify(out.fidelity, out.fatal, len(steps) + 1)
+        code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
         totals[live] += env.rewards[code]
-        steps.append((live, enc, actions, code, out.prob, out.fidelity))
+        episode.append(live)
+        row = dict(s=enc, a=actions, code=code, prob=out.prob, fidelity=out.fidelity)
+        for name, column in held.items():
+            column.append(row[name])
         go = code == CONTINUE
         live, rho = live[go], out.rho[go]
         enc = encode_state(rho)
-    return _Episodes(start_labels, steps, totals)
+    episode = np.concatenate(episode)
+    order = np.argsort(episode, kind="stable")
+    offsets = np.searchsorted(episode[order], np.arange(n + 1))
+    steps = {name: np.concatenate(column)[order] for name, column in held.items()}
+    return start_labels, totals, offsets, steps
 
 
 def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
@@ -337,27 +325,24 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
     replay = ReplayMemory(agent_cfg.replay_capacity, state_size,
                           _episode_seed(master_seed, 2, 0))
 
-    wanted_checkpoints = set(int(s) for s in checkpoint_steps)
     log: list[TrainingLogRow] = []
-    episode_counter = 0
+    per_step = agent_cfg.episodes_per_training_step
     best_avg = -np.inf
     best_params = main.clone()
     best_step = 0
 
     for step in range(1, agent_cfg.training_steps + 1):
         eps = epsilon_at(step - 1, agent_cfg)
-        first = episode_counter
-        episode_counter += agent_cfg.episodes_per_training_step
         rngs = [np.random.default_rng(_episode_seed(master_seed, 1, i))
-                for i in range(first, episode_counter)]
-        episodes = _collect(env, main, eps, rngs)
-        avg_return = float(np.mean(episodes.totals))
+                for i in range((step - 1) * per_step, step * per_step)]
+        _, totals, offsets, steps = _collect(env, main, eps, rngs, ("s", "a", "code"))
+        code = steps["code"]
+        avg_return = float(np.mean(totals))
         if avg_return > best_avg:
             # the copy that collected these episodes, before this step's updates
             best_avg, best_step = avg_return, step
             np.copyto(best_params.flat, main.flat)
-        replay.push(episodes.s, episodes.a, env.rewards[episodes.code],
-                    episodes.code != CONTINUE)
+        replay.push(steps["s"], steps["a"], env.rewards[code], code != CONTINUE)
 
         losses = []
         if len(replay) >= agent_cfg.batch_size:
@@ -385,14 +370,14 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
             step=step,
             epsilon=eps,
             avg_return=avg_return,
-            success_fraction=float(np.mean(episodes.final == SUCCESS)),
+            success_fraction=float(np.mean(code[offsets[1:] - 1] == SUCCESS)),
             loss_mean=float(np.mean(losses)) if losses else float("nan"),
         )
         log.append(row)
         if progress is not None:
             progress(row)
 
-        if checkpoint_dir is not None and step in wanted_checkpoints:
+        if checkpoint_dir is not None and step in checkpoint_steps:
             save_params(f"{checkpoint_dir}/checkpoint_step{step}.npz", main,
                         mlp_spec, step, extra={"master_seed": master_seed})
 
@@ -421,14 +406,16 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
     for first in range(0, n_episodes, EVAL_BLOCK):
         rngs = [np.random.default_rng(_episode_seed(master_seed, seed_stream, i))
                 for i in range(first, min(first + EVAL_BLOCK, n_episodes))]
-        block = _collect(env, params, eps, rngs)
-        final = block.final.tolist()
-        returns += block.totals.tolist()
+        labels, totals, offsets, steps = _collect(env, params, eps, rngs,
+                                                  ("a", "code", "prob", "fidelity"))
+        last = offsets[1:] - 1
+        final = steps["code"][last].tolist()
+        returns += totals.tolist()
         outcomes += [OUTCOMES[c] for c in final]
-        for label, lo, hi, c, f in zip(block.start_labels, block.offsets[:-1],
-                                       block.offsets[1:], final, block.final_fidelity.tolist()):
-            probs = tuple(block.prob[lo:hi].tolist())
+        for label, lo, hi, c, f in zip(labels, offsets[:-1], offsets[1:], final,
+                                       steps["fidelity"][last].tolist()):
+            probs = tuple(steps["prob"][lo:hi].tolist())
             records.append(SequenceRecord(
-                label, tuple(block.a[lo:hi].tolist()), probs, math.prod(probs),
+                label, tuple(steps["a"][lo:hi].tolist()), probs, math.prod(probs),
                 f, c == SUCCESS, aborted=c == FATAL))
     return EvaluationResult(returns, outcomes, records)

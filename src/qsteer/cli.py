@@ -84,6 +84,10 @@ def _fmt(x: float) -> str:
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     out = _output_dir(cfg)
+    late = [step for step in cfg.checkpoint_steps if step > cfg.agent.training_steps]
+    if late:
+        print(f"warning: run.checkpoint_steps {late} are past agent.training_steps; "
+              "no checkpoint is written for them", file=sys.stderr)
 
     def progress(row):
         if args.verbose and (row.step % 50 == 0 or row.step == 1):

@@ -44,6 +44,12 @@ class RunConfig:
         couplings = self.env.model.couplings
         if len(set(couplings)) > 1:
             raise ValueError(f"model.couplings must be uniform, got {couplings}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        # steps past training_steps are reported by the train command, not
+        # rejected: a shortened copy of a bundled config keeps its list
+        if any(step < 1 for step in self.checkpoint_steps):
+            raise ValueError(f"checkpoint_steps must be >= 1, got {self.checkpoint_steps}")
 
 
 #: Section -> (dataclass, fields not read from the file). The skipped

@@ -56,6 +56,8 @@ class MLPSpec:
             raise ValueError(f"all layer widths must be >= 1, got {widths}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:

@@ -302,28 +302,50 @@ class TestRunTraining:
         assert len(result.log) == agent_cfg.training_steps
 
 
+ALL_COLUMNS = ("s", "a", "code", "prob", "fidelity")
+
+
 class TestCollect:
-    def test_episodes_are_contiguous_chains_in_step_order(self):
+    @staticmethod
+    def collect(columns, seeds=range(12)):
         env = QSEEnv(dataclasses.replace(tiny_env_cfg(), start_mode="random_pure"))
         params = init_params(tiny_mlp_spec())
+        return env, _collect(env, params, 0.5, [np.random.default_rng(i) for i in seeds],
+                             columns)
+
+    def test_episodes_are_contiguous_chains_in_step_order(self):
         seeds = range(12)
-        ep = _collect(env, params, 0.5, [np.random.default_rng(i) for i in seeds])
-        assert ep.offsets[0] == 0 and ep.offsets[-1] == len(ep.a)
-        assert len(set(np.diff(ep.offsets).tolist())) > 1  # lengths differ
-        for i, lo, hi in zip(seeds, ep.offsets[:-1], ep.offsets[1:]):
+        env, (_, totals, offsets, ep) = self.collect(ALL_COLUMNS, seeds)
+        final, final_fidelity = ep["code"][offsets[1:] - 1], ep["fidelity"][offsets[1:] - 1]
+        assert offsets[0] == 0 and offsets[-1] == len(ep["a"])
+        assert len(set(np.diff(offsets).tolist())) > 1  # lengths differ
+        for i, lo, hi in zip(seeds, offsets[:-1], offsets[1:]):
             assert hi > lo
             # row j holds the state episode i's action j was chosen in
             state = env.reset(np.random.default_rng(i))
             for j in range(lo, hi):
-                assert np.array_equal(ep.s[j], state.encoding)
-                result = env.step(state, int(ep.a[j]))
-                assert ep.prob[j] == result.success_prob
+                assert np.array_equal(ep["s"][j], state.encoding)
+                result = env.step(state, int(ep["a"][j]))
+                assert ep["prob"][j] == result.success_prob
                 state = result.next
             assert state.done
-            assert repr(ep.final_fidelity[i].item()) == repr(result.fidelity)
-            assert (ep.code[lo:hi - 1] == CONTINUE).all() and ep.code[hi - 1] != CONTINUE
-            assert ep.final[i] == ep.code[hi - 1]
-            assert ep.totals[i] == sum(env.rewards[ep.code[lo:hi]].tolist())
+            assert repr(final_fidelity[i].item()) == repr(result.fidelity)
+            assert (ep["code"][lo:hi - 1] == CONTINUE).all() and ep["code"][hi - 1] != CONTINUE
+            assert final[i] == ep["code"][hi - 1]
+            assert totals[i] == sum(env.rewards[ep["code"][lo:hi]].tolist())
+
+    @pytest.mark.parametrize("columns", [("s", "a", "code"), ("a", "code", "prob", "fidelity"),
+                                         ("fidelity",), ()],
+                             ids=["training", "evaluation", "one", "none"])
+    def test_keeps_only_the_named_columns(self, columns):
+        _, (labels, totals, offsets, every) = self.collect(ALL_COLUMNS)
+        _, (labels_, totals_, offsets_, some) = self.collect(columns)
+        assert labels_ == labels
+        assert np.array_equal(totals_, totals) and np.array_equal(offsets_, offsets)
+        assert sorted(some) == sorted(columns)
+        for name in columns:
+            assert some[name].dtype == every[name].dtype
+            assert some[name].tobytes() == every[name].tobytes()
 
 
 class TestEvaluatePolicy:

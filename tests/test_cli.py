@@ -117,6 +117,16 @@ class TestTrain:
         assert cli.main(["train", str(bad)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_checkpoint_past_the_last_step_is_reported(self, micro_config, tmp_path,
+                                                      capsys):
+        late = tmp_path / "late.cfg"
+        late.write_text(MICRO_CONFIG.replace("checkpoint_steps = 3",
+                                             "checkpoint_steps = 3, 99999"))
+        assert cli.main(["train", str(late)]) == 0
+        assert "checkpoint_steps [99999]" in capsys.readouterr().err
+        assert (tmp_path / "out" / "checkpoint_step3.npz").exists()
+        assert not (tmp_path / "out" / "checkpoint_step99999.npz").exists()
+
     def test_unknown_key_exit_code(self, micro_config, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(MICRO_CONFIG.replace("[run]\n", "[run]\nworkers = 4\n"))
@@ -284,7 +294,20 @@ class TestSearch:
          "start_mode = fixed_custom\ncustom_start = nan, 1", "env.custom_start"),
         ("coupling = 1, 0, 0", "coupling = nan, 0, 0", "model.coupling"),
         ("tau = 1", "tau = inf", "model.tau"),
-    ], ids=["zero_start", "nan_start", "nan_coupling", "inf_tau"])
+        ("eps_decay_steps = 5", "eps_decay_steps = 0", "eps_decay_steps"),
+        ("eps_decay_steps = 5", "eps_decay_steps = -5", "eps_decay_steps"),
+        ("learning_rate = 1e-3", "learning_rate = 0", "learning_rate"),
+        ("learning_rate = 1e-3", "learning_rate = -1", "learning_rate"),
+        ("grad_clip = 10", "grad_clip = 0", "grad_clip"),
+        ("grad_clip = 10", "grad_clip = -10", "grad_clip"),
+        ("init_seed = 0", "init_seed = -1", "init_seed"),
+        ("master_seed = 5", "master_seed = -1", "master_seed"),
+        ("checkpoint_steps = 3", "checkpoint_steps = 0", "checkpoint_steps"),
+        ("checkpoint_steps = 3", "checkpoint_steps = 3, -3", "checkpoint_steps"),
+    ], ids=["zero_start", "nan_start", "nan_coupling", "inf_tau", "zero_decay",
+            "negative_decay", "zero_learning_rate", "negative_learning_rate", "zero_clip",
+            "negative_clip", "negative_init_seed", "negative_master_seed",
+            "zero_checkpoint", "negative_checkpoint"])
     def test_bad_numbers_are_config_errors(self, micro_config, tmp_path, capsys, old, new,
                                            field):
         bad = tmp_path / "bad.cfg"

@@ -208,8 +208,9 @@ def run_configs(draw):
         grad_clip=draw(st.none() | _floats(1e-3, 100)))
     mlp = MLPSpec(input_size=70, hidden=draw(st.lists(st.integers(1, 256), max_size=3).map(tuple)),
                   activation=draw(st.sampled_from(("relu", "tanh"))), init_seed=draw(_SEEDS))
+    steps = st.integers(1, agent.training_steps)
     return RunConfig(env=env, agent=agent, mlp=mlp, master_seed=draw(_SEEDS),
-                     checkpoint_steps=tuple(draw(st.lists(st.integers(0, 10**4), max_size=5))),
+                     checkpoint_steps=tuple(draw(st.lists(steps, max_size=5))),
                      output_dir=draw(_WORDS))
 
 
