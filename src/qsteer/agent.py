@@ -20,7 +20,6 @@ Two runs with the same configuration and master seed produce identical logs.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -149,6 +148,9 @@ class AgentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
+                             f"{self.replay_capacity}: no update would ever run")
 
     @property
     def decay_steps(self) -> int:
@@ -414,8 +416,7 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
         outcomes += [OUTCOMES[c] for c in final]
         for label, lo, hi, c, f in zip(labels, offsets[:-1], offsets[1:], final,
                                        steps["fidelity"][last].tolist()):
-            probs = tuple(steps["prob"][lo:hi].tolist())
             records.append(SequenceRecord(
-                label, tuple(steps["a"][lo:hi].tolist()), probs, math.prod(probs),
+                label, tuple(steps["a"][lo:hi].tolist()), tuple(steps["prob"][lo:hi].tolist()),
                 f, c == SUCCESS, aborted=c == FATAL))
     return EvaluationResult(returns, outcomes, records)

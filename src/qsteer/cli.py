@@ -133,11 +133,14 @@ def _env_with_start(cfg: RunConfig, start: str | None) -> EnvConfig:
                                custom_start=(complex(v[0]), complex(v[1])))
 
 
-def _definite_start(cfg: RunConfig, start: str | None, command: str) -> EnvConfig:
-    env_cfg = _env_with_start(cfg, start)
+def _fixed_start_env(cfg: RunConfig, args) -> QSEEnv:
+    """The config's env with --start and --target, from a definite start."""
+    env_cfg = _env_with_start(cfg, args.start)
     if env_cfg.start_mode == "random_pure":
-        raise ConfigError(f"{command} needs a definite start state; pass --start")
-    return env_cfg
+        raise ConfigError(f"{args.command} needs a definite start state; pass --start")
+    if args.target:
+        env_cfg = dataclasses.replace(env_cfg, target=args.target)
+    return QSEEnv(env_cfg)
 
 
 def cmd_evaluate(args) -> int:
@@ -181,10 +184,8 @@ def cmd_evaluate(args) -> int:
 def cmd_replay(args) -> int:
     cfg = parse_config(args.config)
     actions = parse_sequence(args.sequence)
-    env_cfg = _definite_start(cfg, args.start, "replay")
-    if args.target:
-        env_cfg = dataclasses.replace(env_cfg, target=args.target)
-    record, diagnostics = replay_sequence(QSEEnv(env_cfg), actions)
+    env = _fixed_start_env(cfg, args)
+    record, diagnostics = replay_sequence(env, actions)
 
     rows = [
         (str(step), ACTION_TOKENS[a], _fmt(prob), _fmt(fid), _fmt(td), _fmt(pur))
@@ -205,7 +206,7 @@ def cmd_replay(args) -> int:
     status = "aborted (branch probability under floor)" if record.aborted else (
         "success" if record.succeeded else "below threshold")
     print(f"sequence: {format_sequence(record.actions)}  [start {record.start_label}, "
-          f"target {env_cfg.target}]")
+          f"target {env.cfg.target}]")
     print(f"final fidelity {record.final_fidelity:.5f}, "
           f"success rate {100 * record.success_rate:.3f}%  ({status})")
     return EXIT_OK
@@ -219,8 +220,7 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--rate-cutoff must be in [0, 1], got {args.rate_cutoff}")
     if args.show < 0:
         raise ConfigError(f"--show must be >= 0, got {args.show}")
-    env_cfg = _definite_start(cfg, args.start, "search")
-    records = exhaustive_search(args.max_len, args.target, env_cfg,
+    records = exhaustive_search(_fixed_start_env(cfg, args), args.max_len,
                                 rate_cutoff=args.rate_cutoff)
     out = _output_dir(cfg)
     rows = [

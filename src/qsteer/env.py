@@ -112,8 +112,9 @@ class EnvConfig:
             )
         if self.start_mode not in START_MODES:
             raise ValueError(f"start_mode must be one of {START_MODES}, got {self.start_mode!r}")
-        if self.start_mode == "fixed_custom" and self.custom_start is None:
-            raise ValueError("start_mode=fixed_custom requires custom_start amplitudes")
+        if (self.start_mode == "fixed_custom") != (self.custom_start is not None):
+            raise ValueError(f"custom_start {self.custom_start} with start_mode "
+                             f"{self.start_mode}: only fixed_custom takes one, and needs one")
         if self.custom_start is not None:
             norm = np.linalg.norm(np.asarray(self.custom_start, dtype=complex))
             if not 0 < norm < np.inf:

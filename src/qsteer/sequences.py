@@ -13,7 +13,6 @@ measured branch along the way, multiplied up.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, SequenceParseError
-from .env import ACTION_COUNT, ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
+from .env import ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, SUCCESS, QSEEnv
 from .model import purity, trace_distance
 
 # not called here, but perfbench's tracer wraps these names in this module
@@ -48,15 +47,14 @@ SEARCH_BLOCK = 7
 class SequenceRecord:
     """One executed sequence with each step's branch probability.
 
-    success_rate is the product of probs (do-nothing steps contribute a
-    factor of one). aborted marks records cut short by a branch
-    probability under the floor.
+    success_rate is derived from probs, not stored. succeeded and aborted
+    say how the last step ended under ``QSEEnv.classify``: success, or
+    fatal (a branch probability at or below the floor).
     """
 
     start_label: str
     actions: tuple[int, ...]
     probs: tuple[float, ...]
-    success_rate: float
     final_fidelity: float
     succeeded: bool
     aborted: bool = False
@@ -65,56 +63,59 @@ class SequenceRecord:
         if len(self.probs) > len(self.actions):
             raise ValueError("more probabilities than actions")
 
+    @property
+    def success_rate(self) -> float:
+        """The product of probs, left to right; idle steps contribute 1."""
+        return math.prod(self.probs, start=1.0)
+
 
 def replay_sequence(env: QSEEnv, actions: Sequence[int]
                     ) -> tuple[SequenceRecord, list[tuple[float, float, float]]]:
     """Execute a sequence from the env's own start state.
 
-    Each step is one row of ``QSEEnv.step_batch``, so a replay reproduces
-    the search's rates and fidelities bit for bit. Unlike an episode,
-    replay never terminates early on crossing the fidelity threshold. A
-    branch probability at or below the floor aborts the replay; the
-    record then ends with that step and its probability and has a NaN
-    final fidelity, as an evaluation episode's does. Beside the record
-    come the bath diagnostics, one (fidelity, trace_distance, purity) row
-    per state reached, so an aborted replay has one row fewer than steps.
+    Each step is one row of ``QSEEnv.step_batch`` judged by
+    ``QSEEnv.classify``, as in the search, so a replay reproduces its
+    records bit for bit. Unlike an episode, replay stops only on a fatal
+    step (branch probability at or below the floor); its record then ends
+    with that step and has a NaN final fidelity, as an evaluation
+    episode's does. Beside the record come the bath diagnostics, one
+    (fidelity, trace_distance, purity) row per state reached, so an
+    aborted replay has one row fewer than steps.
     """
     start = env.reset()
     rho = start.rho[None]
     probs: list[float] = []
     diagnostics: list[tuple[float, float, float]] = []
     final_fid = 0.0
-    aborted = False
-    for action in actions:
+    code = CONTINUE
+    for step, action in enumerate(actions, start=1):
         out = env.step_batch(rho, [action])
         probs.append(float(out.prob[0]))
         final_fid = float(out.fidelity[0])  # NaN on a fatal step
-        if out.fatal[0]:
-            aborted = True
+        code = env.classify(out.fidelity, out.fatal, step)[0]
+        if code == FATAL:
             break
         rho, bath = out.rho, out.bath[0]
         diagnostics.append((final_fid, trace_distance(bath, env.target_matrix), purity(bath)))
 
-    succeeded = (not aborted) and final_fid > env.cfg.theta
     record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
-                            math.prod(probs, start=1.0), final_fid, succeeded, aborted)
+                            final_fid, bool(code == SUCCESS), bool(code == FATAL))
     return record, diagnostics
 
 
-def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
+def exhaustive_search(env: QSEEnv, max_len: int,
                       rate_cutoff: float = 1e-6) -> list[SequenceRecord]:
-    """All minimal successful sequences up to max_len from the config's
-    fixed start.
+    """All minimal successful sequences up to max_len from the env's own
+    start state, which must be fixed.
 
-    Depth-first enumeration over the seven actions, sharing prefixes.
-    Nodes of one depth are expanded in blocks of up to SEARCH_BLOCK, all
-    seven children of each in one ``QSEEnv.step_batch`` call. Children
-    are pruned when the running success rate drops below rate_cutoff or
-    a projection probability hits the floor. A sequence is recorded the
-    first time its bath fidelity crosses theta and is not extended
-    further (an episode would have terminated there), so the result is
-    exactly the set of successful sequences an episodic policy could
-    execute. Sorted by (length, -success_rate).
+    Depth-first enumeration over the seven actions, sharing prefixes:
+    nodes of one depth expand in blocks of up to SEARCH_BLOCK, all seven
+    children of each in one ``QSEEnv.step_batch`` call. A child whose
+    running success rate is under rate_cutoff is pruned; otherwise
+    ``QSEEnv.classify`` judges it as an episode's step, so a success is
+    recorded and not extended, and nothing runs past the env's max_steps.
+    The result is exactly the set of successful sequences an episodic
+    policy could execute. Sorted by (length, -success_rate).
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -123,9 +124,6 @@ def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
             f"max_len {max_len} exceeds the enumeration budget {SEARCH_MAX_LEN_BUDGET} "
             f"({7 ** max_len:,} sequences)"
         )
-    if target != cfg.target:
-        cfg = dataclasses.replace(cfg, target=target)
-    env = QSEEnv(cfg)
     root = env.reset()
     moves = np.arange(ACTION_COUNT)
     found: list[SequenceRecord] = []
@@ -137,14 +135,13 @@ def exhaustive_search(max_len: int, target: str, cfg: EnvConfig,
         prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), np.tile(moves, n)])
         probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), out.prob])
         rate = np.repeat(rate, ACTION_COUNT) * out.prob
-        live = ~out.fatal & (rate >= rate_cutoff)
-        hit = live & (out.fidelity > cfg.theta)
-        for i in np.flatnonzero(hit):
+        code = env.classify(out.fidelity, out.fatal, prefix.shape[1])
+        kept = rate >= rate_cutoff
+        for i in np.flatnonzero(kept & (code == SUCCESS)):
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
-                                        tuple(probs[i].tolist()), float(rate[i]),
-                                        float(out.fidelity[i]), True))
+                                        tuple(probs[i].tolist()), float(out.fidelity[i]), True))
         if prefix.shape[1] < max_len:
-            todo = np.flatnonzero(live & ~hit)
+            todo = np.flatnonzero(kept & (code == CONTINUE))
             for lo in range(0, len(todo), SEARCH_BLOCK):
                 block = todo[lo:lo + SEARCH_BLOCK]
                 expand(out.rho[block], prefix[block], probs[block], rate[block])

@@ -222,12 +222,12 @@ def test_criterion_5_steady_state_product_form():
 # -- search criteria -----------------------------------------------------
 
 def test_criterion_6_exhaustive_oracle(run_cfg, trained_agents):
-    records = exhaustive_search(5, "psi+", run_cfg.env)
+    records = exhaustive_search(QSEEnv(dataclasses.replace(run_cfg.env, target="psi+")), 5)
     best = [r for r in records
             if r.final_fidelity >= 0.999 and abs(r.success_rate - 0.20313) < RATE_ATOL]
     found_table_row = bool(best)
 
-    oracle = {r.actions for r in exhaustive_search(5, "psi-", run_cfg.env)}
+    oracle = {r.actions for r in exhaustive_search(QSEEnv(run_cfg.env), 5)}
     result = trained_agents[LEARNING_SEEDS[0]]
     evaluation = evaluate_policy(result.best_params, run_cfg.env, 0.1, 500,
                                  master_seed=LEARNING_SEEDS[0])
@@ -332,7 +332,7 @@ def test_criterion_8_successful_sequences_avoid_z(run_cfg, trained_agents):
 
 
 def _successful(actions):
-    return SequenceRecord("x+", actions, (), 1.0, 1.0, True)
+    return SequenceRecord("x+", actions, (), 1.0, True)
 
 
 def test_criterion_8_counting_still_rejects_policy_z(run_cfg):

@@ -304,10 +304,14 @@ class TestSearch:
         ("master_seed = 5", "master_seed = -1", "master_seed"),
         ("checkpoint_steps = 3", "checkpoint_steps = 0", "checkpoint_steps"),
         ("checkpoint_steps = 3", "checkpoint_steps = 3, -3", "checkpoint_steps"),
+        ("replay_capacity = 2000", "replay_capacity = 31", "batch_size"),
+        ("start_mode = fixed_xplus",
+         "start_mode = fixed_xplus\ncustom_start = 0, 1", "custom_start"),
     ], ids=["zero_start", "nan_start", "nan_coupling", "inf_tau", "zero_decay",
             "negative_decay", "zero_learning_rate", "negative_learning_rate", "zero_clip",
             "negative_clip", "negative_init_seed", "negative_master_seed",
-            "zero_checkpoint", "negative_checkpoint"])
+            "zero_checkpoint", "negative_checkpoint", "batch_over_capacity",
+            "unused_custom_start"])
     def test_bad_numbers_are_config_errors(self, micro_config, tmp_path, capsys, old, new,
                                            field):
         bad = tmp_path / "bad.cfg"

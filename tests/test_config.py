@@ -192,16 +192,17 @@ def run_configs(draw):
         theta=draw(_floats(1e-3, 0.999)), r_plus=draw(_floats(0, 100)),
         r_minus=r_minus, r_fatal=float(f"{r_minus * max_steps - draw(_floats(1, 100)):.12g}"),
         max_steps=max_steps, start_mode=start_mode,
-        custom_start=draw(custom if start_mode == "fixed_custom" else st.none() | custom),
+        custom_start=draw(custom) if start_mode == "fixed_custom" else None,
         floor=draw(_floats(1e-12, 1e-3)))
     eps_min = draw(_floats(0, 1))
+    batch_size = draw(st.integers(1, 512))
     agent = AgentConfig(
         gamma=draw(_floats(0, 1)), eps_start=draw(_floats(eps_min, 1)), eps_min=eps_min,
         eps_decay_steps=draw(st.none() | st.integers(1, 10**6)),
         episodes_per_training_step=draw(st.integers(1, 100)),
-        batch_size=draw(st.integers(1, 512)),
+        batch_size=batch_size,
         algorithm=draw(st.sampled_from(("dqn", "ddqn"))),
-        replay_capacity=draw(st.integers(1, 10**6)),
+        replay_capacity=draw(st.integers(batch_size, 10**6)),
         target_mix=draw(_floats(0, 1)), training_steps=draw(st.integers(1, 10**4)),
         updates_per_training_step=draw(st.integers(1, 64)),
         learning_rate=draw(_floats(1e-6, 1)),

@@ -33,7 +33,7 @@ SEARCH_COUNTS = {
 @pytest.fixture(scope="module")
 def searched():
     """Search results by (max_len, target) from the default config."""
-    return {(n, t): exhaustive_search(n, t, EnvConfig())
+    return {(n, t): exhaustive_search(QSEEnv(EnvConfig(target=t)), n)
             for n, counts in SEARCH_COUNTS.items() for t in counts}
 
 
@@ -133,14 +133,14 @@ class TestSteadyState:
 
 class TestExhaustiveSearch:
     def test_zero_length_finds_nothing(self, default_env_cfg):
-        assert exhaustive_search(0, "psi-", default_env_cfg) == []
+        assert exhaustive_search(QSEEnv(default_env_cfg), 0) == []
 
     def test_budget_guard(self, default_env_cfg):
         with pytest.raises(BudgetExceeded):
-            exhaustive_search(20, "psi-", default_env_cfg)
+            exhaustive_search(QSEEnv(default_env_cfg), 20)
 
     def test_short_singlet_solutions_found(self, default_env_cfg):
-        records = exhaustive_search(4, "psi-", default_env_cfg)
+        records = exhaustive_search(QSEEnv(default_env_cfg), 4)
         assert records, "expected at least one 4-step solution"
         sequences = {rec.actions for rec in records}
         assert (PX_PLUS,) * 4 in sequences
@@ -153,7 +153,7 @@ class TestExhaustiveSearch:
 
     def test_no_short_route_to_two_singlet_pairs(self):
         cfg = EnvConfig(model=ModelParams.uniform(n_bath=4))
-        assert exhaustive_search(4, "psi-", cfg) == []
+        assert exhaustive_search(QSEEnv(cfg), 4) == []
 
     def test_frozen_counts(self, searched):
         counts = {n: {t: len(searched[n, t]) for t in c} for n, c in SEARCH_COUNTS.items()}
@@ -186,7 +186,7 @@ class TestExhaustiveSearch:
         model = dataclasses.replace(default_env_cfg.model, tau=2.0)
         cfg = dataclasses.replace(default_env_cfg, model=model, start_mode="fixed_custom",
                                   custom_start=(complex(xminus[0]), complex(xminus[1])))
-        records = {r.actions: r for r in exhaustive_search(5, "psi-", cfg)}
+        records = {r.actions: r for r in exhaustive_search(QSEEnv(cfg), 5)}
         for target, start, tokens, fid_ref, rate_ref in GOLDEN_TAU2_START:
             if start == "x-":
                 rec = records[parse_sequence(tokens)]
@@ -197,15 +197,22 @@ class TestExhaustiveSearch:
     def test_random_start_is_rejected(self, default_env_cfg):
         cfg = dataclasses.replace(default_env_cfg, start_mode="random_pure")
         with pytest.raises(ValueError):
-            exhaustive_search(3, "psi-", cfg)
+            exhaustive_search(QSEEnv(cfg), 3)
 
     def test_results_are_minimal(self, default_env_cfg):
         # no record is a strict prefix of another (episodes stop at success)
-        records = exhaustive_search(4, "psi-", default_env_cfg)
+        records = exhaustive_search(QSEEnv(default_env_cfg), 4)
         seqs = [r.actions for r in records]
         for s in seqs:
             for t in seqs:
                 assert not (len(t) > len(s) and t[: len(s)] == s)
+
+
+    def test_search_stops_at_the_step_budget(self, searched):
+        # an episode times out after max_steps, so no longer sequence is executable
+        short = exhaustive_search(QSEEnv(EnvConfig(target="psi+", max_steps=3)), 5)
+        assert short == [r for r in searched[5, "psi+"] if len(r.actions) <= 3]
+        assert short
 
 
 class TestHistogram:
