@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import platform
 import sys
@@ -203,8 +204,16 @@ def cmd_replay(args) -> int:
         print("\t".join(columns))
         for row in rows:
             print("\t".join(row))
-    status = "aborted (branch probability under floor)" if record.aborted else (
-        "success" if record.succeeded else "below threshold")
+    if record.aborted:
+        status = "aborted (branch probability under floor)"
+    elif record.succeeded:
+        status = "success"
+    elif len(record.actions) == env.cfg.max_steps:
+        status = f"timeout at max_steps = {env.cfg.max_steps}"
+    else:
+        status = "below threshold"
+    if len(record.actions) < len(actions):
+        status += f"; the last {len(actions) - len(record.actions)} action(s) not run"
     print(f"sequence: {format_sequence(record.actions)}  [start {record.start_label}, "
           f"target {env.cfg.target}]")
     print(f"final fidelity {record.final_fidelity:.5f}, "
@@ -279,7 +288,10 @@ def cmd_histogram(args) -> int:
 
 # -- entry point -------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use: parsing
+    leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="qsteer",
         description="Measurement-sequence engineering on a central-spin system",
@@ -331,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SequenceParseError, SchemaMismatch) as exc:

@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import typing
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import attrgetter
 
 from .agent import AgentConfig
@@ -136,8 +137,14 @@ def _build(name: str, make, values: dict, **derived):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+@lru_cache(maxsize=8)
 def parse_config_text(text: str) -> RunConfig:
-    """Parse configuration text; raises ConfigError naming the bad field."""
+    """Parse configuration text; raises ConfigError naming the bad field.
+
+    Memoized on the text: a RunConfig is frozen all the way down, so one
+    object serves every call with the same text. Bad text is not cached
+    and raises on every call.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
@@ -165,6 +172,8 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
+    """Read and parse a configuration file; the file is read on every call,
+    so an edited file is seen."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

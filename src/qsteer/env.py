@@ -185,28 +185,44 @@ def encode_state(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-class QSEEnv:
-    """One environment instance; owns its precomputed operators.
+@lru_cache(maxsize=4)  # one set is about 4 MB at n_bath = 6
+def _operators(model: ModelParams):
+    """The model's propagator U, its adjoint, the six central projectors
+    and the seven branch operators (P_a U per projection, U for idle).
 
-    Instances are cheap and single-threaded. ``step`` is deterministic
-    given (state, action); randomness only enters through ``starts`` in
-    random_pure mode, via the generators the caller passes in.
+    Built once per process for each model and shared, read-only, by every
+    env of an equal model. Equal models give the same bits whichever is
+    built first: build_hamiltonian sums into a +0.0 array, so signed zeros
+    in the parameters do not reach the operators.
+    """
+    propagator = build_propagator(model)
+    adjoint = propagator.conj().T
+    projectors = tuple(central_projector(axis, sign, model.n_bath)
+                       for axis, sign in _PROJECTOR_SPEC)
+    step_ops = np.stack([p @ propagator for p in projectors] + [propagator])
+    for a in (propagator, adjoint, *projectors, step_ops):
+        a.flags.writeable = False
+    return propagator, adjoint, projectors, step_ops
+
+
+class QSEEnv:
+    """One environment instance: a target and a start policy on a model.
+
+    The model's operators come from ``_operators``, shared with every env
+    of an equal model, so an instance builds only its target and start
+    state. Single-threaded. ``step`` is deterministic given (state,
+    action); randomness only enters through ``starts`` in random_pure mode,
+    via the generators the caller passes in.
     """
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         n = cfg.model.n_bath
         self.dim = cfg.model.dim
-        self.propagator = build_propagator(cfg.model)
-        self._propagator_dag = self.propagator.conj().T
-        self.projectors = tuple(
-            central_projector(axis, sign, n) for axis, sign in _PROJECTOR_SPEC
-        )
+        (self.propagator, self._propagator_dag, self.projectors,
+         self._step_ops) = _operators(cfg.model)
         self.target_vector = kron_all(*[bell_state(cfg.target)] * (n // 2))
         self.target_matrix = np.outer(self.target_vector, self.target_vector.conj())
-        # branch operator per action index: P_a U for a projection, U for idle
-        self._step_ops = np.stack([p @ self.propagator for p in self.projectors]
-                                  + [self.propagator])
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
         self._fixed_start = None
         if cfg.start_mode != "random_pure":

@@ -75,12 +75,14 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
 
     Each step is one row of ``QSEEnv.step_batch`` judged by
     ``QSEEnv.classify``, as in the search, so a replay reproduces its
-    records bit for bit. Unlike an episode, replay stops only on a fatal
-    step (branch probability at or below the floor); its record then ends
-    with that step and has a NaN final fidelity, as an evaluation
-    episode's does. Beside the record come the bath diagnostics, one
-    (fidelity, trace_distance, purity) row per state reached, so an
-    aborted replay has one row fewer than steps.
+    records bit for bit. Like an episode, replay runs at most the env's
+    max_steps steps and stops on a fatal step (branch probability at or
+    below the floor); unlike one, it runs on past a success. The record
+    holds the steps run: a fatal one ends it with a NaN final fidelity,
+    as an evaluation episode's does, and one that ran out of steps without
+    success is the record of an episode that timed out. Beside the record
+    come the bath diagnostics, one (fidelity, trace_distance, purity) row
+    per state reached, so an aborted replay has one row fewer than steps.
     """
     start = env.reset()
     rho = start.rho[None]
@@ -88,7 +90,7 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
     diagnostics: list[tuple[float, float, float]] = []
     final_fid = 0.0
     code = CONTINUE
-    for step, action in enumerate(actions, start=1):
+    for step, action in enumerate(actions[:env.cfg.max_steps], start=1):
         out = env.step_batch(rho, [action])
         probs.append(float(out.prob[0]))
         final_fid = float(out.fidelity[0])  # NaN on a fatal step

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qsteer import cli
+from qsteer import config as qsteer_config
+from qsteer import env as qsteer_env
 from qsteer.agent import evaluate_policy
 from qsteer.config import parse_config
 from qsteer.env import ACTION_TOKENS, QSEEnv
@@ -237,6 +239,20 @@ class TestReplay:
         assert len(rows) == 1 and rows[0].split("\t")[:2] == ["1", "Pz+"]
         assert "aborted" in capsys.readouterr().out
 
+    def test_replay_past_the_step_budget_times_out(self, micro_config, tmp_path, capsys):
+        # the fourth Px+ would succeed, but an episode times out at step 3
+        budget = tmp_path / "budget.cfg"
+        budget.write_text(MICRO_CONFIG.replace("max_steps = 10", "max_steps = 3")
+                          .replace("r_fatal = -11", "r_fatal = -4"))
+        out_file = tmp_path / "diag.tsv"
+        assert cli.main(["replay", str(budget), "--sequence", "U1 Px+ U1 Px+ U1 Px+ U1 Px+",
+                         "--out", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert "(success)" not in out
+        assert "(timeout at max_steps = 3; the last 1 action(s) not run)" in out
+        assert "sequence: U1 Px+ U1 Px+ U1 Px+  [" in out
+        assert len(out_file.read_text().splitlines()[3:]) == 3
+
     def test_out_in_missing_directory_is_a_config_error(self, micro_config, tmp_path, capsys):
         out_file = tmp_path / "nodir" / "x.tsv"
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
@@ -259,6 +275,33 @@ class TestReplay:
     def test_parse_error_exit_code(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Pq+"]) == 2
         assert "token" in capsys.readouterr().err
+
+
+def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
+    # the parser, parsed config text and model operators that one command
+    # builds serve the later ones; none of them may carry anything over
+    search_table = tmp_path / "out" / "search_psiminus_len4.tsv"
+    replay_table = tmp_path / "replay.tsv"
+    search = (["search", str(micro_config), "--target", "psi-", "--max-len", "4"],
+              search_table)
+    replay = (["replay", str(micro_config), "--sequence", "U2 Px+ U1 Py+ U1 Px+ U1 Px+",
+               "--out", str(replay_table)], replay_table)
+
+    def tables(*commands, cold=False):
+        if cold:
+            for cache in (cli.build_parser, qsteer_config.parse_config_text,
+                          qsteer_env._operators):
+                cache.cache_clear()
+        out = []
+        for argv, table in commands:
+            assert cli.main(argv) == 0
+            out.append(table.read_bytes())
+            table.unlink()
+        return out
+
+    first_search, first_replay = tables(search, replay, cold=True)
+    assert tables(search, replay, search) == [first_search, first_replay, first_search]
+    assert tables(replay, search, cold=True) == [first_replay, first_search]
 
 
 class TestSearch:

@@ -88,6 +88,26 @@ def test_bad_value_names_field():
     assert "model.omega" in str(err.value)
 
 
+def test_same_text_parses_to_the_same_object():
+    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text()
+    assert parse_config_text(text) is parse_config_text(text)
+    assert parse_config_text(text) == parse_config(CONFIG_DIR / "psi_minus_fixed.cfg")
+
+
+def test_bad_text_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="model.omega"):
+            parse_config_text("[model]\nomega = not_a_number\n")
+
+
+def test_edited_file_is_read_again(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\nmaster_seed = 4\n")
+    assert parse_config(path).master_seed == 4
+    path.write_text("[run]\nmaster_seed = 5\n")
+    assert parse_config(path).master_seed == 5
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "absent.cfg")

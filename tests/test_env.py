@@ -15,6 +15,7 @@ from qsteer.model import (
     SPIN_STATES,
     ModelParams,
     bell_state,
+    build_propagator,
     fidelity_to_pure,
     partial_trace_first,
     purity,
@@ -380,3 +381,32 @@ def test_four_spin_target_is_two_pairs(target):
 def test_action_tokens_cover_seven_actions():
     assert len(ACTION_TOKENS) == 7
     assert ACTION_TOKENS[DO_NOTHING] == "-"
+
+
+class TestSharedOperators:
+    def test_equal_models_share_read_only_operators(self):
+        # separately built, equal models: one operator set for both envs
+        env_a = QSEEnv(EnvConfig(model=ModelParams.uniform(), target="psi-"))
+        env_b = QSEEnv(EnvConfig(model=ModelParams.uniform(), target="phi+",
+                                 start_mode="random_pure"))
+        for name in ("propagator", "_propagator_dag", "projectors", "_step_ops"):
+            assert getattr(env_a, name) is getattr(env_b, name)
+        for array in (env_a.propagator, env_a._propagator_dag, *env_a.projectors,
+                      env_a._step_ops):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_other_model_gets_its_own_operators(self):
+        env = QSEEnv(EnvConfig(model=ModelParams.uniform(tau=2.0)))
+        assert env.propagator is not QSEEnv(EnvConfig()).propagator
+        assert np.array_equal(env.propagator, build_propagator(ModelParams.uniform(tau=2.0)))
+
+    @pytest.mark.parametrize("signed, unsigned", [
+        (dict(coupling=(1, -0.0, -0.0)), dict(coupling=(1, 0, 0))),
+        (dict(omega=-0.0), dict(omega=0.0)),
+    ], ids=["coupling", "omega"])
+    def test_signed_zero_models_give_the_same_bits(self, signed, unsigned):
+        # equal keys of the operator cache: whichever is built first is shared
+        a, b = ModelParams.uniform(**signed), ModelParams.uniform(**unsigned)
+        assert a == b and hash(a) == hash(b)
+        assert build_propagator(a).tobytes() == build_propagator(b).tobytes()

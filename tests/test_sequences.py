@@ -113,6 +113,20 @@ class TestReplay:
         assert repr(replayed) == repr(episode)
         assert replayed.actions == (PZ_MINUS,) and diagnostics == []
 
+    def test_replay_stops_at_the_step_budget(self, default_env_cfg):
+        # an episode of a policy that always picks Px+ times out at step 3;
+        # replaying four Px+ must leave that record, not a step-4 success
+        cfg = dataclasses.replace(default_env_cfg, max_steps=3, r_fatal=-4.0)
+        n_inputs = QSEEnv(cfg).reset().encoding.size
+        params = MLPParams(weights=[np.zeros((n_inputs, 7))],
+                           biases=[np.eye(7)[PX_PLUS]])
+        result = evaluate_policy(params, cfg, 0.0, 1, master_seed=0)
+        assert result.outcomes == ["timeout"]
+        replayed, diagnostics = replay_sequence(QSEEnv(cfg), (PX_PLUS,) * 4)
+        assert repr(replayed) == repr(result.records[0])
+        assert replayed.actions == (PX_PLUS,) * 3 and len(diagnostics) == 3
+        assert not replayed.succeeded and not replayed.aborted
+
     def test_deterministic(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
         actions = parse_sequence("U2 Px+ U1 Px+ U1 Px+")
