@@ -205,46 +205,70 @@ def _operators(model: ModelParams):
     return propagator, adjoint, projectors, step_ops
 
 
+@lru_cache(maxsize=16)
+def _target_state(name: str, n_bath: int):
+    """The target's state vector, one copy of the named Bell pair per two
+    bath spins, and its density matrix: built once per process for each
+    key and shared, read-only, like ``_operators``."""
+    vector = kron_all(*[bell_state(name)] * (n_bath // 2))
+    matrix = np.outer(vector, vector.conj())
+    vector.flags.writeable = matrix.flags.writeable = False
+    return vector, matrix
+
+
+@lru_cache(maxsize=16)
+def _fixed_start_state(amplitudes: bytes | None, n_bath: int):
+    """The (state, encoding, label) of a fixed start: x+ when amplitudes
+    is None, else the custom start, given as its complex128 bytes and
+    normalized. Built once per process for each key and shared, read-only.
+
+    The key is bytes because amplitudes that compare equal can differ in
+    their label: 0.6 - 0j equals 0.6 but is labelled 0.600000-0.000000j.
+    Their state and encoding bytes are the same.
+    """
+    central = (SPIN_STATES["x+"] if amplitudes is None
+               else _unit(np.frombuffer(amplitudes, dtype=complex)))
+    (rho,), (enc,), (label,) = _product_states([central], n_bath)
+    rho.flags.writeable = enc.flags.writeable = False
+    return rho, enc, label
+
+
+def _product_states(central, n_bath: int):
+    central = np.stack(central)
+    rho = central_product_state(central, n_bath)
+    return rho, encode_state(rho), _labels_for(central)
+
+
 class QSEEnv:
     """One environment instance: a target and a start policy on a model.
 
-    The model's operators come from ``_operators``, shared with every env
-    of an equal model, so an instance builds only its target and start
-    state. Single-threaded. ``step`` is deterministic given (state,
-    action); randomness only enters through ``starts`` in random_pure mode,
-    via the generators the caller passes in.
+    The model's operators, the target and a fixed start come from
+    ``_operators``, ``_target_state`` and ``_fixed_start_state``, each
+    shared with every env of an equal key, so an instance builds nothing
+    that an equal env built before it. Single-threaded. ``step`` is
+    deterministic given (state, action); randomness only enters through
+    ``starts`` in random_pure mode, via the generators the caller passes in.
     """
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
-        n = cfg.model.n_bath
         self.dim = cfg.model.dim
         (self.propagator, self._propagator_dag, self.projectors,
          self._step_ops) = _operators(cfg.model)
-        self.target_vector = kron_all(*[bell_state(cfg.target)] * (n // 2))
-        self.target_matrix = np.outer(self.target_vector, self.target_vector.conj())
+        self.target_vector, self.target_matrix = _target_state(cfg.target, cfg.model.n_bath)
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
         self._fixed_start = None
         if cfg.start_mode != "random_pure":
-            if cfg.start_mode == "fixed_xplus":
-                central = SPIN_STATES["x+"]
-            else:
-                central = _unit(np.asarray(cfg.custom_start, dtype=complex))
-            (rho,), (enc,), (label,) = self._product_states([central])
-            rho.flags.writeable = enc.flags.writeable = False
-            self._fixed_start = (rho, enc, label)
+            amplitudes = (None if cfg.custom_start is None
+                          else np.asarray(cfg.custom_start, dtype=complex).tobytes())
+            self._fixed_start = _fixed_start_state(amplitudes, cfg.model.n_bath)
 
     # -- start states -------------------------------------------------
 
-    def _product_states(self, central):
-        central = np.stack(central)
-        rho = central_product_state(central, self.cfg.model.n_bath)
-        return rho, encode_state(rho), _labels_for(central)
-
     def starts(self, rngs: Sequence[np.random.Generator | None]):
         """Start states of len(rngs) new episodes, stacked: (rho, encodings,
-        labels). A fixed start is broadcast from the read-only arrays built
-        once per instance; a random start draws from its own generator."""
+        labels). A fixed start is broadcast from the shared read-only
+        arrays; a random start draws from its own generator."""
         n = len(rngs)
         if self._fixed_start is not None:
             rho, enc, label = self._fixed_start
@@ -254,8 +278,9 @@ class QSEEnv:
             raise ValueError("random_pure start mode needs a random generator")
         # two independent complex standard Gaussians, normalized: uniform
         # over single-spin pure states
-        return self._product_states([
-            _unit(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for rng in rngs])
+        return _product_states([
+            _unit(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for rng in rngs],
+            self.cfg.model.n_bath)
 
     def reset(self, rng: np.random.Generator | None = None) -> EnvState:
         """Start state of a new episode: one row of ``starts``. A fixed

@@ -235,15 +235,24 @@ def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(overlap, 0.0, 1.0))
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace distance (1/2) tr |rho - sigma|, a metric with values in [0, 1]."""
-    if rho.shape != sigma.shape:
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Trace distance (1/2) tr |rho - sigma|, a metric with values in [0, 1].
+
+    rho is one matrix or a stack of them, sigma one matrix; one distance
+    per matrix of rho, with the same bits as a call on that matrix alone.
+    """
+    if rho.shape[-2:] != sigma.shape:
         raise DimensionMismatch(f"trace_distance operands {rho.shape} vs {sigma.shape}")
     diff = rho - sigma
-    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.sum(np.abs(w)))
+    w = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2)
+    return 0.5 * np.sum(np.abs(w), axis=-1)
 
 
-def purity(rho: np.ndarray) -> float:
-    """tr(rho rho^dagger); 1 for pure states, 1/d for maximally mixed."""
-    return float(np.real(np.sum(rho * rho.conj())))
+def purity(rho: np.ndarray) -> np.ndarray:
+    """tr(rho rho^dagger); 1 for pure states, 1/d for maximally mixed.
+
+    One purity per matrix of a stack, with the same bits as a call on that
+    matrix alone: each matrix's entries are summed as one flat row.
+    """
+    squares = rho * rho.conj()
+    return np.real(np.sum(squares.reshape(rho.shape[:-2] + (-1,)), axis=-1))

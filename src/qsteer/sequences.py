@@ -37,10 +37,12 @@ __all__ = [
 ]
 
 SEARCH_MAX_LEN_BUDGET = 6
-#: Nodes exhaustive_search expands per step_batch call (7 rows each). Small
-#: blocks keep the depth-first walk's memory flat; 7 nodes amortize the
-#: call overhead.
-SEARCH_BLOCK = 7
+#: Nodes exhaustive_search expands per step_batch call (7 rows each); a
+#: row's bits do not depend on its block. 10 nodes amortize more of a call's
+#: fixed cost than 7. From 11 nodes on, glibc (default 128 KiB trim
+#: threshold) hands each call's freed 8x8 stacks back to the system and the
+#: next call faults them in again, which made 16-node blocks slower than 7.
+SEARCH_BLOCK = 10
 
 
 @dataclass(frozen=True)
@@ -71,37 +73,47 @@ class SequenceRecord:
 
 def replay_sequence(env: QSEEnv, actions: Sequence[int]
                     ) -> tuple[SequenceRecord, list[tuple[float, float, float]]]:
-    """Execute a sequence from the env's own start state.
+    """Execute a sequence from the env's own start state, as an episode.
 
     Each step is one row of ``QSEEnv.step_batch`` judged by
     ``QSEEnv.classify``, as in the search, so a replay reproduces its
-    records bit for bit. Like an episode, replay runs at most the env's
-    max_steps steps and stops on a fatal step (branch probability at or
-    below the floor); unlike one, it runs on past a success. The record
-    holds the steps run: a fatal one ends it with a NaN final fidelity,
-    as an evaluation episode's does, and one that ran out of steps without
-    success is the record of an episode that timed out. Beside the record
-    come the bath diagnostics, one (fidelity, trace_distance, purity) row
-    per state reached, so an aborted replay has one row fewer than steps.
+    records bit for bit. Like an episode, replay stops at the first step
+    that succeeds or is fatal (branch probability at or below the floor),
+    and runs at most the env's max_steps steps. The record holds the steps
+    run: a fatal one ends it with a NaN final fidelity, as an evaluation
+    episode's does, and one that ran out of steps without success is the
+    record of an episode that timed out. Beside the record come the bath
+    diagnostics, one (fidelity, trace_distance, purity) row per state
+    reached, so an aborted replay has one row fewer than steps. The
+    distances and purities are taken over the stack of bath states at the
+    end, with the bits of one call per state.
     """
     start = env.reset()
     rho = start.rho[None]
     probs: list[float] = []
-    diagnostics: list[tuple[float, float, float]] = []
-    final_fid = 0.0
+    fids: list[float] = []
+    baths: list[np.ndarray] = []
     code = CONTINUE
     for step, action in enumerate(actions[:env.cfg.max_steps], start=1):
         out = env.step_batch(rho, [action])
         probs.append(float(out.prob[0]))
-        final_fid = float(out.fidelity[0])  # NaN on a fatal step
+        fids.append(float(out.fidelity[0]))  # NaN on a fatal step
         code = env.classify(out.fidelity, out.fatal, step)[0]
         if code == FATAL:
             break
-        rho, bath = out.rho, out.bath[0]
-        diagnostics.append((final_fid, trace_distance(bath, env.target_matrix), purity(bath)))
+        rho = out.rho
+        baths.append(out.bath[0])
+        if code != CONTINUE:
+            break
 
+    diagnostics = []
+    if baths:
+        stack = np.stack(baths)
+        diagnostics = list(zip(fids, trace_distance(stack, env.target_matrix).tolist(),
+                               purity(stack).tolist()))
     record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
-                            final_fid, bool(code == SUCCESS), bool(code == FATAL))
+                            fids[-1] if fids else 0.0, bool(code == SUCCESS),
+                            bool(code == FATAL))
     return record, diagnostics
 
 
@@ -132,9 +144,9 @@ def exhaustive_search(env: QSEEnv, max_len: int,
 
     def expand(rho, prefix, probs, rate):
         # row-major children: node i's child by action a is row 7*i + a
-        n = len(rate)
-        out = env.step_batch(np.repeat(rho, ACTION_COUNT, axis=0), np.tile(moves, n))
-        prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), np.tile(moves, n)])
+        actions = np.tile(moves, len(rate))
+        out = env.step_batch(np.repeat(rho, ACTION_COUNT, axis=0), actions)
+        prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), actions])
         probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), out.prob])
         rate = np.repeat(rate, ACTION_COUNT) * out.prob
         code = env.classify(out.fidelity, out.fatal, prefix.shape[1])
@@ -143,10 +155,13 @@ def exhaustive_search(env: QSEEnv, max_len: int,
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
                                         tuple(probs[i].tolist()), float(out.fidelity[i]), True))
         if prefix.shape[1] < max_len:
+            # keep only the continuing rows while their subtrees run
             todo = np.flatnonzero(kept & (code == CONTINUE))
+            rho, prefix, probs, rate = out.rho[todo], prefix[todo], probs[todo], rate[todo]
+            del out
             for lo in range(0, len(todo), SEARCH_BLOCK):
-                block = todo[lo:lo + SEARCH_BLOCK]
-                expand(out.rho[block], prefix[block], probs[block], rate[block])
+                block = slice(lo, lo + SEARCH_BLOCK)
+                expand(rho[block], prefix[block], probs[block], rate[block])
 
     if max_len > 0:
         expand(root.rho[None], np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), np.ones(1))

@@ -96,7 +96,8 @@ def verify_steady_state(n_bath: int, repetitions: int) -> list[float]:
     default model, one idle step and then ``repetitions`` x+ projections,
     each after one interval of evolution. Returns the bath fidelity to a
     tensor product of singlet pairs after each projection; a branch at or
-    below the floor ends the list early. An odd bath is a ValueError.
+    below the floor, or a success, ends the list early. An odd bath is a
+    ValueError.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")

@@ -253,6 +253,14 @@ class TestReplay:
         assert "sequence: U1 Px+ U1 Px+ U1 Px+  [" in out
         assert len(out_file.read_text().splitlines()[3:]) == 3
 
+    def test_replay_stops_at_the_first_success(self, micro_config, capsys):
+        # psi+ is reached at step 5, where an episode ends: the Pz+ is not run
+        assert cli.main(["replay", str(micro_config), "--target", "psi+", "--sequence",
+                         "U1 Px+ U2 Px+ U1 Px+ U1 Px- U1 Pz+"]) == 0
+        out = capsys.readouterr().out
+        assert "sequence: U1 Px+ U2 Px+ U1 Px+ U1 Px-  [" in out
+        assert "success rate 20.313%  (success; the last 1 action(s) not run)" in out
+
     def test_out_in_missing_directory_is_a_config_error(self, micro_config, tmp_path, capsys):
         out_file = tmp_path / "nodir" / "x.tsv"
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
@@ -278,19 +286,34 @@ class TestReplay:
 
 
 def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
-    # the parser, parsed config text and model operators that one command
-    # builds serve the later ones; none of them may carry anything over
+    # the parser, parsed config texts, model operators, targets and fixed
+    # starts that one command builds serve the later ones; none of them may
+    # carry anything over
     search_table = tmp_path / "out" / "search_psiminus_len4.tsv"
     replay_table = tmp_path / "replay.tsv"
     search = (["search", str(micro_config), "--target", "psi-", "--max-len", "4"],
               search_table)
     replay = (["replay", str(micro_config), "--sequence", "U2 Px+ U1 Py+ U1 Px+ U1 Px+",
                "--out", str(replay_table)], replay_table)
+    # custom starts that compare equal but differ in the sign of a zero; the
+    # evaluation table shows each start's label in its start column
+    spec = parse_config(micro_config).mlp
+    checkpoint = tmp_path / "init.npz"
+    save_params(checkpoint, init_params(spec), spec)
+    starts = []
+    for i, amplitudes in enumerate(["1, -0.0", "1, 0", "0.6, -0.0+0.8j", "0.6, 0.8j",
+                                    "0.6-0j, 0.8j"]):
+        path = tmp_path / f"start{i}.cfg"
+        path.write_text(MICRO_CONFIG.replace(
+            "start_mode = fixed_xplus", f"start_mode = fixed_custom\ncustom_start = {amplitudes}"))
+        starts.append((["evaluate", str(path), "--checkpoint", str(checkpoint),
+                        "--episodes", "2", "--eps", "0"], tmp_path / "out" / "evaluation.tsv"))
 
     def tables(*commands, cold=False):
         if cold:
             for cache in (cli.build_parser, qsteer_config.parse_config_text,
-                          qsteer_env._operators):
+                          qsteer_env._operators, qsteer_env._target_state,
+                          qsteer_env._fixed_start_state):
                 cache.cache_clear()
         out = []
         for argv, table in commands:
@@ -302,6 +325,9 @@ def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
     first_search, first_replay = tables(search, replay, cold=True)
     assert tables(search, replay, search) == [first_search, first_replay, first_search]
     assert tables(replay, search, cold=True) == [first_replay, first_search]
+    alone = [tables(start, cold=True)[0] for start in starts]
+    assert tables(*starts, cold=True) == alone
+    assert tables(*starts[::-1], cold=True) == alone[::-1]
 
 
 class TestSearch:

@@ -396,6 +396,33 @@ class TestSharedOperators:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
 
+    def test_equal_targets_and_starts_share_read_only_arrays(self):
+        # another model, the same bath size: one target and one start for both
+        env_a = QSEEnv(EnvConfig(target="psi+"))
+        env_b = QSEEnv(EnvConfig(model=ModelParams.uniform(tau=2.0), target="psi+"))
+        a, b = env_a.reset(), env_b.reset()
+        assert env_a.target_vector is env_b.target_vector
+        assert env_a.target_matrix is env_b.target_matrix
+        assert a.rho is b.rho and a.encoding is b.encoding
+        for array in (env_a.target_vector, env_a.target_matrix, a.rho, a.encoding):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("signed, unsigned, same_label", [
+        ((1, -0.0), (1, 0), True),
+        ((0.6, complex(-0.0, 0.8)), (0.6, 0.8j), True),
+        ((complex(0.6, -0.0), 0.8j), (0.6, 0.8j), False),
+    ], ids=["real-one", "real-two", "imaginary"])
+    def test_signed_zero_starts_give_the_same_state(self, signed, unsigned, same_label):
+        # equal amplitudes, one state; a signed imaginary zero still shows in
+        # the label, which is why the start cache keys on the amplitudes' bytes
+        assert signed == unsigned
+        a, b = (QSEEnv(EnvConfig(start_mode="fixed_custom", custom_start=amplitudes)).reset()
+                for amplitudes in (signed, unsigned))
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert a.encoding.tobytes() == b.encoding.tobytes()
+        assert (a.start_label == b.start_label) == same_label
+
     def test_other_model_gets_its_own_operators(self):
         env = QSEEnv(EnvConfig(model=ModelParams.uniform(tau=2.0)))
         assert env.propagator is not QSEEnv(EnvConfig()).propagator

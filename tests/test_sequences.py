@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
 from oracles import verify_steady_state
+from qsteer import sequences
 from qsteer.agent import evaluate_policy
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import BudgetExceeded, SequenceParseError
-from qsteer.model import SPIN_STATES, ModelParams
+from qsteer.model import SPIN_STATES, ModelParams, purity, trace_distance
 from qsteer.network import MLPParams
 from qsteer.sequences import (
     combination_histogram,
@@ -127,6 +128,13 @@ class TestReplay:
         assert replayed.actions == (PX_PLUS,) * 3 and len(diagnostics) == 3
         assert not replayed.succeeded and not replayed.aborted
 
+    def test_replay_stops_at_the_first_success(self, searched):
+        # psi+ is reached at step 5, where an episode ends: the Pz+ is not run
+        actions = parse_sequence("U1 Px+ U2 Px+ U1 Px+ U1 Px- U1 Pz+")
+        replayed, diagnostics = replay_sequence(QSEEnv(EnvConfig(target="psi+")), actions)
+        assert replayed.succeeded and replayed.actions == actions[:5]
+        assert len(diagnostics) == 5 and replayed in searched[5, "psi+"]
+
     def test_deterministic(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
         actions = parse_sequence("U2 Px+ U1 Px+ U1 Px+")
@@ -195,6 +203,16 @@ class TestExhaustiveSearch:
                 assert again.final_fidelity == rec.final_fidelity
                 assert again.probs == rec.probs
 
+    @pytest.mark.parametrize("target", ["psi+", "psi-"])
+    def test_block_size_changes_no_record(self, searched, monkeypatch, target):
+        def bits(records):
+            return [(r.actions, [p.hex() for p in r.probs], r.final_fidelity.hex())
+                    for r in records]
+
+        monkeypatch.setattr(sequences, "SEARCH_BLOCK", 1)
+        one_node = exhaustive_search(QSEEnv(EnvConfig(target=target)), 5)
+        assert bits(one_node) == bits(searched[5, target])
+
     def test_custom_start_is_labelled_and_searched(self, default_env_cfg):
         xminus = SPIN_STATES["x-"]
         model = dataclasses.replace(default_env_cfg.model, tau=2.0)
@@ -260,3 +278,26 @@ class TestDiagnosticTrace:
             assert 0.0 <= fid <= 1.0 and 0.0 <= dist <= 1.0 and 0.0 < pur <= 1.0
         assert rows[-1][0] == rec.final_fidelity
 
+    @pytest.mark.parametrize("tokens, max_steps, outcome", [
+        ("U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+", 50, "success"),
+        ("Pz+ Px+ Pz+ Pz- Px+", 50, "fatal"),
+        ("U1 Px+ U1 Px+ U1 Px+ U1 Px+", 3, "timeout"),
+    ], ids=["success", "fatal", "timeout"])
+    def test_stacked_diagnostics_match_one_matrix_calls(self, default_env_cfg, tokens,
+                                                        max_steps, outcome):
+        cfg = dataclasses.replace(default_env_cfg, max_steps=max_steps,
+                                  r_fatal=-(max_steps + 1.0))
+        env = QSEEnv(cfg)
+        rec, rows = replay_sequence(env, parse_sequence(tokens))
+        assert outcome == ("success" if rec.succeeded else "fatal" if rec.aborted
+                           else "timeout")
+        # walk the replay again, one bath state at a time
+        rho, baths = env.reset().rho[None], []
+        for action in rec.actions[:len(rows)]:
+            out = env.step_batch(rho, [action])
+            rho = out.rho
+            baths.append(out.bath[0])
+        assert len(rows) > 1
+        for (_fid, dist, pur), bath in zip(rows, baths, strict=True):
+            assert dist.hex() == float(trace_distance(bath, env.target_matrix)).hex()
+            assert pur.hex() == float(purity(bath)).hex()
