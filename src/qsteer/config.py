@@ -187,6 +187,8 @@ def _format(value) -> str:
         return "none"
     if isinstance(value, tuple):
         return ", ".join(_format(v) for v in value)
+    if isinstance(value, (float, complex)):
+        value += 0  # -0.0 == 0.0: equal configs print, and so hash, alike
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)

@@ -186,55 +186,42 @@ def encode_state(rho: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)  # one set is about 4 MB at n_bath = 6
-def _operators(model: ModelParams):
-    """The model's propagator U, its adjoint, the six central projectors
-    and the seven branch operators (P_a U per projection, U for idle).
+def _setup(cfg: EnvConfig):
+    """Everything an env of cfg reads, built once per process for each
+    config and shared, read-only, by every env of an equal config: the
+    propagator U, its adjoint, the six central projectors, the seven
+    branch operators (P_a U per projection, U for idle), the target's
+    state vector and density matrix (one copy of the named Bell pair per
+    two bath spins), and a fixed start's (state, encoding, label), or
+    None in random_pure mode.
 
-    Built once per process for each model and shared, read-only, by every
-    env of an equal model. Equal models give the same bits whichever is
-    built first: build_hamiltonian sums into a +0.0 array, so signed zeros
-    in the parameters do not reach the operators.
+    Equal configs give the same bits and labels whichever is built first:
+    build_hamiltonian sums into a +0.0 array and ``_product_states``
+    unsigns the start's zeros, so signed zeros in the config reach
+    neither.
     """
-    propagator = build_propagator(model)
+    n_bath = cfg.model.n_bath
+    propagator = build_propagator(cfg.model)
     adjoint = propagator.conj().T
-    projectors = tuple(central_projector(axis, sign, model.n_bath)
-                       for axis, sign in _PROJECTOR_SPEC)
+    projectors = tuple(central_projector(axis, sign, n_bath) for axis, sign in _PROJECTOR_SPEC)
     step_ops = np.stack([p @ propagator for p in projectors] + [propagator])
-    for a in (propagator, adjoint, *projectors, step_ops):
+    target = kron_all(*[bell_state(cfg.target)] * (n_bath // 2))
+    target_matrix = np.outer(target, target.conj())
+    arrays = [propagator, adjoint, *projectors, step_ops, target, target_matrix]
+    fixed_start = None
+    if cfg.start_mode != "random_pure":
+        central = (SPIN_STATES["x+"] if cfg.custom_start is None
+                   else _unit(np.asarray(cfg.custom_start, dtype=complex)))
+        (rho,), (enc,), (label,) = _product_states([central], n_bath)
+        fixed_start = rho, enc, label
+        arrays += [rho, enc]
+    for a in arrays:
         a.flags.writeable = False
-    return propagator, adjoint, projectors, step_ops
-
-
-@lru_cache(maxsize=16)
-def _target_state(name: str, n_bath: int):
-    """The target's state vector, one copy of the named Bell pair per two
-    bath spins, and its density matrix: built once per process for each
-    key and shared, read-only, like ``_operators``."""
-    vector = kron_all(*[bell_state(name)] * (n_bath // 2))
-    matrix = np.outer(vector, vector.conj())
-    vector.flags.writeable = matrix.flags.writeable = False
-    return vector, matrix
-
-
-@lru_cache(maxsize=16)
-def _fixed_start_state(amplitudes: bytes | None, n_bath: int):
-    """The (state, encoding, label) of a fixed start: x+ when amplitudes
-    is None, else the custom start, given as its complex128 bytes and
-    normalized. Built once per process for each key and shared, read-only.
-
-    The key is bytes because amplitudes that compare equal can differ in
-    their label: 0.6 - 0j equals 0.6 but is labelled 0.600000-0.000000j.
-    Their state and encoding bytes are the same.
-    """
-    central = (SPIN_STATES["x+"] if amplitudes is None
-               else _unit(np.frombuffer(amplitudes, dtype=complex)))
-    (rho,), (enc,), (label,) = _product_states([central], n_bath)
-    rho.flags.writeable = enc.flags.writeable = False
-    return rho, enc, label
+    return propagator, adjoint, projectors, step_ops, target, target_matrix, fixed_start
 
 
 def _product_states(central, n_bath: int):
-    central = np.stack(central)
+    central = np.stack(central) + 0  # a signed zero would reach the bits and the label
     rho = central_product_state(central, n_bath)
     return rho, encode_state(rho), _labels_for(central)
 
@@ -243,25 +230,19 @@ class QSEEnv:
     """One environment instance: a target and a start policy on a model.
 
     The model's operators, the target and a fixed start come from
-    ``_operators``, ``_target_state`` and ``_fixed_start_state``, each
-    shared with every env of an equal key, so an instance builds nothing
-    that an equal env built before it. Single-threaded. ``step`` is
-    deterministic given (state, action); randomness only enters through
-    ``starts`` in random_pure mode, via the generators the caller passes in.
+    ``_setup``, shared with every env of an equal config, so an instance
+    builds nothing that an equal env built before it. Single-threaded.
+    ``step`` is deterministic given (state, action); randomness only
+    enters through ``starts`` in random_pure mode, via the generators the
+    caller passes in.
     """
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self.dim = cfg.model.dim
-        (self.propagator, self._propagator_dag, self.projectors,
-         self._step_ops) = _operators(cfg.model)
-        self.target_vector, self.target_matrix = _target_state(cfg.target, cfg.model.n_bath)
+        (self.propagator, self._propagator_dag, self.projectors, self._step_ops,
+         self.target_vector, self.target_matrix, self._fixed_start) = _setup(cfg)
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
-        self._fixed_start = None
-        if cfg.start_mode != "random_pure":
-            amplitudes = (None if cfg.custom_start is None
-                          else np.asarray(cfg.custom_start, dtype=complex).tobytes())
-            self._fixed_start = _fixed_start_state(amplitudes, cfg.model.n_bath)
 
     # -- start states -------------------------------------------------
 

@@ -204,6 +204,8 @@ def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     return grad_w, grad_b, loss
 
 
+#: Adam's moment decay rates and denominator offset.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 #: Every this many steps, train_batch zeroes the subnormal entries of Adam's m.
 _FLUSH_EVERY = 256
 _TINY = np.finfo(float).tiny
@@ -221,9 +223,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad: np.ndarray = field(init=False, repr=False, compare=False)
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -266,14 +265,14 @@ def train_batch(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
     #   params -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
     adam.t += 1
-    corr1 = 1.0 - adam.beta1 ** adam.t
-    corr2 = 1.0 - adam.beta2 ** adam.t
-    adam.m *= adam.beta1
-    adam.m += np.multiply(g, 1.0 - adam.beta1, out=s)
-    adam.v *= adam.beta2
-    adam.v += np.multiply(np.square(g, out=s), 1.0 - adam.beta2, out=s)
+    corr1 = 1.0 - _BETA1 ** adam.t
+    corr2 = 1.0 - _BETA2 ** adam.t
+    adam.m *= _BETA1
+    adam.m += np.multiply(g, 1.0 - _BETA1, out=s)
+    adam.v *= _BETA2
+    adam.v += np.multiply(np.square(g, out=s), 1.0 - _BETA2, out=s)
     np.sqrt(np.divide(adam.v, corr2, out=s), out=s)
-    s += adam.eps
+    s += _EPS
     np.multiply(np.divide(adam.m, corr1, out=g), lr, out=g)
     g /= s
     params.flat -= g

@@ -286,9 +286,8 @@ class TestReplay:
 
 
 def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
-    # the parser, parsed config texts, model operators, targets and fixed
-    # starts that one command builds serve the later ones; none of them may
-    # carry anything over
+    # the parser, parsed config texts and env set-ups that one command
+    # builds serve the later ones; none of them may carry anything over
     search_table = tmp_path / "out" / "search_psiminus_len4.tsv"
     replay_table = tmp_path / "replay.tsv"
     search = (["search", str(micro_config), "--target", "psi-", "--max-len", "4"],
@@ -312,8 +311,7 @@ def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
     def tables(*commands, cold=False):
         if cold:
             for cache in (cli.build_parser, qsteer_config.parse_config_text,
-                          qsteer_env._operators, qsteer_env._target_state,
-                          qsteer_env._fixed_start_state):
+                          qsteer_env._setup):
                 cache.cache_clear()
         out = []
         for argv, table in commands:
@@ -328,6 +326,9 @@ def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
     alone = [tables(start, cold=True)[0] for start in starts]
     assert tables(*starts, cold=True) == alone
     assert tables(*starts[::-1], cold=True) == alone[::-1]
+    # equal starts, one table
+    assert alone[0] == alone[1]
+    assert alone[2] == alone[3] == alone[4]
 
 
 class TestSearch:

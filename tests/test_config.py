@@ -20,13 +20,14 @@ from qsteer.network import MLPSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-BUNDLED = [
-    "psi_minus_fixed.cfg",
-    "psi_plus_fixed.cfg",
-    "phi_plus_fixed.cfg",
-    "phi_minus_fixed.cfg",
-    "psi_minus_random.cfg",
-]
+#: Bundled config -> its config_hash, which every run's manifest records.
+BUNDLED = {
+    "psi_minus_fixed.cfg": "2de7b67523f9",
+    "psi_plus_fixed.cfg": "492e00b74841",
+    "phi_plus_fixed.cfg": "04d0b8470def",
+    "phi_minus_fixed.cfg": "b61cf1fd1f0f",
+    "psi_minus_random.cfg": "0e167e6c0978",
+}
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -64,7 +65,7 @@ def test_round_trip_identity(name):
     again = parse_config_text(text)
     assert again == cfg
     assert serialize_config(again) == text
-    assert config_hash(again) == config_hash(cfg)
+    assert config_hash(again) == config_hash(cfg) == BUNDLED[name]
 
 
 def test_hash_tracks_content():
@@ -72,6 +73,13 @@ def test_hash_tracks_content():
     changed = parse_config_text(
         serialize_config(base).replace("master_seed = 1", "master_seed = 2"))
     assert config_hash(base) != config_hash(changed)
+    # a signed zero is the same value: one text, one hash
+    for signed, unsigned in (("omega = -0.0", "omega = 0.0"),
+                             ("coupling = 1, -0, -0", "coupling = 1, 0, 0")):
+        a, b = (parse_config_text(f"[model]\n{line}\n") for line in (signed, unsigned))
+        assert a == b
+        assert serialize_config(a) == serialize_config(b)
+        assert config_hash(a) == config_hash(b)
 
 
 def test_invalid_theta_rejected_before_simulation(tmp_path):

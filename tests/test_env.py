@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_density_matrix
 from oracles import decode_state
-from qsteer.env import ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, encode_state, encoding_length
+from qsteer.env import (ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, _setup, encode_state,
+                        encoding_length)
 from qsteer.errors import EpisodeFinished
 from qsteer.model import (
     BELL_NAMES,
@@ -384,49 +385,56 @@ def test_action_tokens_cover_seven_actions():
 
 
 class TestSharedOperators:
-    def test_equal_models_share_read_only_operators(self):
-        # separately built, equal models: one operator set for both envs
-        env_a = QSEEnv(EnvConfig(model=ModelParams.uniform(), target="psi-"))
-        env_b = QSEEnv(EnvConfig(model=ModelParams.uniform(), target="phi+",
-                                 start_mode="random_pure"))
-        for name in ("propagator", "_propagator_dag", "projectors", "_step_ops"):
+    _ARRAYS = ("propagator", "_propagator_dag", "projectors", "_step_ops",
+               "target_vector", "target_matrix")
+
+    def test_equal_configs_share_read_only_arrays(self):
+        # separately built, equal configs: one set-up for both envs
+        env_a, env_b = (QSEEnv(EnvConfig(model=ModelParams.uniform(), target="psi+"))
+                        for _ in range(2))
+        for name in self._ARRAYS:
             assert getattr(env_a, name) is getattr(env_b, name)
+        a, b = env_a.reset(), env_b.reset()
+        assert a.rho is b.rho and a.encoding is b.encoding
         for array in (env_a.propagator, env_a._propagator_dag, *env_a.projectors,
-                      env_a._step_ops):
+                      env_a._step_ops, env_a.target_matrix, a.rho):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
-
-    def test_equal_targets_and_starts_share_read_only_arrays(self):
-        # another model, the same bath size: one target and one start for both
-        env_a = QSEEnv(EnvConfig(target="psi+"))
-        env_b = QSEEnv(EnvConfig(model=ModelParams.uniform(tau=2.0), target="psi+"))
-        a, b = env_a.reset(), env_b.reset()
-        assert env_a.target_vector is env_b.target_vector
-        assert env_a.target_matrix is env_b.target_matrix
-        assert a.rho is b.rho and a.encoding is b.encoding
-        for array in (env_a.target_vector, env_a.target_matrix, a.rho, a.encoding):
+        for array in (env_a.target_vector, a.encoding):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-
-    @pytest.mark.parametrize("signed, unsigned, same_label", [
-        ((1, -0.0), (1, 0), True),
-        ((0.6, complex(-0.0, 0.8)), (0.6, 0.8j), True),
-        ((complex(0.6, -0.0), 0.8j), (0.6, 0.8j), False),
-    ], ids=["real-one", "real-two", "imaginary"])
-    def test_signed_zero_starts_give_the_same_state(self, signed, unsigned, same_label):
-        # equal amplitudes, one state; a signed imaginary zero still shows in
-        # the label, which is why the start cache keys on the amplitudes' bytes
-        assert signed == unsigned
-        a, b = (QSEEnv(EnvConfig(start_mode="fixed_custom", custom_start=amplitudes)).reset()
-                for amplitudes in (signed, unsigned))
-        assert a.rho.tobytes() == b.rho.tobytes()
-        assert a.encoding.tobytes() == b.encoding.tobytes()
-        assert (a.start_label == b.start_label) == same_label
 
     def test_other_model_gets_its_own_operators(self):
         env = QSEEnv(EnvConfig(model=ModelParams.uniform(tau=2.0)))
         assert env.propagator is not QSEEnv(EnvConfig()).propagator
         assert np.array_equal(env.propagator, build_propagator(ModelParams.uniform(tau=2.0)))
+
+    def test_other_target_gets_its_own_arrays(self):
+        # one set-up per config: the same model under another target is built again
+        env, base = QSEEnv(EnvConfig(target="phi+")), QSEEnv(EnvConfig())
+        for name in self._ARRAYS:
+            assert getattr(env, name) is not getattr(base, name)
+        assert env.reset().rho is not base.reset().rho
+
+    @pytest.mark.parametrize("signed, unsigned", [
+        ((1, -0.0), (1, 0)),
+        ((0.6, complex(-0.0, 0.8)), (0.6, 0.8j)),
+        ((complex(0.6, -0.0), 0.8j), (0.6, 0.8j)),
+        ((0.6, complex(-0.0, -0.8)), (0.6, complex(0.0, -0.8))),
+        ((-0.6, complex(0.0, -0.0)), (-0.6, 0.0)),
+    ], ids=["real-one", "real-two", "imaginary", "state-bits", "cardinal-bits"])
+    def test_signed_zero_starts_give_the_same_state(self, signed, unsigned):
+        # equal amplitudes, one state and one label, whichever is built first
+        assert signed == unsigned
+        starts = []
+        for amplitudes in (signed, unsigned):
+            _setup.cache_clear()  # build each, not the other's shared start
+            starts.append(QSEEnv(EnvConfig(start_mode="fixed_custom",
+                                           custom_start=amplitudes)).reset())
+        a, b = starts
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert a.encoding.tobytes() == b.encoding.tobytes()
+        assert a.start_label == b.start_label
 
     @pytest.mark.parametrize("signed, unsigned", [
         (dict(coupling=(1, -0.0, -0.0)), dict(coupling=(1, 0, 0))),
