@@ -204,6 +204,8 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+@lru_cache(maxsize=8)
 def config_hash(cfg: RunConfig) -> str:
-    """Short stable digest of the canonical serialization."""
+    """Short stable digest of the canonical serialization, computed once
+    per process for each config: equal configs serialize alike."""
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:12]

@@ -18,7 +18,8 @@ bath_4) (x) ..., so with two bath spins it is the Bell state itself.
 
 ``QSEEnv.step_batch`` advances a stack of states by one step each, with
 one conjugation ``M rho M^dagger`` per row (``M = P U`` for a projection,
-``U`` for doing nothing); ``QSEEnv.step`` is its one-row form.
+``U`` for doing nothing), or by all seven actions each for the search;
+``QSEEnv.step`` is its one-row form.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ class StepResult:
 
 
 class BatchStep(NamedTuple):
-    """One step of a stack of states; row i belongs to input row i.
+    """One step of a stack of states; row i belongs to input row i. In
+    the every-action form each field gains an action axis after N.
 
     A fatal row (branch probability at or below the floor) holds the
     evolved, unprojected state and a NaN fidelity.
@@ -278,19 +280,29 @@ class QSEEnv:
     def step_batch(self, rho: np.ndarray, actions) -> BatchStep:
         """Evolve each state for tau and apply its action, all in one pass.
 
-        rho is an (N, dim, dim) stack and actions N action indices. Each
-        row's result is bit-identical whatever the stack around it. An idle
-        row's state is renormalized by its trace, which differs from 1 only
-        by round-off, and its probability reads exactly 1.
+        rho is an (N, dim, dim) stack and actions N action indices, one
+        per state; or actions is None, and each state is stepped by all
+        seven actions, with results shaped (N, 7, ...) and child (i, a) in
+        row i, column a. Each row's result is bit-identical whatever the
+        stack around it and in either form. An idle row's state is
+        renormalized by its trace, which differs from 1 only by round-off,
+        and its probability reads exactly 1.
         """
-        actions = np.asarray(actions, dtype=np.intp)
-        if actions.size and not 0 <= actions.min() <= actions.max() < ACTION_COUNT:
-            raise ValueError(f"action indices must be in [0, {ACTION_COUNT}), got {actions}")
-        out, prob = measure(rho, self._step_ops[actions], self.cfg.floor)
-        prob[actions == DO_NOTHING] = 1.0
+        every = actions is None
+        if every:
+            actions = np.arange(ACTION_COUNT)
+            out, prob = measure(rho[:, None], self._step_ops, self.cfg.floor)
+        else:
+            actions = np.asarray(actions, dtype=np.intp)
+            if actions.size and not 0 <= actions.min() <= actions.max() < ACTION_COUNT:
+                raise ValueError(f"action indices must be in [0, {ACTION_COUNT}), got {actions}")
+            out, prob = measure(rho, self._step_ops[actions], self.cfg.floor)
+        prob[..., actions == DO_NOTHING] = 1.0
         fatal = prob <= self.cfg.floor
         if fatal.any():
-            out[fatal] = self.propagator @ rho[fatal] @ self._propagator_dag
+            # fatal child (i, a) of the every-action form evolves state i
+            rows = fatal.nonzero()[0] if every else fatal
+            out[fatal] = self.propagator @ rho[rows] @ self._propagator_dag
         bath = partial_trace_first(out, 2)
         fid = fidelity_to_pure(bath, self.target_vector)
         fid[fatal] = np.nan

@@ -167,20 +167,35 @@ def central_product_state(central: np.ndarray, n_bath: int) -> np.ndarray:
 
 
 def measure(rho: np.ndarray, ops: np.ndarray, floor: float = 1e-8):
-    """Apply one branch operator M per state and renormalize.
+    """Apply branch operators M to states and renormalize.
 
-    rho and ops are stacks of matching shape; each M is a projector, or a
-    projector times the propagator for a step that evolves first. Returns
-    (M rho M^dagger / prob, prob) row by row. A row whose branch
-    probability is at or below ``floor`` comes back unnormalized; that
-    cutoff separates genuine rank deficiency from round-off, and the
+    Each M is a projector, or a projector times the propagator for a step
+    that evolves first. Returns (M rho M^dagger / prob, prob). Two layouts:
+    rho and ops of one shape (N, dim, dim) pair up row by row; rho of
+    shape (N, 1, dim, dim) and ops (K, dim, dim) apply every M to every
+    state, giving (N, K, dim, dim). The second form takes the K N left
+    products as one GEMM of the stacked operators against the states laid
+    side by side, then one GEMM per operator for the right-hand adjoint;
+    each matrix keeps the bits of the row-by-row form. A matrix whose
+    branch probability is at or below ``floor`` comes back unnormalized;
+    that cutoff separates genuine rank deficiency from round-off, and the
     caller treats such a row as a fatal choice.
     """
     if not floor > 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    if rho.shape != ops.shape:
+    if rho.shape == ops.shape:
+        out = ops @ rho @ ops.conj().swapaxes(-1, -2)
+    elif rho.ndim == 4 and rho.shape[1] == 1 and ops.ndim == 3 and rho.shape[2:] == ops.shape[1:]:
+        (n, _, dim, _), k = rho.shape, len(ops)
+        side = rho.reshape(n, dim, dim).transpose(1, 0, 2).reshape(dim, n * dim)
+        # row (a, r) and column (i, c) of left hold (M_a rho_i)[r, c]
+        left = ops.reshape(k * dim, dim) @ side
+        # so rows (r, i) of operator a's band times M_a^dagger give (r, i, s)
+        right = left.reshape(k, dim * n, dim) @ ops.conj().swapaxes(-1, -2)
+        out = left.reshape(n, k, dim, dim)  # left is spent: its buffer takes the result
+        out[...] = right.reshape(k, dim, n, dim).transpose(2, 0, 1, 3)
+    else:
         raise DimensionMismatch(f"states {rho.shape} vs branch operators {ops.shape}")
-    out = ops @ rho @ ops.conj().swapaxes(-1, -2)
     prob = np.trace(out, axis1=-2, axis2=-1).real
     out /= np.where(prob > floor, prob, 1.0)[..., None, None]
     return out, prob

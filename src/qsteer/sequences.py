@@ -37,12 +37,13 @@ __all__ = [
 ]
 
 SEARCH_MAX_LEN_BUDGET = 6
-#: Nodes exhaustive_search expands per step_batch call (7 rows each); a
-#: row's bits do not depend on its block. 10 nodes amortize more of a call's
-#: fixed cost than 7. From 11 nodes on, glibc (default 128 KiB trim
-#: threshold) hands each call's freed 8x8 stacks back to the system and the
-#: next call faults them in again, which made 16-node blocks slower than 7.
-SEARCH_BLOCK = 10
+#: Nodes exhaustive_search expands per every-action step_batch call (7
+#: children each); a child's bits do not depend on its block. Larger
+#: blocks amortize more of a call's fixed cost but hold more children at
+#: once, so peak memory bounds the size: 21 nodes ran the four length-5
+#: Bell searches about a third faster than 10, at about 0.5% more peak
+#: RSS; 28 to 49 ran about as fast and grew the peak by 1.2 to 3.3%.
+SEARCH_BLOCK = 21
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,12 @@ def exhaustive_search(env: QSEEnv, max_len: int,
 
     Depth-first enumeration over the seven actions, sharing prefixes:
     nodes of one depth expand in blocks of up to SEARCH_BLOCK, all seven
-    children of each in one ``QSEEnv.step_batch`` call. A child whose
-    running success rate is under rate_cutoff is pruned; otherwise
-    ``QSEEnv.classify`` judges it as an episode's step, so a success is
-    recorded and not extended, and nothing runs past the env's max_steps.
-    The result is exactly the set of successful sequences an episodic
-    policy could execute. Sorted by (length, -success_rate).
+    children of each in one every-action ``QSEEnv.step_batch`` call. A
+    child whose running success rate is under rate_cutoff is pruned;
+    otherwise ``QSEEnv.classify`` judges it as an episode's step, so a
+    success is recorded and not extended, and nothing runs past the env's
+    max_steps. The result is exactly the set of successful sequences an
+    episodic policy could execute. Sorted by (length, -success_rate).
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -143,21 +144,24 @@ def exhaustive_search(env: QSEEnv, max_len: int,
     found: list[SequenceRecord] = []
 
     def expand(rho, prefix, probs, rate):
-        # row-major children: node i's child by action a is row 7*i + a
+        # every child at once; flattened row-major, node i's child by
+        # action a is row 7*i + a
+        out = env.step_batch(rho, None)
+        prob, fid = out.prob.ravel(), out.fidelity.ravel()
         actions = np.tile(moves, len(rate))
-        out = env.step_batch(np.repeat(rho, ACTION_COUNT, axis=0), actions)
         prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), actions])
-        probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), out.prob])
-        rate = np.repeat(rate, ACTION_COUNT) * out.prob
-        code = env.classify(out.fidelity, out.fatal, prefix.shape[1])
+        probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), prob])
+        rate = np.repeat(rate, ACTION_COUNT) * prob
+        code = env.classify(fid, out.fatal.ravel(), prefix.shape[1])
         kept = rate >= rate_cutoff
         for i in np.flatnonzero(kept & (code == SUCCESS)):
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
-                                        tuple(probs[i].tolist()), float(out.fidelity[i]), True))
+                                        tuple(probs[i].tolist()), float(fid[i]), True))
         if prefix.shape[1] < max_len:
             # keep only the continuing rows while their subtrees run
             todo = np.flatnonzero(kept & (code == CONTINUE))
-            rho, prefix, probs, rate = out.rho[todo], prefix[todo], probs[todo], rate[todo]
+            rho, prefix, probs, rate = (out.rho.reshape((-1,) + rho.shape[1:])[todo],
+                                        prefix[todo], probs[todo], rate[todo])
             del out
             for lo in range(0, len(todo), SEARCH_BLOCK):
                 block = slice(lo, lo + SEARCH_BLOCK)

@@ -287,6 +287,26 @@ class TestStepBatch:
                 want_fid = fidelity_to_pure(bath[None], env.target_vector)[0]
                 assert abs(batch.fidelity[i] - want_fid) < 1e-12
 
+    @pytest.mark.parametrize("n_bath", [2, 4])
+    def test_every_action_form_is_seven_one_row_calls(self, n_bath, rng):
+        model = ModelParams.uniform(n_bath=n_bath)
+        env = QSEEnv(EnvConfig(model=model))
+        zplus = QSEEnv(EnvConfig(model=model, start_mode="fixed_custom", custom_start=(1, 0)))
+        rho = np.stack([random_density_matrix(rng, model.dim) for _ in range(3)]
+                       + [env.reset().rho, zplus.reset().rho, env.step(env.reset(), 2).next.rho])
+        every = env.step_batch(rho, None)
+        assert every.prob.shape == every.fidelity.shape == every.fatal.shape == (6, 7)
+        assert every.rho.shape == (6, 7) + rho.shape[1:]
+        for i, a in np.ndindex(6, 7):
+            one = env.step_batch(rho[i:i + 1], [a])
+            for got, want in zip(every, one):
+                assert np.asarray(got[i, a]).tobytes() == want[0].tobytes()
+        assert np.all(every.prob[:, DO_NOTHING] == 1.0)
+        # z- after the z+ start: fatal, the evolved state left unprojected
+        assert every.fatal.sum() == 1 and every.fatal[4, 1] and np.isnan(every.fidelity[4, 1])
+        evolved = env.propagator @ rho[4] @ env.propagator.conj().T
+        assert np.array_equal(every.rho[4, 1], evolved)
+
     def test_rejects_unknown_actions(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
         rho = env.reset().rho[None]
@@ -343,6 +363,17 @@ class TestStepBatchProperties:
             alone = env.step_batch(rho[i:i + 1], [action])
             for got, want in zip(alone, out):
                 assert np.array_equal(got[0], want[i], equal_nan=True)
+
+    @settings(max_examples=50, deadline=None)
+    @given(kernel_stacks(max_rows=4, dims=(8, 32)))
+    def test_every_action_rows_are_one_row_calls(self, stack):
+        rho, _ = stack
+        env = self.envs[rho.shape[-1]]
+        out = env.step_batch(rho, None)
+        for i, a in np.ndindex(out.prob.shape):
+            alone = env.step_batch(rho[i:i + 1], [a])
+            for got, want in zip(alone, out):
+                assert np.array_equal(got[0], want[i, a], equal_nan=True)
 
 
 @settings(max_examples=100, deadline=None)

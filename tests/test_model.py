@@ -156,6 +156,17 @@ class TestMeasure:
         # the orthogonal branch comes back unnormalized instead of raising
         assert prob[3] <= 1e-8 and np.abs(out[3]).max() <= 1e-8
 
+    @pytest.mark.parametrize("rho_shape, ops_shape", [
+        ((2, 8, 8), (3, 8, 8)),     # row pairs of unequal count
+        ((2, 8, 8), (2, 4, 4)),     # row pairs of unequal dimension
+        ((2, 1, 8, 8), (7, 4, 4)),  # every operator, unequal dimension
+        ((2, 2, 8, 8), (7, 8, 8)),  # every operator, no axis to spread over
+        ((8, 8), (7, 8, 8)),        # a bare matrix
+    ])
+    def test_shapes_that_do_not_fit(self, rho_shape, ops_shape):
+        with pytest.raises(DimensionMismatch):
+            measure(np.zeros(rho_shape, complex), np.zeros(ops_shape, complex))
+
 
 class TestMetrics:
     def test_fidelity_self(self, rng):

@@ -203,15 +203,17 @@ class TestExhaustiveSearch:
                 assert again.final_fidelity == rec.final_fidelity
                 assert again.probs == rec.probs
 
-    @pytest.mark.parametrize("target", ["psi+", "psi-"])
+    @pytest.mark.parametrize("target", sorted(SEARCH_COUNTS[6]))
     def test_block_size_changes_no_record(self, searched, monkeypatch, target):
         def bits(records):
             return [(r.actions, [p.hex() for p in r.probs], r.final_fidelity.hex())
                     for r in records]
 
+        # searched ran in blocks of SEARCH_BLOCK nodes
+        assert sequences.SEARCH_BLOCK > 1
         monkeypatch.setattr(sequences, "SEARCH_BLOCK", 1)
-        one_node = exhaustive_search(QSEEnv(EnvConfig(target=target)), 5)
-        assert bits(one_node) == bits(searched[5, target])
+        one_node = exhaustive_search(QSEEnv(EnvConfig(target=target)), 6)
+        assert bits(one_node) == bits(searched[6, target])
 
     def test_custom_start_is_labelled_and_searched(self, default_env_cfg):
         xminus = SPIN_STATES["x-"]
