@@ -12,9 +12,11 @@ Episodes are collected in lockstep: the episodes of a training step (or
 a block of evaluation episodes) advance together through one batched
 environment step and one batched forward pass per step.
 
-Reproducibility: each episode's generator comes from a counter-based
-seed split of the master seed, so results do not depend on collection
-order; replay has its own stream.
+Reproducibility: episode i of a stream draws from numpy's
+``SeedSequence((master_seed, stream, i))`` stream, so results do not
+depend on collection order; replay sampling has its own stream. The
+generators of a block of episodes are hashed together, in numpy array
+arithmetic, and are bit for bit the ones numpy would build one by one.
 Two runs with the same configuration and master seed produce identical logs.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +68,8 @@ class ReplayMemory:
     always sits just after a terminal row, overwritten only after the row
     itself. A terminal row's next state is whatever row follows.
     Insertion evicts oldest-first once full; sampling is with replacement
-    from its own seeded stream.
+    from its own stream: seed_seq is anything ``np.random.default_rng``
+    takes, a generator included.
     """
 
     def __init__(self, capacity: int, state_size: int, seed_seq=None):
@@ -252,8 +256,118 @@ def ddqn_targets(batch, main: MLPParams, target: MLPParams, gamma: float) -> np.
 EVAL_BLOCK = 512
 
 
-def _episode_seed(master_seed: int, stream: int, index: int):
-    return np.random.SeedSequence((master_seed, stream, index))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n in little-endian 32-bit words, as SeedSequence splits an entropy
+    integer: one word for 0."""
+    if n < 0:
+        raise ValueError(f"seed integers must be >= 0, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """(2, calls) uint32: for each of a hash's first calls calls of
+    hashmix, the constant it xors the value with and the one it then
+    multiplies by. The constant advances one multiplication per call
+    whatever the data, so a call's constants follow from its position."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    out = np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    value = value ^ consts[0]
+    value *= consts[1]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> 16
+
+
+class _SeedBlock:
+    """``SeedSequence((master_seed, stream, i))`` for i = first, ...,
+    first + n - 1, hashed together. Row k of ``pool`` is the pool numpy's
+    SeedSequence of index first + k holds, and row k of
+    ``generate_state(n_words)`` its output. The hash runs in wrapping
+    uint32 array arithmetic: one operation covers every row, and every
+    pool word that one pass of numpy's loops mixes with the same value.
+    An index below 2**32 has one word and a 0 in its second column: the
+    first pass hashes that 0 as numpy hashes padding, and the
+    extra-entropy pass over the second word leaves such rows alone.
+    """
+
+    def __init__(self, master_seed: int, stream: int, first: int, n: int):
+        if not 0 <= first <= first + n <= 2 ** 64:
+            raise ValueError(f"episode indices [{first}, {first + n}) are outside [0, 2**64)")
+        index = np.arange(first, first + n, dtype=np.uint64)
+        prefix = _uint32_words(master_seed) + _uint32_words(stream)
+        entropy = np.zeros((n, max(len(prefix) + 2, _POOL_SIZE)), dtype=np.uint32)
+        entropy[:, :len(prefix)] = prefix
+        entropy[:, len(prefix)] = index.astype(np.uint32)
+        entropy[:, len(prefix) + 1] = (index >> np.uint64(32)).astype(np.uint32)
+        length = len(prefix) + 1 + (entropy[:, len(prefix) + 1] > 0)
+        width = entropy.shape[1]
+        consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * width)
+        pool = _hashmix(entropy[:, :_POOL_SIZE], consts[:, :_POOL_SIZE])
+        call = _POOL_SIZE
+        for src in range(_POOL_SIZE):
+            dst = [d for d in range(_POOL_SIZE) if d != src]
+            pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None],
+                                                       consts[:, call:call + len(dst)]))
+            call += len(dst)
+        for src in range(_POOL_SIZE, width):
+            mixed = _mix(pool, _hashmix(entropy[:, src, None], consts[:, call:call + _POOL_SIZE]))
+            pool = np.where((length > src)[:, None], mixed, pool)
+            call += _POOL_SIZE
+        self.pool = pool
+
+    def generate_state(self, n_words: int) -> np.ndarray:
+        """(n, n_words) uint64: row k is index first + k's
+        ``SeedSequence.generate_state(n_words, np.uint64)``, two uint32
+        words of the hash, low word first, per uint64."""
+        out = _hashmix(self.pool[:, np.arange(2 * n_words) % _POOL_SIZE],
+                       _hash_consts(_INIT_B, _MULT_B, 2 * n_words))
+        return out.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _SeedRow:
+    """One row of a block's PCG64 seed words, handed to ``np.random.PCG64``
+    through numpy's ``ISeedSequence`` protocol, as a registered virtual
+    subclass: PCG64 asks once for four uint64 words."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self._words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self._words)} uint64 words, "
+                             f"asked for {n_words} of {dtype}")
+        return self._words
+
+
+def _generators(master_seed: int, stream: int, first: int, n: int) -> list[np.random.Generator]:
+    """The generators of episodes first, ..., first + n - 1 of a stream:
+    each the same, bit for bit, as
+    ``np.random.default_rng(np.random.SeedSequence((master_seed, stream, i)))``."""
+    # registered here, not at import, so that importing qsteer does not load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_SeedRow)
+    return [np.random.Generator(np.random.PCG64(_SeedRow(words)))
+            for words in _SeedBlock(master_seed, stream, first, n).generate_state(4)]
 
 
 def _collect(env: QSEEnv, params: MLPParams, eps: float,
@@ -325,7 +439,7 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
     target = main.clone() if agent_cfg.algorithm == "ddqn" else None
     adam = AdamState.for_params(main)
     replay = ReplayMemory(agent_cfg.replay_capacity, state_size,
-                          _episode_seed(master_seed, 2, 0))
+                          _generators(master_seed, 2, 0, 1)[0])
 
     log: list[TrainingLogRow] = []
     per_step = agent_cfg.episodes_per_training_step
@@ -335,8 +449,7 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
 
     for step in range(1, agent_cfg.training_steps + 1):
         eps = epsilon_at(step - 1, agent_cfg)
-        rngs = [np.random.default_rng(_episode_seed(master_seed, 1, i))
-                for i in range((step - 1) * per_step, step * per_step)]
+        rngs = _generators(master_seed, 1, (step - 1) * per_step, per_step)
         _, totals, offsets, steps = _collect(env, main, eps, rngs, ("s", "a", "code"))
         code = steps["code"]
         avg_return = float(np.mean(totals))
@@ -406,17 +519,16 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
     env = QSEEnv(env_cfg)
     returns, outcomes, records = [], [], []
     for first in range(0, n_episodes, EVAL_BLOCK):
-        rngs = [np.random.default_rng(_episode_seed(master_seed, seed_stream, i))
-                for i in range(first, min(first + EVAL_BLOCK, n_episodes))]
+        rngs = _generators(master_seed, seed_stream, first, min(EVAL_BLOCK, n_episodes - first))
         labels, totals, offsets, steps = _collect(env, params, eps, rngs,
                                                   ("a", "code", "prob", "fidelity"))
         last = offsets[1:] - 1
         final = steps["code"][last].tolist()
         returns += totals.tolist()
         outcomes += [OUTCOMES[c] for c in final]
-        for label, lo, hi, c, f in zip(labels, offsets[:-1], offsets[1:], final,
+        actions, probs, bounds = steps["a"].tolist(), steps["prob"].tolist(), offsets.tolist()
+        for label, lo, hi, c, f in zip(labels, bounds, bounds[1:], final,
                                        steps["fidelity"][last].tolist()):
-            records.append(SequenceRecord(
-                label, tuple(steps["a"][lo:hi].tolist()), tuple(steps["prob"][lo:hi].tolist()),
-                f, c == SUCCESS, aborted=c == FATAL))
+            records.append(SequenceRecord(label, tuple(actions[lo:hi]), tuple(probs[lo:hi]),
+                                          f, c == SUCCESS, aborted=c == FATAL))
     return EvaluationResult(returns, outcomes, records)

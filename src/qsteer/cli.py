@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import platform
 import sys
@@ -164,13 +165,20 @@ def cmd_evaluate(args) -> int:
     for tag, eps in runs:
         res = evaluate_policy(params, env_cfg, eps, args.episodes, cfg.master_seed,
                               seed_stream=3 if tag == "trained" else 4)
-        rows = [
-            (str(i), rec.start_label, _fmt(ret), outcome, str(len(rec.actions)),
-             _fmt(rec.success_rate), _fmt(rec.final_fidelity),
-             format_sequence(rec.actions), ",".join(format(p, ".12g") for p in rec.probs))
-            for i, (ret, outcome, rec) in enumerate(
-                zip(res.returns, res.outcomes, res.records))
-        ]
+        routes = {}  # the fields of each distinct route, formatted once
+        rows = []
+        for i, (ret, outcome, rec) in enumerate(zip(res.returns, res.outcomes, res.records)):
+            # equal floats print alike but for signed zeros, and a zero
+            # probability is fatal, so only the last can be one
+            key = (rec.actions, rec.probs, math.copysign(1.0, rec.probs[-1]))
+            route = routes.get(key)
+            if route is None:
+                route = routes[key] = (
+                    str(len(rec.actions)), _fmt(rec.success_rate), format_sequence(rec.actions),
+                    ",".join(format(p, ".12g") for p in rec.probs))
+            steps, rate, sequence, probs = route
+            rows.append((str(i), rec.start_label, _fmt(ret), outcome, steps, rate,
+                         _fmt(rec.final_fidelity), sequence, probs))
         suffix = "" if tag == "trained" else "_baseline"
         _write_table(out / f"evaluation{suffix}.tsv", cfg,
                      ["episode", "start", "return", "outcome", "steps",

@@ -151,7 +151,8 @@ class BatchStep(NamedTuple):
     the every-action form each field gains an action axis after N.
 
     A fatal row (branch probability at or below the floor) holds the
-    evolved, unprojected state and a NaN fidelity.
+    unnormalized branch ``measure`` returns, its bath and a NaN
+    fidelity: no caller steps on from it.
     """
 
     rho: np.ndarray       # (N, dim, dim)
@@ -191,7 +192,7 @@ def encode_state(rho: np.ndarray) -> np.ndarray:
 def _setup(cfg: EnvConfig):
     """Everything an env of cfg reads, built once per process for each
     config and shared, read-only, by every env of an equal config: the
-    propagator U, its adjoint, the six central projectors, the seven
+    propagator U, the six central projectors, the seven
     branch operators (P_a U per projection, U for idle), the target's
     state vector and density matrix (one copy of the named Bell pair per
     two bath spins), and a fixed start's (state, encoding, label), or
@@ -204,12 +205,11 @@ def _setup(cfg: EnvConfig):
     """
     n_bath = cfg.model.n_bath
     propagator = build_propagator(cfg.model)
-    adjoint = propagator.conj().T
     projectors = tuple(central_projector(axis, sign, n_bath) for axis, sign in _PROJECTOR_SPEC)
     step_ops = np.stack([p @ propagator for p in projectors] + [propagator])
     target = kron_all(*[bell_state(cfg.target)] * (n_bath // 2))
     target_matrix = np.outer(target, target.conj())
-    arrays = [propagator, adjoint, *projectors, step_ops, target, target_matrix]
+    arrays = [propagator, *projectors, step_ops, target, target_matrix]
     fixed_start = None
     if cfg.start_mode != "random_pure":
         central = (SPIN_STATES["x+"] if cfg.custom_start is None
@@ -219,7 +219,7 @@ def _setup(cfg: EnvConfig):
         arrays += [rho, enc]
     for a in arrays:
         a.flags.writeable = False
-    return propagator, adjoint, projectors, step_ops, target, target_matrix, fixed_start
+    return propagator, projectors, step_ops, target, target_matrix, fixed_start
 
 
 def _product_states(central, n_bath: int):
@@ -242,7 +242,7 @@ class QSEEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self.dim = cfg.model.dim
-        (self.propagator, self._propagator_dag, self.projectors, self._step_ops,
+        (self.propagator, self.projectors, self._step_ops,
          self.target_vector, self.target_matrix, self._fixed_start) = _setup(cfg)
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
 
@@ -286,10 +286,12 @@ class QSEEnv:
         row i, column a. Each row's result is bit-identical whatever the
         stack around it and in either form. An idle row's state is
         renormalized by its trace, which differs from 1 only by round-off,
-        and its probability reads exactly 1.
+        and its probability reads exactly 1. A fatal row keeps its
+        unnormalized branch, as ``BatchStep`` says: training and
+        evaluation end the episode there, replay stops before it, the
+        search drops the child, and ``step`` reports the evolved state.
         """
-        every = actions is None
-        if every:
+        if actions is None:
             actions = np.arange(ACTION_COUNT)
             out, prob = measure(rho[:, None], self._step_ops, self.cfg.floor)
         else:
@@ -299,10 +301,6 @@ class QSEEnv:
             out, prob = measure(rho, self._step_ops[actions], self.cfg.floor)
         prob[..., actions == DO_NOTHING] = 1.0
         fatal = prob <= self.cfg.floor
-        if fatal.any():
-            # fatal child (i, a) of the every-action form evolves state i
-            rows = fatal.nonzero()[0] if every else fatal
-            out[fatal] = self.propagator @ rho[rows] @ self._propagator_dag
         bath = partial_trace_first(out, 2)
         fid = fidelity_to_pure(bath, self.target_vector)
         fid[fatal] = np.nan
@@ -322,7 +320,9 @@ class QSEEnv:
 
     def step(self, state: EnvState, action: int) -> StepResult:
         """Evolve for tau, apply the chosen action, and score the result:
-        one row of ``step_batch``, encoded, plus ``classify``."""
+        one row of ``step_batch``, encoded, plus ``classify``. A fatal
+        step, whose branch ``step_batch`` leaves unnormalized, ends in the
+        evolved, unprojected state."""
         if state.done:
             raise EpisodeFinished(f"episode already ended after {state.step_count} steps")
         if not 0 <= action < ACTION_COUNT:
@@ -331,7 +331,10 @@ class QSEEnv:
         m = state.step_count + 1
         code = int(self.classify(out.fidelity, out.fatal, m)[0])
         done = code != CONTINUE
-        nxt = EnvState(encode_state(out.rho[0]), out.rho[0], m, done, state.start_label)
+        rho = out.rho
+        if code == FATAL:
+            rho = self.propagator @ state.rho[None] @ self.propagator.conj().T
+        nxt = EnvState(encode_state(rho[0]), rho[0], m, done, state.start_label)
         return StepResult(nxt, float(self.rewards[code]), done, float(out.prob[0]),
                           OUTCOMES[code], float(out.fidelity[0]))
 

@@ -7,6 +7,9 @@ from qsteer.agent import (
     AgentConfig,
     ReplayMemory,
     _collect,
+    _generators,
+    _SeedBlock,
+    _SeedRow,
     ddqn_targets,
     dqn_targets,
     epsilon_at,
@@ -380,3 +383,50 @@ class TestEvaluatePolicy:
         b = evaluate_policy(params, tiny_env_cfg(), 0.7, 10, master_seed=2)
         assert a.returns == b.returns
         assert [r.actions for r in a.records] == [r.actions for r in b.records]
+
+
+def _numpy_generator(master_seed, stream, index):
+    return np.random.default_rng(np.random.SeedSequence((master_seed, stream, index)))
+
+
+class TestSeeding:
+    """The block hash against numpy's own SeedSequence, one index at a time."""
+
+    @pytest.mark.parametrize("n", [1, 20, 512])
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_generators_are_numpys_streams(self, master_seed, n):
+        for stream in range(5):
+            first = stream * n
+            got = _generators(master_seed, stream, first, n)
+            assert len(got) == n
+            for i, g in enumerate(got):
+                want = _numpy_generator(master_seed, stream, first + i)
+                assert g.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("master_seed", [0, 2**32, 2**40 + 5])
+    def test_a_block_across_two_to_the_32(self, master_seed):
+        # indices below 2**32 hash one word, those above it two
+        first = 2**32 - 3
+        got = _generators(master_seed, 2, first, 6)
+        for i, g in enumerate(got):
+            want = _numpy_generator(master_seed, 2, first + i)
+            assert g.bit_generator.state == want.bit_generator.state
+            assert g.random(4).tobytes() == want.random(4).tobytes()
+
+    def test_pool_and_words_are_numpys(self):
+        block = _SeedBlock(2**33 + 7, 3, 2**32 - 2, 4)
+        for k, row in enumerate(block.pool):
+            seq = np.random.SeedSequence((2**33 + 7, 3, 2**32 - 2 + k))
+            assert np.array_equal(row, seq.pool)
+            for n_words in (1, 4, 7):
+                assert np.array_equal(block.generate_state(n_words)[k],
+                                      seq.generate_state(n_words, np.uint64))
+
+    def test_bad_requests_raise(self):
+        with pytest.raises(ValueError):
+            _SeedBlock(-1, 0, 0, 1)
+        with pytest.raises(ValueError):
+            _SeedBlock(1, 0, -1, 1)
+        words = _SeedBlock(1, 0, 0, 1).generate_state(4)[0]
+        with pytest.raises(ValueError):
+            _SeedRow(words).generate_state(8, np.uint32)

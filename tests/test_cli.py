@@ -7,13 +7,15 @@ import pytest
 from qsteer import cli
 from qsteer import config as qsteer_config
 from qsteer import env as qsteer_env
-from qsteer.agent import evaluate_policy
+from qsteer.agent import EvaluationResult, evaluate_policy
 from qsteer.config import parse_config
 from qsteer.env import ACTION_TOKENS, QSEEnv
 from qsteer.network import MLPSpec, init_params, load_params, save_params
-from qsteer.sequences import combination_histogram, parse_sequence, replay_sequence
+from qsteer.sequences import (SequenceRecord, combination_histogram, format_sequence,
+                              parse_sequence, replay_sequence)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 MICRO_CONFIG = """\
 [model]
@@ -75,6 +77,15 @@ def npy_bytes():
 
 def read_out(tmp_path, name):
     return (tmp_path / "out" / name).read_text()
+
+
+def _row_alone(i, ret, outcome, rec):
+    """One evaluation row formatted from its record alone, every field
+    afresh: the reference for the route-level formatting."""
+    return "\t".join((
+        str(i), rec.start_label, cli._fmt(ret), outcome, str(len(rec.actions)),
+        cli._fmt(rec.success_rate), cli._fmt(rec.final_fidelity),
+        format_sequence(rec.actions), ",".join(format(p, ".12g") for p in rec.probs)))
 
 
 EVAL_COLUMNS = ("episode\tstart\treturn\toutcome\tsteps\tsuccess_rate\tfinal_fidelity"
@@ -204,6 +215,46 @@ class TestEvaluate:
                          "--episodes", "5", "--start", "x-"]) == 0
         rows = read_out(tmp_path, "evaluation.tsv").splitlines()[3:]
         assert len(rows) == 5 and all(row.split("\t")[1] == "x-" for row in rows)
+
+    @pytest.mark.parametrize("name, start", [("psi_minus_fixed", None),
+                                             ("psi_minus_random", "random")],
+                             ids=["fixed-start", "random-start"])
+    def test_each_row_is_its_record_formatted_alone(self, tmp_path, monkeypatch, name,
+                                                    start):
+        # rows are formatted once per distinct route; each must still read
+        # as its own record formatted on its own
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        config, checkpoint = CONFIG_DIR / f"{name}.cfg", REFERENCE_DIR / f"{name}.npz"
+        argv = ["evaluate", str(config), "--checkpoint", str(checkpoint),
+                "--episodes", "200", "--eps", "0.01"]
+        assert cli.main(argv + (["--start", start] if start else [])) == 0
+        cfg = parse_config(config)
+        res = evaluate_policy(load_params(checkpoint)[0], cli._env_with_start(cfg, start),
+                              0.01, 200, cfg.master_seed, seed_stream=3)
+        table = (tmp_path / cfg.output_dir / "evaluation.tsv").read_text().splitlines()[3:]
+        assert table == [_row_alone(i, ret, outcome, rec) for i, (ret, outcome, rec)
+                         in enumerate(zip(res.returns, res.outcomes, res.records))]
+        routes = {(rec.actions, rec.probs) for rec in res.records}
+        if start is None:
+            assert len(routes) < len(res.records) / 4
+        else:
+            # some episodes share their actions but not their probabilities
+            assert len({rec.actions for rec in res.records}) < len(routes)
+
+    def test_signed_zero_routes_are_formatted_apart(self, micro_config, tmp_path,
+                                                    monkeypatch):
+        spec = parse_config(micro_config).mlp
+        checkpoint = tmp_path / "init.npz"
+        save_params(checkpoint, init_params(spec), spec)
+        records = [SequenceRecord("x+", (0, 1), (0.5, zero), float("nan"), False, True)
+                   for zero in (0.0, -0.0, 0.0)]
+        res = EvaluationResult([-11.0] * 3, ["fatal"] * 3, records)
+        monkeypatch.setattr(cli, "evaluate_policy", lambda *args, **kwargs: res)
+        assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
+                         "--episodes", "3"]) == 0
+        table = read_out(tmp_path, "evaluation.tsv").splitlines()[3:]
+        assert table == [_row_alone(i, -11.0, "fatal", rec) for i, rec in enumerate(records)]
+        assert [row.split("\t")[8] for row in table] == ["0.5,0", "0.5,-0", "0.5,0"]
 
 
 class TestReplay:

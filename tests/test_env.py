@@ -232,7 +232,8 @@ class TestStep:
 
 def _separate_products_reference(env, rho, action):
     """Evolve, then project and renormalize as separate products:
-    P (U rho U^dagger) P / p, or U rho U^dagger when idle or fatal."""
+    P (U rho U^dagger) P / p, U rho U^dagger when idle, and the
+    unnormalized P (U rho U^dagger) P when fatal."""
     evolved = env.propagator @ rho @ env.propagator.conj().T
     if action == DO_NOTHING:
         return evolved, 1.0, False
@@ -240,7 +241,7 @@ def _separate_products_reference(env, rho, action):
     projected = p @ evolved @ p
     prob = float(np.trace(projected).real)
     if prob <= env.cfg.floor:
-        return evolved, prob, True
+        return projected, prob, True
     return projected / prob, prob, False
 
 
@@ -264,8 +265,14 @@ class TestStepBatch:
             for got, want in zip(row, batch):
                 assert np.array_equal(got[0], want[i], equal_nan=True)
             result = env.step(dataclasses.replace(env.reset(), rho=rho[i]), int(action))
-            assert np.array_equal(result.next.rho, batch.rho[i])
-            assert np.array_equal(result.next.encoding, encode_state(batch.rho[i]))
+            if batch.fatal[i]:
+                # step ends a fatal step in the evolved state, where
+                # step_batch keeps the unnormalized branch
+                evolved = env.propagator @ rho[i:i + 1] @ env.propagator.conj().T
+                assert np.array_equal(result.next.rho, evolved[0])
+            else:
+                assert np.array_equal(result.next.rho, batch.rho[i])
+            assert np.array_equal(result.next.encoding, encode_state(result.next.rho))
             assert result.success_prob == batch.prob[i]
             assert result.fidelity == batch.fidelity[i] or batch.fatal[i]
             assert (result.outcome == "fatal") == batch.fatal[i]
@@ -302,10 +309,9 @@ class TestStepBatch:
             for got, want in zip(every, one):
                 assert np.asarray(got[i, a]).tobytes() == want[0].tobytes()
         assert np.all(every.prob[:, DO_NOTHING] == 1.0)
-        # z- after the z+ start: fatal, the evolved state left unprojected
+        # z- after the z+ start: fatal, the branch left unnormalized
         assert every.fatal.sum() == 1 and every.fatal[4, 1] and np.isnan(every.fidelity[4, 1])
-        evolved = env.propagator @ rho[4] @ env.propagator.conj().T
-        assert np.array_equal(every.rho[4, 1], evolved)
+        assert abs(np.trace(every.rho[4, 1])) <= env.cfg.floor
 
     def test_rejects_unknown_actions(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
@@ -348,10 +354,13 @@ class TestStepBatchProperties:
         # a branch certain in exact arithmetic can read 1 + 2.2e-16
         assert np.all((out.prob >= 0.0) & (out.prob <= 1.0 + 1e-12))
         assert np.all(out.prob[actions == DO_NOTHING] == 1.0)
-        for row in out.rho:
+        for row in out.rho[~out.fatal]:
             assert abs(np.trace(row) - 1.0) < 1e-9
             assert np.abs(row - row.conj().T).max() < 1e-9
             assert np.linalg.eigvalsh((row + row.conj().T) / 2)[0] >= -1e-9
+        # a fatal row keeps its branch unnormalized
+        for row in out.rho[out.fatal]:
+            assert abs(np.trace(row)) <= self.envs[rho.shape[-1]].cfg.floor
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_stacks(dims=(8, 32)))
@@ -416,7 +425,7 @@ def test_action_tokens_cover_seven_actions():
 
 
 class TestSharedOperators:
-    _ARRAYS = ("propagator", "_propagator_dag", "projectors", "_step_ops",
+    _ARRAYS = ("propagator", "projectors", "_step_ops",
                "target_vector", "target_matrix")
 
     def test_equal_configs_share_read_only_arrays(self):
@@ -427,7 +436,7 @@ class TestSharedOperators:
             assert getattr(env_a, name) is getattr(env_b, name)
         a, b = env_a.reset(), env_b.reset()
         assert a.rho is b.rho and a.encoding is b.encoding
-        for array in (env_a.propagator, env_a._propagator_dag, *env_a.projectors,
+        for array in (env_a.propagator, *env_a.projectors,
                       env_a._step_ops, env_a.target_matrix, a.rho):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
