@@ -10,7 +10,11 @@ bootstrap action, a slowly blended target network values it).
 
 Episodes are collected in lockstep: the episodes of a training step (or
 a block of evaluation episodes) advance together through one batched
-environment step and one batched forward pass per step.
+environment step and one batched forward pass per step. Each distinct
+state is stepped once: post-selection makes a step deterministic, so from
+a fixed start, episodes that took the same actions share one state row.
+That is exact, because a row of ``step_batch`` or ``forward`` has the same
+bits in any stack.
 
 Reproducibility: episode i of a stream draws from numpy's
 ``SeedSequence((master_seed, stream, i))`` stream, so results do not
@@ -205,26 +209,41 @@ def epsilon_at(step: int, cfg: AgentConfig) -> float:
     return max(cfg.eps_min, cfg.eps_start - step * span / cfg.decay_steps)
 
 
-def select_action(params: MLPParams, s: np.ndarray, eps: float, rng):
+def select_action(params: MLPParams, s: np.ndarray, eps: float, rng,
+                  node: np.ndarray | None = None):
     """Epsilon-greedy choice; greedy ties break toward the lowest index.
 
-    s is a batch of states and rng one generator per row; returns one
-    action per row. Every greedy row shares one forward pass. Each
+    rng holds one generator per row; returns one action per row. Row i's
+    state is s[i], or s[node[i]] when node is given, and the greedy rows
+    share one forward pass over the distinct states they are in. Each
     generator draws random() when eps > 0, then integers(ACTION_COUNT)
     if it explores.
     """
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    actions = np.zeros(len(s), dtype=np.int64)
-    greedy = np.ones(len(s), dtype=bool)
+    actions = np.zeros(len(rng), dtype=np.int64)
+    greedy = np.ones(len(rng), dtype=bool)
     if eps > 0:
         for i, g in enumerate(rng):
             if g.random() < eps:
                 actions[i] = g.integers(ACTION_COUNT)
                 greedy[i] = False
     if greedy.any():
-        actions[greedy] = forward(params, s[greedy]).argmax(axis=1)
+        if node is None:
+            actions[greedy] = forward(params, s[greedy]).argmax(axis=1)
+        else:
+            states, which = _distinct(node[greedy], len(s))
+            actions[greedy] = forward(params, s[states]).argmax(axis=1)[which]
     return actions
+
+
+def _distinct(index: np.ndarray, size: int):
+    """(values, inverse) of an index array into [0, size), as
+    ``np.unique(index, return_inverse=True)`` gives them, from a mask of
+    the values present instead of a sort."""
+    present = np.zeros(size, dtype=bool)
+    present[index] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[index]
 
 
 def dqn_targets(batch, main: MLPParams, gamma: float) -> np.ndarray:
@@ -381,6 +400,13 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
     same bits in any batch. So the result does not depend on which
     episodes share a batch.
 
+    Each distinct state is stepped once, as the module docstring says: a
+    fixed start's block begins as one shared row, node[j] is live episode
+    j's row in the state stack, and a step conjugates, scores and encodes
+    each distinct (row, action) child once. Once each live episode holds
+    its own row, and from the start for random starts, node is None and a
+    step runs on the stack as it is.
+
     Returns (start_labels, totals, offsets, steps): steps maps each name in
     columns (s, the encoding each action was chosen in; a; code; prob;
     fidelity) to its per-step array, the only ones held while the block
@@ -389,20 +415,40 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
     rho, enc, start_labels = env.starts(rngs)
     n = len(rngs)
     live = np.arange(n)
+    node = None
+    if env.cfg.start_mode != "random_pure" and n > 1:
+        rho, enc, node = rho[:1], enc[:1], np.zeros(n, dtype=np.intp)
     totals = np.zeros(n)
     episode = []  # per lockstep step: the episodes that took it
     held = {name: [] for name in columns}
     while len(live):
-        actions = select_action(params, enc, eps, [rngs[i] for i in live])
-        out = env.step_batch(rho, actions)
-        code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
-        totals[live] += env.rewards[code]
+        actions = select_action(params, enc, eps, [rngs[i] for i in live], node)
+        if node is None:
+            out = env.step_batch(rho, actions)
+            code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
+            row = dict(s=enc, code=code, prob=out.prob, fidelity=out.fidelity)
+            go = code == CONTINUE
+            rho = out.rho[go]
+        else:
+            # one child per distinct (row, action): live episode j's is child[j]
+            key, child = _distinct(node * ACTION_COUNT + actions, len(rho) * ACTION_COUNT)
+            out = env.step_batch(rho[key // ACTION_COUNT], key % ACTION_COUNT)
+            code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
+            row = dict(code=code[child], prob=out.prob[child], fidelity=out.fidelity[child])
+            if "s" in held:
+                row["s"] = enc[node]
+            go = row["code"] == CONTINUE
+            # the continuing children become the stack, in order
+            kept, node = _distinct(child[go], len(key))
+            rho = out.rho[kept]
+            if len(rho) == len(node):  # each live episode holds its own row
+                rho, node = rho[node], None
+        totals[live] += env.rewards[row["code"]]
         episode.append(live)
-        row = dict(s=enc, a=actions, code=code, prob=out.prob, fidelity=out.fidelity)
+        row["a"] = actions
         for name, column in held.items():
             column.append(row[name])
-        go = code == CONTINUE
-        live, rho = live[go], out.rho[go]
+        live = live[go]
         enc = encode_state(rho)
     episode = np.concatenate(episode)
     order = np.argsort(episode, kind="stable")

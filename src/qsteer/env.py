@@ -42,6 +42,7 @@ from .model import (
     fidelity_to_pure,
     kron_all,
     measure,
+    normalize_states,
     partial_trace_first,
 )
 
@@ -213,8 +214,8 @@ def _setup(cfg: EnvConfig):
     fixed_start = None
     if cfg.start_mode != "random_pure":
         central = (SPIN_STATES["x+"] if cfg.custom_start is None
-                   else _unit(np.asarray(cfg.custom_start, dtype=complex)))
-        (rho,), (enc,), (label,) = _product_states([central], n_bath)
+                   else normalize_states(cfg.custom_start))
+        (rho,), (enc,), (label,) = _product_states(central[None], n_bath)
         fixed_start = rho, enc, label
         arrays += [rho, enc]
     for a in arrays:
@@ -222,8 +223,8 @@ def _setup(cfg: EnvConfig):
     return propagator, projectors, step_ops, target, target_matrix, fixed_start
 
 
-def _product_states(central, n_bath: int):
-    central = np.stack(central) + 0  # a signed zero would reach the bits and the label
+def _product_states(central: np.ndarray, n_bath: int):
+    central = central + 0  # a signed zero would reach the bits and the label
     rho = central_product_state(central, n_bath)
     return rho, encode_state(rho), _labels_for(central)
 
@@ -261,9 +262,9 @@ class QSEEnv:
             raise ValueError("random_pure start mode needs a random generator")
         # two independent complex standard Gaussians, normalized: uniform
         # over single-spin pure states
-        return _product_states([
-            _unit(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for rng in rngs],
-            self.cfg.model.n_bath)
+        draws = np.array([(rng.standard_normal(2), rng.standard_normal(2)) for rng in rngs])
+        return _product_states(normalize_states(draws[:, 0] + 1j * draws[:, 1]),
+                               self.cfg.model.n_bath)
 
     def reset(self, rng: np.random.Generator | None = None) -> EnvState:
         """Start state of a new episode: one row of ``starts``. A fixed
@@ -337,10 +338,6 @@ class QSEEnv:
         nxt = EnvState(encode_state(rho[0]), rho[0], m, done, state.start_label)
         return StepResult(nxt, float(self.rewards[code]), done, float(out.prob[0]),
                           OUTCOMES[code], float(out.fidelity[0]))
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
 
 
 def _labels_for(central: np.ndarray) -> list[str]:

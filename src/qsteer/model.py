@@ -42,6 +42,7 @@ __all__ = [
     "build_hamiltonian",
     "build_propagator",
     "central_projector",
+    "normalize_states",
     "central_product_state",
     "measure",
     "partial_trace_first",
@@ -153,15 +154,29 @@ def central_projector(axis: str, sign: str, n_bath: int) -> np.ndarray:
     return kron_all(np.outer(v, v.conj()), *([IDENTITY_2] * n_bath))
 
 
+def normalize_states(central: np.ndarray) -> np.ndarray:
+    """Each single-spin state of a stack (..., 2) divided by its norm.
+
+    The squared norm is re.re + im.im, each dot product one BLAS dot, as
+    ``np.linalg.norm`` takes it; one stacked matmul takes them for every
+    row, so each row keeps the bits of ``v / np.linalg.norm(v)``. A sum of
+    squares over an axis rounds differently: the BLAS dot fuses the
+    multiply-add.
+    """
+    central = np.asarray(central, dtype=complex)
+    rows = central.reshape(-1, 1, 2)
+    re, im = rows.real, rows.imag
+    squared = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return central / np.sqrt(squared).reshape(central.shape[:-1] + (1,))
+
+
 def central_product_state(central: np.ndarray, n_bath: int) -> np.ndarray:
     """Pure central state (x) maximally mixed bath, as a density matrix.
 
     A stack of states (N, 2) gives a stack of matrices. Each state is
-    normalized on its own: a norm over an axis rounds differently.
+    normalized first, by ``normalize_states``.
     """
-    central = np.asarray(central, dtype=complex)
-    central = np.stack([v / np.linalg.norm(v) for v in central.reshape(-1, 2)]
-                       ).reshape(central.shape)
+    central = normalize_states(central)
     outer = central[..., :, None] * central[..., None, :].conj()
     return kron_all(outer, *([IDENTITY_2 / 2] * n_bath))
 

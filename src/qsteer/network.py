@@ -14,7 +14,9 @@ in-place whole-vector operations.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
@@ -302,7 +304,9 @@ def save_params(path, params: MLPParams, spec: MLPSpec, step: int = 0,
 
     The file stores every layer array bit-exactly plus a JSON header with
     the layout, init seed, and the training-step index the copy was taken
-    at. Extra metadata entries must be JSON-serializable.
+    at. Extra metadata entries must be JSON-serializable. The file is
+    written beside the target under a temporary name and then renamed onto
+    it, so a write that fails leaves the earlier file whole.
     """
     meta = {"format_version": CHECKPOINT_FORMAT_VERSION, **asdict(spec),
             "step": int(step)}
@@ -312,8 +316,14 @@ def save_params(path, params: MLPParams, spec: MLPSpec, step: int = 0,
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(partial, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):  # gone once renamed
+            os.remove(partial)
 
 
 def load_params(path, expected_spec: MLPSpec | None = None):

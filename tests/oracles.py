@@ -3,9 +3,11 @@ the program itself runs none of them."""
 
 import numpy as np
 
-from qsteer.env import ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv
+from qsteer.agent import select_action
+from qsteer.env import (ACTION_TOKENS, CONTINUE, DO_NOTHING, EnvConfig, QSEEnv, _labels_for,
+                        encode_state)
 from qsteer.errors import DimensionMismatch, QsteerError
-from qsteer.model import ModelParams
+from qsteer.model import IDENTITY_2, ModelParams, kron_all
 from qsteer.sequences import replay_sequence
 
 
@@ -105,3 +107,49 @@ def verify_steady_state(n_bath: int, repetitions: int) -> list[float]:
     actions = (DO_NOTHING,) + (ACTION_TOKENS.index("Px+"),) * repetitions
     _, diagnostics = replay_sequence(env, actions)
     return [fid for fid, _, _ in diagnostics[1:]]
+
+
+def random_starts_per_row(env: QSEEnv, rngs):
+    """``QSEEnv.starts`` in random_pure mode, one state at a time: each
+    state divided by its own ``np.linalg.norm``, once when it is drawn
+    and once more when its product state is built. Returns (rho,
+    encodings, labels)."""
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    central = np.stack([unit(g.standard_normal(2) + 1j * g.standard_normal(2))
+                        for g in rngs]) + 0
+    labels = _labels_for(central)
+    central = np.stack([unit(v) for v in central])
+    outer = central[:, :, None] * central[:, None, :].conj()
+    rho = kron_all(outer, *([IDENTITY_2 / 2] * env.cfg.model.n_bath))
+    return rho, encode_state(rho), labels
+
+
+def collect_per_row(env: QSEEnv, params, eps: float, rngs, columns):
+    """``qsteer.agent._collect`` with one state row per live episode:
+    every step conjugates, scores, encodes and forwards each episode's
+    state, shared or not. Same arguments and results."""
+    rho, enc, start_labels = env.starts(rngs)
+    n = len(rngs)
+    live = np.arange(n)
+    totals = np.zeros(n)
+    episode = []
+    held = {name: [] for name in columns}
+    while len(live):
+        actions = select_action(params, enc, eps, [rngs[i] for i in live])
+        out = env.step_batch(rho, actions)
+        code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
+        totals[live] += env.rewards[code]
+        episode.append(live)
+        row = dict(s=enc, a=actions, code=code, prob=out.prob, fidelity=out.fidelity)
+        for name, column in held.items():
+            column.append(row[name])
+        go = code == CONTINUE
+        live, rho = live[go], out.rho[go]
+        enc = encode_state(rho)
+    episode = np.concatenate(episode)
+    order = np.argsort(episode, kind="stable")
+    offsets = np.searchsorted(episode[order], np.arange(n + 1))
+    steps = {name: np.concatenate(column)[order] for name, column in held.items()}
+    return start_labels, totals, offsets, steps

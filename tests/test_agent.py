@@ -1,8 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import collect_per_row
 from qsteer.agent import (
     AgentConfig,
     ReplayMemory,
@@ -17,8 +19,11 @@ from qsteer.agent import (
     run_training,
     select_action,
 )
+from qsteer.config import parse_config
 from qsteer.env import CONTINUE, EnvConfig, QSEEnv
-from qsteer.network import MLPParams, MLPSpec, init_params
+from qsteer.network import MLPParams, MLPSpec, init_params, load_params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fixed_output_params(values):
@@ -351,6 +356,60 @@ class TestCollect:
             assert some[name].tobytes() == every[name].tobytes()
 
 
+#: start_mode and custom_start of each start the shared-state collector is checked on
+STARTS = {"x+": ("fixed_xplus", None), "z+": ("fixed_custom", (1, 0)),
+          "non-cardinal": ("fixed_custom", (0.6, 0.3 - 0.2j)), "random": ("random_pure", None)}
+
+
+class TestSharedStates:
+    """A fixed start's episodes share their state rows; the columns are
+    those of the row-per-episode collector in tests/oracles.py, bit for
+    bit. The agent is the bundled psi_minus_fixed reference, whose greedy
+    episodes walk a few routes."""
+
+    @pytest.fixture(scope="class")
+    def agent(self):
+        env_cfg = parse_config(ROOT / "configs" / "psi_minus_fixed.cfg").env
+        params, _, _ = load_params(ROOT / "perfbench" / "reference" / "psi_minus_fixed.npz")
+        return env_cfg, params
+
+    @staticmethod
+    def env(agent, start):
+        mode, custom = STARTS[start]
+        return QSEEnv(dataclasses.replace(agent[0], start_mode=mode, custom_start=custom))
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 500])
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("start", list(STARTS))
+    def test_columns_are_the_row_per_episode_collectors(self, agent, start, eps, n):
+        env, params = self.env(agent, start), agent[1]
+        labels, totals, offsets, steps = _collect(env, params, eps, _generators(7, 3, 0, n),
+                                                  ALL_COLUMNS)
+        labels_, totals_, offsets_, steps_ = collect_per_row(
+            env, params, eps, _generators(7, 3, 0, n), ALL_COLUMNS)
+        assert labels == labels_
+        assert totals.tobytes() == totals_.tobytes()
+        assert offsets.tobytes() == offsets_.tobytes()
+        for name in ALL_COLUMNS:
+            assert steps[name].dtype == steps_[name].dtype
+            assert steps[name].tobytes() == steps_[name].tobytes(), name
+
+    @pytest.mark.parametrize("start", ["x+", "non-cardinal"])
+    def test_a_greedy_fixed_start_steps_one_row(self, agent, start, monkeypatch):
+        stepped = []
+        step_batch = QSEEnv.step_batch
+
+        def counted(env, rho, actions):
+            stepped.append(len(rho))
+            return step_batch(env, rho, actions)
+
+        monkeypatch.setattr(QSEEnv, "step_batch", counted)
+        _, _, offsets, _ = _collect(self.env(agent, start), agent[1], 0.0,
+                                    _generators(7, 3, 0, 50), ())
+        assert len(stepped) == max(np.diff(offsets)) > 1
+        assert stepped == [1] * len(stepped)
+
+
 class TestEvaluatePolicy:
     def test_rejects_zero_episodes(self):
         with pytest.raises(ValueError):
@@ -366,16 +425,19 @@ class TestEvaluatePolicy:
 
     @pytest.mark.parametrize("block", [1, 7, 64, 512])
     def test_records_do_not_depend_on_collection_order(self, monkeypatch, block):
-        # 50 random-start episodes run as one lockstep block, then as the
-        # first of 500 episodes run in blocks of another size
+        # 50 episodes run as one lockstep block, then as the first of 500
+        # episodes run in blocks of another size; random starts, and a fixed
+        # start, whose episodes share their state rows
         params = init_params(tiny_mlp_spec())
-        env_cfg = dataclasses.replace(tiny_env_cfg(), start_mode="random_pure")
-        short = evaluate_policy(params, env_cfg, 0.3, 50, master_seed=4)
-        monkeypatch.setattr("qsteer.agent.EVAL_BLOCK", block)
-        full = evaluate_policy(params, env_cfg, 0.3, 500, master_seed=4)
-        assert short.returns == full.returns[:50]
-        assert short.outcomes == full.outcomes[:50]
-        assert [repr(r) for r in short.records] == [repr(r) for r in full.records[:50]]
+        for start_mode in ("random_pure", "fixed_xplus"):
+            env_cfg = dataclasses.replace(tiny_env_cfg(), start_mode=start_mode)
+            monkeypatch.setattr("qsteer.agent.EVAL_BLOCK", 512)
+            short = evaluate_policy(params, env_cfg, 0.3, 50, master_seed=4)
+            monkeypatch.setattr("qsteer.agent.EVAL_BLOCK", block)
+            full = evaluate_policy(params, env_cfg, 0.3, 500, master_seed=4)
+            assert short.returns == full.returns[:50]
+            assert short.outcomes == full.outcomes[:50]
+            assert [repr(r) for r in short.records] == [repr(r) for r in full.records[:50]]
 
     def test_deterministic_given_seed(self):
         params = init_params(tiny_mlp_spec())

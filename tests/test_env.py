@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_density_matrix
-from oracles import decode_state
+from oracles import decode_state, random_starts_per_row
 from qsteer.env import (ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, _setup, encode_state,
                         encoding_length)
 from qsteer.errors import EpisodeFinished
@@ -90,6 +90,20 @@ class TestReset:
             v = v / np.linalg.norm(v)
             expected = np.kron(np.kron(np.outer(v, v.conj()), np.eye(2) / 2), np.eye(2) / 2)
             assert rho[i].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 20, 512])
+    @pytest.mark.parametrize("n_bath", [2, 4])
+    def test_random_starts_are_the_per_row_expression(self, n_bath, n):
+        env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=n_bath),
+                               start_mode="random_pure"))
+        for seed in range(8 if n == 512 else 25):
+            rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+            rho, enc, labels = env.starts(rngs)
+            rho_, enc_, labels_ = random_starts_per_row(
+                env, [np.random.default_rng([seed, i]) for i in range(n)])
+            assert rho.tobytes() == rho_.tobytes()
+            assert enc.tobytes() == enc_.tobytes()
+            assert labels == labels_
 
     def test_custom_start(self):
         cfg = dataclasses.replace(EnvConfig(), start_mode="fixed_custom",

@@ -19,6 +19,7 @@ from qsteer.model import (
     central_projector,
     fidelity_to_pure,
     measure,
+    normalize_states,
     partial_trace_first,
     purity,
     trace_distance,
@@ -231,6 +232,16 @@ class TestBellStates:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             bell_state("omega+")
+
+
+def test_normalize_states_is_the_per_row_norm():
+    # an elementwise sum of squares misses these bits in about one row in ten
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        v = rng.standard_normal((512, 2)) + 1j * rng.standard_normal((512, 2))
+        want = np.stack([u / np.linalg.norm(u) for u in v])
+        assert normalize_states(v).tobytes() == want.tobytes()
+        assert normalize_states(v[7]).tobytes() == want[7].tobytes()
 
 
 def test_central_product_state_shape_and_purity():

@@ -260,6 +260,22 @@ class TestCheckpoints:
         for w0, w1 in zip(params.weights, loaded.weights):
             assert np.array_equal(w0, w1)
 
+    def test_failed_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        path = tmp_path / "checkpoint_best.npz"
+        save_params(path, init_params(spec), spec, step=3)
+        before = path.read_bytes()
+
+        def crash(fh, **arrays):
+            fh.write(b"PK\x03\x04 half a checkpoint")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(path, init_params(small_spec(init_seed=9)), spec, step=4)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_wrong_input_size_rejected(self, tmp_path):
         spec = small_spec()
         path = tmp_path / "net.npz"
