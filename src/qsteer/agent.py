@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import (ACTION_COUNT, CONTINUE, FATAL, OUTCOMES, SUCCESS, EnvConfig, QSEEnv,
+from .env import (ACTION_COUNT, CONTINUE, OUTCOMES, SUCCESS, EnvConfig, QSEEnv,
                   encode_state, encoding_length)
 from .errors import NonFiniteLoss
 from .network import (
@@ -189,7 +189,6 @@ class TrainingResult:
 @dataclass
 class EvaluationResult:
     returns: list[float]
-    outcomes: list[str]
     records: list[SequenceRecord]
 
     @property
@@ -198,7 +197,7 @@ class EvaluationResult:
 
     @property
     def success_fraction(self) -> float:
-        return sum(o == "success" for o in self.outcomes) / len(self.outcomes)
+        return sum(rec.succeeded for rec in self.records) / len(self.records)
 
 
 def epsilon_at(step: int, cfg: AgentConfig) -> float:
@@ -557,13 +556,13 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
                     seed_stream: int = 3) -> EvaluationResult:
     """Run episodes without learning and record what the policy did.
 
-    Returns per-episode totals, outcomes, and sequence records carrying
-    each step's branch probability.
+    Returns per-episode totals and sequence records carrying each step's
+    branch probability and the episode's outcome.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     env = QSEEnv(env_cfg)
-    returns, outcomes, records = [], [], []
+    returns, records = [], []
     for first in range(0, n_episodes, EVAL_BLOCK):
         rngs = _generators(master_seed, seed_stream, first, min(EVAL_BLOCK, n_episodes - first))
         labels, totals, offsets, steps = _collect(env, params, eps, rngs,
@@ -571,10 +570,9 @@ def evaluate_policy(params: MLPParams, env_cfg: EnvConfig, eps: float,
         last = offsets[1:] - 1
         final = steps["code"][last].tolist()
         returns += totals.tolist()
-        outcomes += [OUTCOMES[c] for c in final]
         actions, probs, bounds = steps["a"].tolist(), steps["prob"].tolist(), offsets.tolist()
         for label, lo, hi, c, f in zip(labels, bounds, bounds[1:], final,
                                        steps["fidelity"][last].tolist()):
             records.append(SequenceRecord(label, tuple(actions[lo:hi]), tuple(probs[lo:hi]),
-                                          f, c == SUCCESS, aborted=c == FATAL))
-    return EvaluationResult(returns, outcomes, records)
+                                          f, OUTCOMES[c]))
+    return EvaluationResult(returns, records)

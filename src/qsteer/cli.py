@@ -1,11 +1,12 @@
 """Command-line front end: train, evaluate, replay, search, histogram.
 
-Runs are driven entirely by a configuration file; the only other flags
-select operational details (which checkpoint, how many episodes, which
-sequence). Every output file starts with a header naming the
-configuration hash and master seed, and a manifest records versions, so
-any table can be traced to the exact run that produced it. Outputs are
-plain tab-separated tables; plotting is downstream.
+Runs are driven entirely by a configuration file; the other flags select
+operational details (which checkpoint, how many episodes, which sequence)
+or override its start state and target. Every output file starts with a
+header naming the hash and master seed of the configuration that ran,
+overrides applied, and a manifest records versions, so any table can be
+traced to the exact run that produced it. Outputs are plain
+tab-separated tables; plotting is downstream.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 enumeration budget exceeded.
@@ -27,7 +28,7 @@ import numpy as np
 from . import BLAS_THREADS, __version__
 from .agent import evaluate_policy, run_training
 from .config import RunConfig, config_hash, parse_config, serialize_config
-from .env import ACTION_TOKENS, EnvConfig, QSEEnv
+from .env import ACTION_TOKENS, QSEEnv
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -58,7 +59,12 @@ def _output_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     if root:
         out = Path(root) / out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        where = f" under {OUTPUT_ROOT_ENV}={root}" if root else ""
+        raise ConfigError(f"run.output_dir {cfg.output_dir!r}{where}: cannot make {out}: "
+                          f"{exc.strerror or exc}") from exc
     return out
 
 
@@ -122,36 +128,33 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _env_with_start(cfg: RunConfig, start: str | None) -> EnvConfig:
-    if start is None:
-        return cfg.env
+def _run_config(args) -> RunConfig:
+    """The configuration the command runs: the file's, with --start and
+    --target applied. replay and search need a definite start."""
+    cfg = parse_config(args.config)
+    env, start, target = cfg.env, args.start, getattr(args, "target", None)
     if start == "random":
-        return dataclasses.replace(cfg.env, start_mode="random_pure", custom_start=None)
-    if start not in SPIN_STATES:
-        raise ConfigError(f"--start: unknown start state {start!r}; "
-                          f"expected one of {sorted(SPIN_STATES)}")
-    v = SPIN_STATES[start]
-    return dataclasses.replace(cfg.env, start_mode="fixed_custom",
-                               custom_start=(complex(v[0]), complex(v[1])))
-
-
-def _fixed_start_env(cfg: RunConfig, args) -> QSEEnv:
-    """The config's env with --start and --target, from a definite start."""
-    env_cfg = _env_with_start(cfg, args.start)
-    if env_cfg.start_mode == "random_pure":
+        env = dataclasses.replace(env, start_mode="random_pure", custom_start=None)
+    elif start is not None:
+        if start not in SPIN_STATES:
+            raise ConfigError(f"--start: unknown start state {start!r}; "
+                              f"expected one of {sorted(SPIN_STATES)}")
+        v = SPIN_STATES[start]
+        env = dataclasses.replace(env, start_mode="fixed_custom",
+                                  custom_start=(complex(v[0]), complex(v[1])))
+    if target:
+        env = dataclasses.replace(env, target=target)
+    if args.command != "evaluate" and env.start_mode == "random_pure":
         raise ConfigError(f"{args.command} needs a definite start state; pass --start")
-    if args.target:
-        env_cfg = dataclasses.replace(env_cfg, target=args.target)
-    return QSEEnv(env_cfg)
+    return dataclasses.replace(cfg, env=env)
 
 
 def cmd_evaluate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _run_config(args)
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     if not 0 <= args.eps <= 1:
         raise ConfigError(f"--eps must be in [0, 1], got {args.eps}")
-    env_cfg = _env_with_start(cfg, args.start)
     out = _output_dir(cfg)
     try:
         params, _spec, meta = load_params(args.checkpoint, expected_spec=cfg.mlp)
@@ -163,11 +166,11 @@ def cmd_evaluate(args) -> int:
         runs.append(("baseline", 1.0))
 
     for tag, eps in runs:
-        res = evaluate_policy(params, env_cfg, eps, args.episodes, cfg.master_seed,
+        res = evaluate_policy(params, cfg.env, eps, args.episodes, cfg.master_seed,
                               seed_stream=3 if tag == "trained" else 4)
         routes = {}  # the fields of each distinct route, formatted once
         rows = []
-        for i, (ret, outcome, rec) in enumerate(zip(res.returns, res.outcomes, res.records)):
+        for i, (ret, rec) in enumerate(zip(res.returns, res.records)):
             # equal floats print alike but for signed zeros, and a zero
             # probability is fatal, so only the last can be one
             key = (rec.actions, rec.probs, math.copysign(1.0, rec.probs[-1]))
@@ -177,7 +180,7 @@ def cmd_evaluate(args) -> int:
                     str(len(rec.actions)), _fmt(rec.success_rate), format_sequence(rec.actions),
                     ",".join(format(p, ".12g") for p in rec.probs))
             steps, rate, sequence, probs = route
-            rows.append((str(i), rec.start_label, _fmt(ret), outcome, steps, rate,
+            rows.append((str(i), rec.start_label, _fmt(ret), rec.outcome, steps, rate,
                          _fmt(rec.final_fidelity), sequence, probs))
         suffix = "" if tag == "trained" else "_baseline"
         _write_table(out / f"evaluation{suffix}.tsv", cfg,
@@ -191,10 +194,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _run_config(args)
     actions = parse_sequence(args.sequence)
-    env = _fixed_start_env(cfg, args)
-    record, diagnostics = replay_sequence(env, actions)
+    record, diagnostics = replay_sequence(QSEEnv(cfg.env), actions)
 
     rows = [
         (str(step), ACTION_TOKENS[a], _fmt(prob), _fmt(fid), _fmt(td), _fmt(pur))
@@ -212,34 +214,29 @@ def cmd_replay(args) -> int:
         print("\t".join(columns))
         for row in rows:
             print("\t".join(row))
-    if record.aborted:
-        status = "aborted (branch probability under floor)"
-    elif record.succeeded:
-        status = "success"
-    elif len(record.actions) == env.cfg.max_steps:
-        status = f"timeout at max_steps = {env.cfg.max_steps}"
-    else:
-        status = "below threshold"
+    # a timeout ends the step that reached max_steps
+    status = {"fatal": "aborted (branch probability under floor)",
+              "timeout": f"timeout at max_steps = {len(record.actions)}",
+              "continue": "below threshold"}.get(record.outcome, record.outcome)
     if len(record.actions) < len(actions):
         status += f"; the last {len(actions) - len(record.actions)} action(s) not run"
     print(f"sequence: {format_sequence(record.actions)}  [start {record.start_label}, "
-          f"target {env.cfg.target}]")
+          f"target {cfg.env.target}]")
     print(f"final fidelity {record.final_fidelity:.5f}, "
           f"success rate {100 * record.success_rate:.3f}%  ({status})")
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _run_config(args)
     if args.max_len < 0:
         raise ConfigError(f"--max-len must be >= 0, got {args.max_len}")
     if not 0 <= args.rate_cutoff <= 1:
         raise ConfigError(f"--rate-cutoff must be in [0, 1], got {args.rate_cutoff}")
     if args.show < 0:
         raise ConfigError(f"--show must be >= 0, got {args.show}")
-    records = exhaustive_search(_fixed_start_env(cfg, args), args.max_len,
-                                rate_cutoff=args.rate_cutoff)
     out = _output_dir(cfg)
+    records = exhaustive_search(QSEEnv(cfg.env), args.max_len, rate_cutoff=args.rate_cutoff)
     rows = [
         (str(len(rec.actions)), _fmt(rec.success_rate), _fmt(rec.final_fidelity),
          format_sequence(rec.actions))

@@ -177,7 +177,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
     return parse_config_text(text)
 

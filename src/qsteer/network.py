@@ -329,8 +329,9 @@ def save_params(path, params: MLPParams, spec: MLPSpec, step: int = 0,
 def load_params(path, expected_spec: MLPSpec | None = None):
     """Load a checkpoint; returns (params, spec, meta).
 
-    Raises SchemaMismatch when the file cannot be read as a checkpoint or,
-    if expected_spec is given, when the stored layout disagrees with it.
+    Raises SchemaMismatch when the file cannot be read as a checkpoint,
+    when a layer array is not the float64 save_params writes or, if
+    expected_spec is given, when the stored layout disagrees with it.
     """
     try:
         data = np.load(path)
@@ -360,10 +361,16 @@ def load_params(path, expected_spec: MLPSpec | None = None):
         n_layers = len(spec.layer_sizes) - 1
         weights, biases = [], []
         for i in range(n_layers):
-            if f"w{i}" not in data or f"b{i}" not in data:
-                raise SchemaMismatch(f"{path}: missing layer {i} arrays")
-            weights.append(data[f"w{i}"])
-            biases.append(data[f"b{i}"])
+            for key, arrays in ((f"w{i}", weights), (f"b{i}", biases)):
+                if key not in data:
+                    raise SchemaMismatch(f"{path}: missing layer {i} arrays")
+                try:
+                    array = data[key]
+                except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # object, corrupt
+                    raise SchemaMismatch(f"{path}: unreadable array {key}: {exc}") from exc
+                if array.dtype != np.float64:
+                    raise SchemaMismatch(f"{path}: array {key} is {array.dtype}, not float64")
+                arrays.append(array)
     try:
         params = MLPParams(weights, biases, spec.activation)
     except ShapeMismatch as exc:

@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, SequenceParseError
-from .env import ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, SUCCESS, QSEEnv
+from .env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, SUCCESS,
+                  QSEEnv)
 from .model import purity, trace_distance
 
 # not called here, but perfbench's tracer wraps these names in this module
@@ -50,17 +51,18 @@ SEARCH_BLOCK = 21
 class SequenceRecord:
     """One executed sequence with each step's branch probability.
 
-    success_rate is derived from probs, not stored. succeeded and aborted
-    say how the last step ended under ``QSEEnv.classify``: success, or
-    fatal (a branch probability at or below the floor).
+    outcome is the ``OUTCOMES`` name ``QSEEnv.classify`` gave the last
+    step: success, fatal (a branch probability at or below the floor),
+    timeout (the env's max_steps reached) or continue (a replay whose
+    actions ran out first). success_rate and succeeded are derived, not
+    stored.
     """
 
     start_label: str
     actions: tuple[int, ...]
     probs: tuple[float, ...]
     final_fidelity: float
-    succeeded: bool
-    aborted: bool = False
+    outcome: str
 
     def __post_init__(self):
         if len(self.probs) > len(self.actions):
@@ -70,6 +72,10 @@ class SequenceRecord:
     def success_rate(self) -> float:
         """The product of probs, left to right; idle steps contribute 1."""
         return math.prod(self.probs, start=1.0)
+
+    @property
+    def succeeded(self) -> bool:
+        return self.outcome == "success"
 
 
 def replay_sequence(env: QSEEnv, actions: Sequence[int]
@@ -81,20 +87,22 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
     records bit for bit. Like an episode, replay stops at the first step
     that succeeds or is fatal (branch probability at or below the floor),
     and runs at most the env's max_steps steps. The record holds the steps
-    run: a fatal one ends it with a NaN final fidelity, as an evaluation
-    episode's does, and one that ran out of steps without success is the
-    record of an episode that timed out. Beside the record come the bath
-    diagnostics, one (fidelity, trace_distance, purity) row per state
-    reached, so an aborted replay has one row fewer than steps. The
-    distances and purities are taken over the stack of bath states at the
-    end, with the bits of one call per state.
+    run and the last one's outcome: a fatal one ends it with a NaN final
+    fidelity, as an evaluation episode's does, and one cut at max_steps
+    without success is the record of an episode that timed out. Beside
+    the record come the bath diagnostics, one (fidelity, trace_distance,
+    purity) row per state reached, so an aborted replay has one row fewer
+    than steps. The distances and purities are taken over the stack of
+    bath states at the end, with the bits of one call per state. An empty
+    sequence raises ValueError.
     """
+    if not actions:
+        raise ValueError("cannot replay an empty sequence")
     start = env.reset()
     rho = start.rho[None]
     probs: list[float] = []
     fids: list[float] = []
     baths: list[np.ndarray] = []
-    code = CONTINUE
     for step, action in enumerate(actions[:env.cfg.max_steps], start=1):
         out = env.step_batch(rho, [action])
         probs.append(float(out.prob[0]))
@@ -113,8 +121,7 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
         diagnostics = list(zip(fids, trace_distance(stack, env.target_matrix).tolist(),
                                purity(stack).tolist()))
     record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
-                            fids[-1] if fids else 0.0, bool(code == SUCCESS),
-                            bool(code == FATAL))
+                            fids[-1], OUTCOMES[code])
     return record, diagnostics
 
 
@@ -156,7 +163,7 @@ def exhaustive_search(env: QSEEnv, max_len: int,
         kept = rate >= rate_cutoff
         for i in np.flatnonzero(kept & (code == SUCCESS)):
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
-                                        tuple(probs[i].tolist()), float(fid[i]), True))
+                                        tuple(probs[i].tolist()), float(fid[i]), "success"))
         if prefix.shape[1] < max_len:
             # keep only the continuing rows while their subtrees run
             todo = np.flatnonzero(kept & (code == CONTINUE))
@@ -225,11 +232,9 @@ def parse_sequence(text: str) -> tuple[int, ...]:
     return tuple(actions)
 
 
-def format_sequence(actions: Sequence[int], compress: bool = True) -> str:
-    """Render actions as tokens; with compress, runs of evolution fold
-    into U<k> prefixes."""
-    if not compress:
-        return " ".join(ACTION_TOKENS[a] for a in actions)
+def format_sequence(actions: Sequence[int]) -> str:
+    """Render actions as tokens, runs of evolution folded into U<k>
+    prefixes."""
     parts: list[str] = []
     pending = 1  # each step carries its own evolution interval
     for a in actions:

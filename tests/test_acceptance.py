@@ -332,7 +332,7 @@ def test_criterion_8_successful_sequences_avoid_z(run_cfg, trained_agents):
 
 
 def _successful(actions):
-    return SequenceRecord("x+", actions, (), 1.0, True)
+    return SequenceRecord("x+", actions, (), 1.0, "success")
 
 
 def test_criterion_8_counting_still_rejects_policy_z(run_cfg):

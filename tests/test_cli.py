@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from qsteer import cli
 from qsteer import config as qsteer_config
 from qsteer import env as qsteer_env
 from qsteer.agent import EvaluationResult, evaluate_policy
-from qsteer.config import parse_config
+from qsteer.config import config_hash, parse_config
 from qsteer.env import ACTION_TOKENS, QSEEnv
 from qsteer.network import MLPSpec, init_params, load_params, save_params
 from qsteer.sequences import (SequenceRecord, combination_histogram, format_sequence,
@@ -130,6 +131,21 @@ class TestTrain:
         assert cli.main(["train", str(bad)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_code(self, micro_config, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[model]\nn_bath = 2\xff\n")
+        assert cli.main(["train", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_unusable_output_dir_is_a_config_error(self, micro_config, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MICRO_CONFIG.replace("output_dir = out", "output_dir = blocker/sub"))
+        assert cli.main(["train", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "run.output_dir" in err and "blocker/sub" in err
+        assert f"{cli.OUTPUT_ROOT_ENV}={tmp_path}" in err
+
     def test_checkpoint_past_the_last_step_is_reported(self, micro_config, tmp_path,
                                                       capsys):
         late = tmp_path / "late.cfg"
@@ -192,6 +208,34 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "--checkpoint" in err and str(bad) in err
 
+    @pytest.mark.parametrize("dtype", [np.complex128, object])
+    def test_layer_arrays_must_be_float64(self, micro_config, tmp_path, capsys, dtype):
+        spec = parse_config(micro_config).mlp
+        good, bad = tmp_path / "init.npz", tmp_path / "bad.npz"
+        save_params(good, init_params(spec), spec)
+        with np.load(good) as data:
+            arrays = dict(data)
+        arrays["w0"] = arrays["w0"].astype(dtype)
+        np.savez(bad, **arrays)
+        assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(bad),
+                         "--episodes", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint" in err and str(bad) in err and "w0" in err
+
+    def test_start_override_heads_the_table_with_its_own_hash(self, micro_config, tmp_path):
+        cfg = parse_config(micro_config)
+        checkpoint = tmp_path / "init.npz"
+        save_params(checkpoint, init_params(cfg.mlp), cfg.mlp)
+        evaluate = ["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
+                    "--episodes", "2"]
+        ran = dataclasses.replace(cfg, env=dataclasses.replace(
+            cfg.env, start_mode="random_pure", custom_start=None))
+        for flags, hashed in (([], cfg), (["--start", "random"], ran)):
+            assert cli.main(evaluate + flags) == 0
+            header = read_out(tmp_path, "evaluation.tsv").splitlines()[0]
+            assert header == f"# config_hash={config_hash(hashed)} master_seed=5"
+        assert config_hash(ran) != config_hash(cfg)
+
     def test_unknown_start_is_a_config_error(self, micro_config, tmp_path, capsys):
         spec = parse_config(micro_config).mlp
         checkpoint = tmp_path / "init.npz"
@@ -226,14 +270,14 @@ class TestEvaluate:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         config, checkpoint = CONFIG_DIR / f"{name}.cfg", REFERENCE_DIR / f"{name}.npz"
         argv = ["evaluate", str(config), "--checkpoint", str(checkpoint),
-                "--episodes", "200", "--eps", "0.01"]
-        assert cli.main(argv + (["--start", start] if start else [])) == 0
-        cfg = parse_config(config)
-        res = evaluate_policy(load_params(checkpoint)[0], cli._env_with_start(cfg, start),
+                "--episodes", "200", "--eps", "0.01"] + (["--start", start] if start else [])
+        assert cli.main(argv) == 0
+        cfg = cli._run_config(cli.build_parser().parse_args(argv))
+        res = evaluate_policy(load_params(checkpoint)[0], cfg.env,
                               0.01, 200, cfg.master_seed, seed_stream=3)
         table = (tmp_path / cfg.output_dir / "evaluation.tsv").read_text().splitlines()[3:]
-        assert table == [_row_alone(i, ret, outcome, rec) for i, (ret, outcome, rec)
-                         in enumerate(zip(res.returns, res.outcomes, res.records))]
+        assert table == [_row_alone(i, ret, rec.outcome, rec) for i, (ret, rec)
+                         in enumerate(zip(res.returns, res.records))]
         routes = {(rec.actions, rec.probs) for rec in res.records}
         if start is None:
             assert len(routes) < len(res.records) / 4
@@ -246,9 +290,9 @@ class TestEvaluate:
         spec = parse_config(micro_config).mlp
         checkpoint = tmp_path / "init.npz"
         save_params(checkpoint, init_params(spec), spec)
-        records = [SequenceRecord("x+", (0, 1), (0.5, zero), float("nan"), False, True)
+        records = [SequenceRecord("x+", (0, 1), (0.5, zero), float("nan"), "fatal")
                    for zero in (0.0, -0.0, 0.0)]
-        res = EvaluationResult([-11.0] * 3, ["fatal"] * 3, records)
+        res = EvaluationResult([-11.0] * 3, records)
         monkeypatch.setattr(cli, "evaluate_policy", lambda *args, **kwargs: res)
         assert cli.main(["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
                          "--episodes", "3"]) == 0
@@ -325,6 +369,19 @@ class TestReplay:
                          "--start", "x+"]) == 0
         out = capsys.readouterr().out
         assert "final fidelity 1.00000" in out
+
+    def test_header_hashes_the_config_that_ran(self, tmp_path):
+        config = CONFIG_DIR / "psi_minus_fixed.cfg"
+        cfg = parse_config(config)
+        phi_plus = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env, target="phi+"))
+        # psi- is the file's own target: no override differs from the file
+        for target, hashed in (("phi+", config_hash(phi_plus)), ("psi-", "2de7b67523f9")):
+            out = tmp_path / f"{target}.tsv"
+            assert cli.main(["replay", str(config), "--sequence", "U2 Px+", "--target",
+                             target, "--out", str(out)]) == 0
+            header = out.read_text().splitlines()[0]
+            assert header == f"# config_hash={hashed} master_seed={cfg.master_seed}"
+        assert config_hash(phi_plus) != "2de7b67523f9" == config_hash(cfg)
 
     def test_unknown_start_is_a_config_error(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
@@ -439,6 +496,19 @@ class TestSearch:
         bad.write_text(MICRO_CONFIG.replace(old, new))
         assert cli.main(["search", str(bad), "--target", "psi-", "--max-len", "2"]) == 2
         assert field in capsys.readouterr().err
+
+    def test_unusable_output_dir_stops_before_the_search(self, micro_config, tmp_path,
+                                                         capsys, monkeypatch):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MICRO_CONFIG.replace("output_dir = out", "output_dir = blocker/sub"))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before making the output directory")
+        monkeypatch.setattr(cli, "exhaustive_search", no_search)
+        assert cli.main(["search", str(bad), "--target", "psi-", "--max-len", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "run.output_dir" in err and "blocker/sub" in err
 
     def test_random_start_needs_a_start_flag(self, micro_config, tmp_path, capsys):
         random_cfg = tmp_path / "random.cfg"

@@ -121,6 +121,13 @@ def test_missing_file_is_config_error(tmp_path):
         parse_config(tmp_path / "absent.cfg")
 
 
+def test_non_utf8_file_is_config_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"[model]\nn_bath = 2\xff\n")
+    with pytest.raises(ConfigError, match="bad.cfg"):
+        parse_config(path)
+
+
 def test_defaults_fill_missing_sections():
     cfg = parse_config_text("[run]\nmaster_seed = 4\n")
     assert cfg.master_seed == 4

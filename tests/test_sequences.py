@@ -65,10 +65,10 @@ class TestParseFormat:
             parse_sequence("   ")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(0, DO_NOTHING), min_size=1, max_size=30), st.booleans())
-    def test_format_parse_round_trip(self, actions, compress):
+    @given(st.lists(st.integers(0, DO_NOTHING), min_size=1, max_size=30))
+    def test_format_parse_round_trip(self, actions):
         actions = tuple(actions)
-        assert parse_sequence(format_sequence(actions, compress)) == actions
+        assert parse_sequence(format_sequence(actions)) == actions
 
 
 class TestReplay:
@@ -79,7 +79,7 @@ class TestReplay:
         assert rec.start_label == start
         assert rec.final_fidelity == pytest.approx(fid_ref, abs=FIDELITY_ATOL)
         assert rec.success_rate == pytest.approx(rate_ref, abs=RATE_ATOL)
-        assert rec.succeeded and not rec.aborted
+        assert rec.outcome == "success"
 
     def test_success_rate_is_product_of_probs(self, default_env_cfg):
         rec, _ = replay_sequence(QSEEnv(default_env_cfg),
@@ -94,7 +94,7 @@ class TestReplay:
     def test_underflow_aborts_with_partial_record(self, default_env_cfg):
         # z+ then z-: the second branch has probability zero
         rec, diagnostics = replay_sequence(QSEEnv(default_env_cfg), (PZ_PLUS, PZ_MINUS))
-        assert rec.aborted and not rec.succeeded
+        assert rec.outcome == "fatal"
         assert rec.actions == (PZ_PLUS, PZ_MINUS)
         assert len(rec.probs) == 2 and len(diagnostics) == 1
         assert rec.success_rate == 0.0 and np.isnan(rec.final_fidelity)
@@ -122,11 +122,24 @@ class TestReplay:
         params = MLPParams(weights=[np.zeros((n_inputs, 7))],
                            biases=[np.eye(7)[PX_PLUS]])
         result = evaluate_policy(params, cfg, 0.0, 1, master_seed=0)
-        assert result.outcomes == ["timeout"]
+        assert [rec.outcome for rec in result.records] == ["timeout"]
         replayed, diagnostics = replay_sequence(QSEEnv(cfg), (PX_PLUS,) * 4)
         assert repr(replayed) == repr(result.records[0])
         assert replayed.actions == (PX_PLUS,) * 3 and len(diagnostics) == 3
-        assert not replayed.succeeded and not replayed.aborted
+        assert replayed.outcome == "timeout"
+
+    @pytest.mark.parametrize("max_steps, outcome", [(4, "continue"), (2, "timeout")])
+    def test_replay_names_how_it_ended(self, default_env_cfg, max_steps, outcome):
+        # the same two steps: the actions run out before the step budget,
+        # or the budget ends them, as it would an episode
+        cfg = dataclasses.replace(default_env_cfg, max_steps=max_steps)
+        rec, diagnostics = replay_sequence(QSEEnv(cfg), (PX_PLUS, PX_PLUS))
+        assert rec.actions == (PX_PLUS, PX_PLUS) and len(diagnostics) == 2
+        assert rec.outcome == outcome and not rec.succeeded
+
+    def test_empty_sequence_is_rejected(self, default_env_cfg):
+        with pytest.raises(ValueError):
+            replay_sequence(QSEEnv(default_env_cfg), ())
 
     def test_replay_stops_at_the_first_success(self, searched):
         # psi+ is reached at step 5, where an episode ends: the Pz+ is not run
@@ -291,8 +304,7 @@ class TestDiagnosticTrace:
                                   r_fatal=-(max_steps + 1.0))
         env = QSEEnv(cfg)
         rec, rows = replay_sequence(env, parse_sequence(tokens))
-        assert outcome == ("success" if rec.succeeded else "fatal" if rec.aborted
-                           else "timeout")
+        assert rec.outcome == outcome
         # walk the replay again, one bath state at a time
         rho, baths = env.reset().rho[None], []
         for action in rec.actions[:len(rows)]:
