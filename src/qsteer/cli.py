@@ -130,11 +130,15 @@ def cmd_train(args) -> int:
 
 def _run_config(args) -> RunConfig:
     """The configuration the command runs: the file's, with --start and
-    --target applied. replay and search need a definite start."""
+    --target applied. --start x+ is the fixed_xplus start mode, whose
+    state has the same bits, so it hashes as a file that names that mode.
+    replay and search need a definite start."""
     cfg = parse_config(args.config)
     env, start, target = cfg.env, args.start, getattr(args, "target", None)
     if start == "random":
         env = dataclasses.replace(env, start_mode="random_pure", custom_start=None)
+    elif start == "x+":
+        env = dataclasses.replace(env, start_mode="fixed_xplus", custom_start=None)
     elif start is not None:
         if start not in SPIN_STATES:
             raise ConfigError(f"--start: unknown start state {start!r}; "
@@ -155,11 +159,11 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     if not 0 <= args.eps <= 1:
         raise ConfigError(f"--eps must be in [0, 1], got {args.eps}")
-    out = _output_dir(cfg)
     try:
         params, _spec, meta = load_params(args.checkpoint, expected_spec=cfg.mlp)
     except SchemaMismatch as exc:
         raise ConfigError(f"--checkpoint: {exc}") from exc
+    out = _output_dir(cfg)
 
     runs = [("trained", args.eps)]
     if args.baseline:

@@ -19,7 +19,10 @@ bath_4) (x) ..., so with two bath spins it is the Bell state itself.
 ``QSEEnv.step_batch`` advances a stack of states by one step each, with
 one conjugation ``M rho M^dagger`` per row (``M = P U`` for a projection,
 ``U`` for doing nothing), or by all seven actions each for the search;
-``QSEEnv.step`` is its one-row form.
+``QSEEnv.step`` is its one-row form. It is ``QSEEnv.conjugate``, the
+only part a step needs of the one before it, followed by
+``QSEEnv.score``: the fatal flag, the bath and its fidelity, row by row,
+so a replay conjugates step by step and scores its whole sequence once.
 """
 
 from __future__ import annotations
@@ -279,18 +282,27 @@ class QSEEnv:
     # -- dynamics ------------------------------------------------------
 
     def step_batch(self, rho: np.ndarray, actions) -> BatchStep:
-        """Evolve each state for tau and apply its action, all in one pass.
+        """Evolve each state for tau, apply its action and score the
+        result, all in one pass: ``score(*conjugate(rho, actions))``.
 
         rho is an (N, dim, dim) stack and actions N action indices, one
         per state; or actions is None, and each state is stepped by all
         seven actions, with results shaped (N, 7, ...) and child (i, a) in
         row i, column a. Each row's result is bit-identical whatever the
-        stack around it and in either form. An idle row's state is
-        renormalized by its trace, which differs from 1 only by round-off,
-        and its probability reads exactly 1. A fatal row keeps its
+        stack around it and in either form. A fatal row keeps its
         unnormalized branch, as ``BatchStep`` says: training and
-        evaluation end the episode there, replay stops before it, the
-        search drops the child, and ``step`` reports the evolved state.
+        evaluation end the episode there, replay ends its record there,
+        the search drops the child, and ``step`` reports the evolved state.
+        """
+        return self.score(*self.conjugate(rho, actions))
+
+    def conjugate(self, rho: np.ndarray, actions):
+        """The first half of ``step_batch``: (branches, probabilities),
+        the ``measure`` of each state by its action's operator, with the
+        shapes and bits ``step_batch`` gives them. An idle row's state is
+        renormalized by its trace, which differs from 1 only by round-off,
+        and its probability reads exactly 1. A fatal branch is left
+        unnormalized; conjugating it again keeps it finite.
         """
         if actions is None:
             actions = np.arange(ACTION_COUNT)
@@ -301,6 +313,14 @@ class QSEEnv:
                 raise ValueError(f"action indices must be in [0, {ACTION_COUNT}), got {actions}")
             out, prob = measure(rho, self._step_ops[actions], self.cfg.floor)
         prob[..., actions == DO_NOTHING] = 1.0
+        return out, prob
+
+    def score(self, out: np.ndarray, prob: np.ndarray) -> BatchStep:
+        """The second half of ``step_batch``: a ``BatchStep`` of branches
+        and probabilities from ``conjugate``, in any stack shape. A row's
+        fatal flag, bath and fidelity depend on that row alone, with the
+        same bits in any stack, so branches conjugated one at a time can
+        be scored together."""
         fatal = prob <= self.cfg.floor
         bath = partial_trace_first(out, 2)
         fid = fidelity_to_pure(bath, self.target_vector)
@@ -310,6 +330,8 @@ class QSEEnv:
     def classify(self, fidelity: np.ndarray, fatal: np.ndarray, step_count) -> np.ndarray:
         """Outcome codes (indices into OUTCOMES) of steps that ended after
         step_count steps; ``self.rewards[code]`` is each step's reward.
+        step_count is one count for every step, or an array of one count
+        per step, as for the successive steps of one replay.
 
         Exactly one of the four cases fires: fatal (branch probability at
         or below the floor), success (bath fidelity above theta), continue,

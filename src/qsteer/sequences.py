@@ -84,44 +84,47 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
 
     Each step is one row of ``QSEEnv.step_batch`` judged by
     ``QSEEnv.classify``, as in the search, so a replay reproduces its
-    records bit for bit. Like an episode, replay stops at the first step
-    that succeeds or is fatal (branch probability at or below the floor),
-    and runs at most the env's max_steps steps. The record holds the steps
-    run and the last one's outcome: a fatal one ends it with a NaN final
+    records bit for bit. Only the conjugation needs the step before it:
+    the actions, at most the env's max_steps of them, are conjugated one
+    by one with ``QSEEnv.conjugate``, and the branches reached are scored
+    by one ``QSEEnv.score`` and classified by one ``QSEEnv.classify``
+    call, with the bits of one call per step. Like an episode, the record
+    ends at the first step that succeeds, is fatal (branch probability at
+    or below the floor) or reaches max_steps, and holds the steps run and
+    the last one's outcome: a fatal one ends it with a NaN final
     fidelity, as an evaluation episode's does, and one cut at max_steps
     without success is the record of an episode that timed out. Beside
     the record come the bath diagnostics, one (fidelity, trace_distance,
     purity) row per state reached, so an aborted replay has one row fewer
-    than steps. The distances and purities are taken over the stack of
-    bath states at the end, with the bits of one call per state. An empty
-    sequence raises ValueError.
+    than steps; they are taken over the stack of the scored baths, with
+    the bits of one call per state. An empty sequence raises ValueError.
     """
     if not actions:
         raise ValueError("cannot replay an empty sequence")
     start = env.reset()
+    actions = tuple(actions[:env.cfg.max_steps])
+    outs, probs = [], []
     rho = start.rho[None]
-    probs: list[float] = []
-    fids: list[float] = []
-    baths: list[np.ndarray] = []
-    for step, action in enumerate(actions[:env.cfg.max_steps], start=1):
-        out = env.step_batch(rho, [action])
-        probs.append(float(out.prob[0]))
-        fids.append(float(out.fidelity[0]))  # NaN on a fatal step
-        code = env.classify(out.fidelity, out.fatal, step)[0]
-        if code == FATAL:
-            break
-        rho = out.rho
-        baths.append(out.bath[0])
-        if code != CONTINUE:
-            break
-
+    for action in actions:
+        # past a fatal step its unnormalized branch conjugates on, finite,
+        # until the cut below: cheaper than scoring every step to stop there
+        rho, prob = env.conjugate(rho, [action])
+        outs.append(rho)
+        probs.append(prob)
+    out = env.score(np.concatenate(outs), np.concatenate(probs))
+    code = env.classify(out.fidelity, out.fatal, np.arange(1, len(actions) + 1))
+    ended = np.flatnonzero(code != CONTINUE)
+    n = ended[0] + 1 if len(ended) else len(actions)
+    last = code[n - 1]
+    fids = out.fidelity[:n].tolist()  # NaN on a fatal step
     diagnostics = []
-    if baths:
-        stack = np.stack(baths)
-        diagnostics = list(zip(fids, trace_distance(stack, env.target_matrix).tolist(),
-                               purity(stack).tolist()))
-    record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
-                            fids[-1], OUTCOMES[code])
+    reached = n - (last == FATAL)
+    if reached:
+        bath = out.bath[:reached]
+        diagnostics = list(zip(fids, trace_distance(bath, env.target_matrix).tolist(),
+                               purity(bath).tolist()))
+    record = SequenceRecord(start.start_label, actions[:n], tuple(out.prob[:n].tolist()),
+                            fids[-1], OUTCOMES[last])
     return record, diagnostics
 
 

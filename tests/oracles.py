@@ -4,11 +4,11 @@ the program itself runs none of them."""
 import numpy as np
 
 from qsteer.agent import select_action
-from qsteer.env import (ACTION_TOKENS, CONTINUE, DO_NOTHING, EnvConfig, QSEEnv, _labels_for,
-                        encode_state)
+from qsteer.env import (ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, EnvConfig, QSEEnv,
+                        _labels_for, encode_state)
 from qsteer.errors import DimensionMismatch, QsteerError
-from qsteer.model import IDENTITY_2, ModelParams, kron_all
-from qsteer.sequences import replay_sequence
+from qsteer.model import IDENTITY_2, ModelParams, kron_all, purity, trace_distance
+from qsteer.sequences import SequenceRecord, replay_sequence
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -153,3 +153,38 @@ def collect_per_row(env: QSEEnv, params, eps: float, rngs, columns):
     offsets = np.searchsorted(episode[order], np.arange(n + 1))
     steps = {name: np.concatenate(column)[order] for name, column in held.items()}
     return start_labels, totals, offsets, steps
+
+
+def replay_per_step(env: QSEEnv, actions):
+    """``qsteer.sequences.replay_sequence`` one step at a time: each
+    action is one ``QSEEnv.step_batch`` row judged by its own
+    ``QSEEnv.classify`` call, stopping at the first step that does not
+    continue, and the baths reached are stacked for the diagnostics.
+    Same arguments and results."""
+    if not actions:
+        raise ValueError("cannot replay an empty sequence")
+    start = env.reset()
+    rho = start.rho[None]
+    probs: list[float] = []
+    fids: list[float] = []
+    baths: list[np.ndarray] = []
+    for step, action in enumerate(actions[:env.cfg.max_steps], start=1):
+        out = env.step_batch(rho, [action])
+        probs.append(float(out.prob[0]))
+        fids.append(float(out.fidelity[0]))  # NaN on a fatal step
+        code = env.classify(out.fidelity, out.fatal, step)[0]
+        if code == FATAL:
+            break
+        rho = out.rho
+        baths.append(out.bath[0])
+        if code != CONTINUE:
+            break
+
+    diagnostics = []
+    if baths:
+        stack = np.stack(baths)
+        diagnostics = list(zip(fids, trace_distance(stack, env.target_matrix).tolist(),
+                               purity(stack).tolist()))
+    record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
+                            fids[-1], OUTCOMES[code])
+    return record, diagnostics

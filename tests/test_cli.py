@@ -222,6 +222,12 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "--checkpoint" in err and str(bad) in err and "w0" in err
 
+    def test_unreadable_checkpoint_makes_no_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        assert cli.main(["evaluate", str(CONFIG_DIR / "psi_minus_fixed.cfg"), "--checkpoint",
+                         str(tmp_path / "missing.npz")]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_start_override_heads_the_table_with_its_own_hash(self, micro_config, tmp_path):
         cfg = parse_config(micro_config)
         checkpoint = tmp_path / "init.npz"
@@ -535,6 +541,44 @@ class TestSearch:
         assert rows() == fixed
         assert cli.main(search + ["--start", "x-"]) == 0
         assert rows() != fixed
+
+
+class TestStartHash:
+    """--start x+ is the fixed_xplus start, bit for bit, and hashes as a
+    file that names it; the other cardinal starts hash as their own."""
+
+    def header(self, path):
+        return path.read_text().splitlines()[0]
+
+    def run(self, tmp_path, monkeypatch, command, config, start):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / start))
+        flags = {"replay": ["--sequence", "U1 Px+", "--out", str(tmp_path / f"{start}.tsv")],
+                 "evaluate": ["--checkpoint", str(REFERENCE_DIR / "psi_minus_fixed.npz"),
+                              "--episodes", "2"],
+                 "search": ["--target", "psi-", "--max-len", "2"]}[command]
+        assert cli.main([command, str(config)] + flags + ["--start", start]) == 0
+        if command == "replay":
+            return self.header(tmp_path / f"{start}.tsv")
+        (table,) = (tmp_path / start).rglob("*.tsv")
+        return self.header(table)
+
+    @pytest.mark.parametrize("command", ["replay", "evaluate", "search"])
+    def test_x_plus_hashes_as_the_fixed_file(self, tmp_path, monkeypatch, command):
+        config = CONFIG_DIR / "psi_minus_fixed.cfg"
+        cfg = parse_config(config)
+        assert cfg.env.start_mode == "fixed_xplus"
+        header = self.run(tmp_path, monkeypatch, command, config, "x+")
+        assert header == f"# config_hash={config_hash(cfg)} master_seed={cfg.master_seed}"
+        assert self.run(tmp_path, monkeypatch, command, config, "z+") != header
+
+    def test_x_plus_on_a_random_start_file(self, tmp_path, monkeypatch):
+        config = CONFIG_DIR / "psi_minus_random.cfg"
+        cfg = parse_config(config)
+        fixed = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env,
+                                                                 start_mode="fixed_xplus"))
+        header = self.run(tmp_path, monkeypatch, "replay", config, "x+")
+        assert header == f"# config_hash={config_hash(fixed)} master_seed={cfg.master_seed}"
+        assert config_hash(fixed) != config_hash(cfg)
 
 
 class TestHistogram:

@@ -334,6 +334,17 @@ class TestStepBatch:
             with pytest.raises(ValueError):
                 env.step_batch(rho, [action])
 
+    def test_classify_takes_one_step_count_per_step(self, default_env_cfg):
+        env = QSEEnv(dataclasses.replace(default_env_cfg, max_steps=3, r_fatal=-4.0))
+        fidelity = np.array([0.5, 0.995, np.nan, 0.2, 0.5, 0.995, np.nan, 0.9])
+        fatal = np.isnan(fidelity)
+        counts = np.array([1, 2, 3, 3, 4, 4, 4, 2])
+        codes = env.classify(fidelity, fatal, counts)
+        one_by_one = [env.classify(fidelity[i:i + 1], fatal[i:i + 1], int(m))[0]
+                      for i, m in enumerate(counts)]
+        assert codes.tolist() == one_by_one
+        assert sorted(set(one_by_one)) == [0, 1, 2, 3]
+
 
 _AMPLITUDES = st.floats(-1.0, 1.0, allow_nan=False)
 

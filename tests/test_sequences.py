@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
-from oracles import verify_steady_state
+from oracles import replay_per_step, verify_steady_state
 from qsteer import sequences
 from qsteer.agent import evaluate_policy
-from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
+from qsteer.env import ACTION_COUNT, DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import BudgetExceeded, SequenceParseError
 from qsteer.model import SPIN_STATES, ModelParams, purity, trace_distance
 from qsteer.network import MLPParams
@@ -315,3 +315,88 @@ class TestDiagnosticTrace:
         for (_fid, dist, pur), bath in zip(rows, baths, strict=True):
             assert dist.hex() == float(trace_distance(bath, env.target_matrix)).hex()
             assert pur.hex() == float(purity(bath)).hex()
+
+
+def _replay_bits(result):
+    """A replay's record and diagnostics, every float as its bytes."""
+    rec, diagnostics = result
+    return (rec.start_label, rec.actions, np.array(rec.probs).tobytes(),
+            np.float64(rec.final_fidelity).tobytes(), rec.outcome, len(diagnostics),
+            np.array(diagnostics, dtype=float).tobytes(), repr(rec))
+
+
+_ZPLUS = QSEEnv(EnvConfig(start_mode="fixed_custom", custom_start=(1, 0)))
+#: Envs the replays run on: the four Bell targets from x+, a z+ start, a
+#: non-cardinal custom start, and four bath spins.
+_REPLAY_ENVS = ([QSEEnv(EnvConfig(target=t)) for t in ("phi+", "phi-", "psi+", "psi-")]
+                + [_ZPLUS,
+                   QSEEnv(EnvConfig(start_mode="fixed_custom", custom_start=(0.6, 0.8j))),
+                   QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=4)))])
+
+
+class TestReplayScoresOnce:
+    """replay_sequence conjugates step by step and scores the sequence
+    once; its records and diagnostics are those of one step_batch and one
+    classify call per step, byte for byte."""
+
+    def assert_same(self, env, actions):
+        got = replay_sequence(env, actions)
+        assert _replay_bits(got) == _replay_bits(replay_per_step(env, actions))
+        return got[0]
+
+    @pytest.mark.parametrize("target", sorted(SEARCH_COUNTS[6]))
+    def test_every_length_six_record(self, searched, target):
+        env = QSEEnv(EnvConfig(target=target))
+        for rec in searched[6, target]:
+            assert self.assert_same(env, rec.actions) == rec
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_REPLAY_ENVS),
+           st.lists(st.integers(0, ACTION_COUNT - 1), min_size=1, max_size=60))
+    def test_random_sequences(self, env, actions):
+        self.assert_same(env, tuple(actions))
+
+    @pytest.mark.parametrize("extra", [(PX_PLUS,), (PZ_MINUS, DO_NOTHING, PY_MINUS),
+                                       (DO_NOTHING,) * 50])
+    def test_sequences_that_pass_through_the_target(self, searched, extra):
+        env = QSEEnv(EnvConfig(target="psi+"))
+        for rec in searched[5, "psi+"]:
+            replayed = self.assert_same(env, rec.actions + extra)
+            assert replayed == rec
+
+    @pytest.mark.parametrize("tokens", ["U1 Pz-", "U1 Px+ U1 Pz+ U1 Pz-",
+                                        "U1 Pz- U1 Px+ U3", "U1 Px+ U1 Pz+ U1 Pz- U1 Pz+ U2"])
+    def test_fatal_from_z_plus(self, tokens):
+        rec = self.assert_same(_ZPLUS, parse_sequence(tokens))
+        assert rec.outcome == "fatal"
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 49, 50, 51, 60])
+    @pytest.mark.parametrize("env", _REPLAY_ENVS[3:], ids=["x+", "z+", "custom", "n_bath4"])
+    def test_idle_only(self, env, steps):
+        rec = self.assert_same(env, (DO_NOTHING,) * steps)
+        assert rec.probs == (1.0,) * min(steps, 50)
+
+    @pytest.mark.parametrize("env", _REPLAY_ENVS[5:], ids=["custom", "n_bath4"])
+    def test_custom_start_and_four_bath_spins(self, env):
+        for tokens in ("U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+", "U1 Py- U1 Pz+ U2 Px-",
+                       "U1 Px+ U1 Py- U1 Py- U1 Py- U1 Py- U5"):
+            self.assert_same(env, parse_sequence(tokens))
+
+    @pytest.mark.parametrize("max_steps", [1, 3, 5])
+    def test_cut_at_the_step_budget(self, max_steps):
+        env = QSEEnv(EnvConfig(max_steps=max_steps, r_fatal=-(max_steps + 1.0)))
+        for tokens in ("U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+", "U1 Pz+ U1 Pz- U4", "U9"):
+            rec = self.assert_same(env, parse_sequence(tokens))
+            assert len(rec.actions) <= max_steps
+
+    def test_one_score_and_classify_call_per_replay(self, monkeypatch):
+        env = QSEEnv(EnvConfig())
+        calls = {"score": 0, "classify": 0}
+        for name in calls:
+            def counted(*args, _name=name, _method=getattr(env, name)):
+                calls[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(env, name, counted)
+        monkeypatch.setattr(env, "step_batch", None)
+        rec, _ = replay_sequence(env, parse_sequence("U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+"))
+        assert rec.succeeded and calls == {"score": 1, "classify": 1}
