@@ -250,6 +250,13 @@ class QSEEnv:
          self.target_vector, self.target_matrix, self._fixed_start) = _setup(cfg)
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
 
+    @property
+    def branch_operators(self) -> np.ndarray:
+        """The seven read-only branch operators, (7, dim, dim): P_a U for
+        projection a, U for doing nothing; action a's step is the
+        ``measure`` of a state by operator a."""
+        return self._step_ops
+
     # -- start states -------------------------------------------------
 
     def starts(self, rngs: Sequence[np.random.Generator | None]):

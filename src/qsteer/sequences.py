@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SequenceParseError
 from .env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, SUCCESS,
-                  QSEEnv)
+                  BatchStep, QSEEnv)
 from .model import purity, trace_distance
 
 # not called here, but perfbench's tracer wraps these names in this module
@@ -44,7 +45,18 @@ SEARCH_MAX_LEN_BUDGET = 6
 #: once, so peak memory bounds the size: 21 nodes ran the four length-5
 #: Bell searches about a third faster than 10, at about 0.5% more peak
 #: RSS; 28 to 49 ran about as fast and grew the peak by 1.2 to 3.3%.
+#: With the leaf screen, whose blocks step only the children that can
+#: succeed, 35 nodes ran about a fifth faster than 21 but raised the
+#: peak, and 14 ran slower (BENCH_search_screen.json, block_sweep).
 SEARCH_BLOCK = 21
+#: The leaf screen's margin on theta^2 and its rounding allowance per
+#: dim^3, as exhaustive_search derives them.
+_SCREEN_MARGIN = 1e-6
+_SCREEN_SLACK = 2.0 ** -44
+#: Steps replay_sequence conjugates before its first score; each later
+#: chunk is twice the one before. A search record of up to this length
+#: replays in one chunk.
+REPLAY_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -86,35 +98,46 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
     ``QSEEnv.classify``, as in the search, so a replay reproduces its
     records bit for bit. Only the conjugation needs the step before it:
     the actions, at most the env's max_steps of them, are conjugated one
-    by one with ``QSEEnv.conjugate``, and the branches reached are scored
+    by one with ``QSEEnv.conjugate`` in chunks of REPLAY_CHUNK, then twice
+    that, four times that and so on, and each chunk's branches are scored
     by one ``QSEEnv.score`` and classified by one ``QSEEnv.classify``
     call, with the bits of one call per step. Like an episode, the record
     ends at the first step that succeeds, is fatal (branch probability at
-    or below the floor) or reaches max_steps, and holds the steps run and
-    the last one's outcome: a fatal one ends it with a NaN final
-    fidelity, as an evaluation episode's does, and one cut at max_steps
-    without success is the record of an episode that timed out. Beside
-    the record come the bath diagnostics, one (fidelity, trace_distance,
-    purity) row per state reached, so an aborted replay has one row fewer
-    than steps; they are taken over the stack of the scored baths, with
-    the bits of one call per state. An empty sequence raises ValueError.
+    or below the floor) or reaches max_steps, and no chunk runs after the
+    one that holds that step. The record holds the steps run and the
+    last one's outcome: a fatal one ends it with a NaN final fidelity, as
+    an evaluation episode's does, and one cut at max_steps without
+    success is the record of an episode that timed out. Beside the record
+    come the bath diagnostics, one (fidelity, trace_distance, purity) row
+    per state reached, so an aborted replay has one row fewer than steps;
+    they are taken over the stack of the scored baths, with the bits of
+    one call per state. An empty sequence raises ValueError.
     """
     if not actions:
         raise ValueError("cannot replay an empty sequence")
     start = env.reset()
     actions = tuple(actions[:env.cfg.max_steps])
-    outs, probs = [], []
-    rho = start.rho[None]
-    for action in actions:
-        # past a fatal step its unnormalized branch conjugates on, finite,
-        # until the cut below: cheaper than scoring every step to stop there
-        rho, prob = env.conjugate(rho, [action])
-        outs.append(rho)
-        probs.append(prob)
-    out = env.score(np.concatenate(outs), np.concatenate(probs))
-    code = env.classify(out.fidelity, out.fatal, np.arange(1, len(actions) + 1))
-    ended = np.flatnonzero(code != CONTINUE)
-    n = ended[0] + 1 if len(ended) else len(actions)
+    chunks = []
+    rho, lo, size = start.rho[None], 0, REPLAY_CHUNK
+    while lo < len(actions):
+        outs, probs = [], []
+        for action in actions[lo:lo + size]:
+            # past a fatal step its unnormalized branch conjugates on, finite,
+            # until the chunk ends: cheaper than scoring every step to stop there
+            rho, prob = env.conjugate(rho, [action])
+            outs.append(rho)
+            probs.append(prob)
+        out = env.score(np.concatenate(outs), np.concatenate(probs))
+        code = env.classify(out.fidelity, out.fatal, np.arange(lo + 1, lo + len(outs) + 1))
+        chunks.append((out, code))
+        ended = np.flatnonzero(code != CONTINUE)
+        if len(ended):
+            break
+        lo, size = lo + len(outs), 2 * size
+    n = lo + ended[0] + 1 if len(ended) else len(actions)
+    if len(chunks) > 1:
+        scored, codes = zip(*chunks)
+        out, code = BatchStep(*map(np.concatenate, zip(*scored))), np.concatenate(codes)
     last = code[n - 1]
     fids = out.fidelity[:n].tolist()  # NaN on a fatal step
     diagnostics = []
@@ -141,6 +164,38 @@ def exhaustive_search(env: QSEEnv, max_len: int,
     success is recorded and not extended, and nothing runs past the env's
     max_steps. The result is exactly the set of successful sequences an
     episodic policy could execute. Sorted by (length, -success_rate).
+
+    The leaves, at depth min(max_len, max_steps), are only ever recorded
+    or dropped, and few are recorded, so their parents' blocks are
+    screened instead of stepped. Two Hermitian forms per action a, built
+    once per search, give a child's branch probability p = tr(E_a rho)
+    with E_a = M_a^dagger M_a, and its unnormalized overlap with the
+    target f = tr(F_a rho) with F_a = M_a^dagger (1 (x) |psi><psi|) M_a;
+    one GEMM of the block's states against the fourteen forms estimates
+    both for every child. A child is stepped, by a one-action
+    ``step_batch`` row and ``classify``, only if it could be recorded:
+    p > floor - s, rate * p >= rate_cutoff - s and f >= (theta^2 - m) p - s,
+    with the margin m = _SCREEN_MARGIN and the allowance s below. Each
+    recorded number comes from that row, whose bits do not depend on its
+    stack or on the form of the call, so the records are those of
+    stepping every leaf, bit for bit.
+
+    Rounding: a state at the leaves' parent depth is a density matrix to
+    within rounding, so its entries' moduli sum to at most dim, and
+    ||M_a|| <= 1 bounds every entry of E_a and F_a by 1. With u = 2^-53,
+    a form's entries carry the rounding of at most 2 dim-term sums, and a
+    screened trace is a dot product of 2 dim^2 real terms whose moduli
+    sum to at most dim, so it lies within about 2 dim^3 u of the exact
+    trace. The kernel's probability and unnormalized overlap, two dim-term
+    GEMMs and a sum over dim^2 entries, lie within about 2 dim^2 u of it.
+    So a screened value and the kernel's differ by e < 4 dim^3 u, and a
+    condition weighs at most two such values (f against p), 2e <
+    dim^3 2^-50: the allowance s = dim^3 _SCREEN_SLACK is 64 times
+    that (2.9e-11 at dim 8, 1.9e-9 at dim 32). The kernel succeeds when
+    the square root of its normalized overlap exceeds theta, which needs
+    f > theta^2 p up to a relative rounding of a few dim u; m = 1e-6 is
+    far above it. So every child the kernel would record passes the
+    screen, and the few extra children that pass are stepped and dropped.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -150,24 +205,46 @@ def exhaustive_search(env: QSEEnv, max_len: int,
             f"({7 ** max_len:,} sequences)"
         )
     root = env.reset()
+    cfg = env.cfg
+    leaves = min(max_len, cfg.max_steps)
     moves = np.arange(ACTION_COUNT)
     found: list[SequenceRecord] = []
+    # the forms are Hermitian, so a state's flattened real view times
+    # column a of their real views gives tr(E_a rho), column 7 + a tr(F_a rho)
+    ops = env.branch_operators
+    adjoint = ops.conj().swapaxes(-1, -2)
+    forms = np.concatenate([adjoint @ ops,
+                            adjoint @ np.kron(np.eye(2), env.target_matrix) @ ops])
+    forms = forms.reshape(2 * ACTION_COUNT, -1).view(np.float64).T
+    slack = env.dim ** 3 * _SCREEN_SLACK
+    overlap_floor = cfg.theta ** 2 - _SCREEN_MARGIN
 
     def expand(rho, prefix, probs, rate):
-        # every child at once; flattened row-major, node i's child by
-        # action a is row 7*i + a
-        out = env.step_batch(rho, None)
+        # the children (node[i], action[i]) stepped; flattened row-major
+        # in the every-action form, node i's child by action a is row 7*i + a
+        if prefix.shape[1] + 1 < leaves:
+            out = env.step_batch(rho, None)
+            node = np.repeat(np.arange(len(rate)), ACTION_COUNT)
+            action = np.tile(moves, len(rate))
+        else:
+            traces = rho.reshape(len(rho), -1).view(np.float64) @ forms
+            p, f = traces[:, :ACTION_COUNT], traces[:, ACTION_COUNT:]
+            node, action = np.nonzero((p > cfg.floor - slack)
+                                      & (rate[:, None] * p >= rate_cutoff - slack)
+                                      & (f >= overlap_floor * p - slack))
+            if not len(node):
+                return
+            out = env.step_batch(rho[node], action)
         prob, fid = out.prob.ravel(), out.fidelity.ravel()
-        actions = np.tile(moves, len(rate))
-        prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), actions])
-        probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), prob])
-        rate = np.repeat(rate, ACTION_COUNT) * prob
+        prefix = np.column_stack([prefix[node], action])
+        probs = np.column_stack([probs[node], prob])
+        rate = rate[node] * prob
         code = env.classify(fid, out.fatal.ravel(), prefix.shape[1])
         kept = rate >= rate_cutoff
         for i in np.flatnonzero(kept & (code == SUCCESS)):
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
                                         tuple(probs[i].tolist()), float(fid[i]), "success"))
-        if prefix.shape[1] < max_len:
+        if prefix.shape[1] < leaves:
             # keep only the continuing rows while their subtrees run
             todo = np.flatnonzero(kept & (code == CONTINUE))
             rho, prefix, probs, rate = (out.rho.reshape((-1,) + rho.shape[1:])[todo],
@@ -216,7 +293,15 @@ def parse_sequence(text: str) -> tuple[int, ...]:
     for pos, tok in enumerate(tokens, start=1):
         m = _U_RE.match(tok)
         if m:
-            k = int(m.group(1))
+            digits = m.group(1).lstrip("0")
+            # more intervals than sys.maxsize cannot be listed; a longer digit
+            # string than its own is larger still, and int() refuses very long ones
+            if (len(digits) > len(str(sys.maxsize))
+                    or pending + int(digits or "0") > sys.maxsize):
+                raise SequenceParseError(
+                    f"U count {tok!r} is too large: at most {sys.maxsize} intervals "
+                    f"can run in a row", pos)
+            k = int(digits or "0")
             if k < 1:
                 raise SequenceParseError(f"U count must be >= 1, got {tok!r}", pos)
             pending += k

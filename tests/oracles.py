@@ -4,11 +4,12 @@ the program itself runs none of them."""
 import numpy as np
 
 from qsteer.agent import select_action
-from qsteer.env import (ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, EnvConfig, QSEEnv,
-                        _labels_for, encode_state)
-from qsteer.errors import DimensionMismatch, QsteerError
+from qsteer.env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES,
+                        SUCCESS, EnvConfig, QSEEnv, _labels_for, encode_state)
+from qsteer.errors import BudgetExceeded, DimensionMismatch, QsteerError
 from qsteer.model import IDENTITY_2, ModelParams, kron_all, purity, trace_distance
-from qsteer.sequences import SequenceRecord, replay_sequence
+from qsteer.sequences import (SEARCH_BLOCK, SEARCH_MAX_LEN_BUDGET, SequenceRecord,
+                              replay_sequence)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -188,3 +189,49 @@ def replay_per_step(env: QSEEnv, actions):
     record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
                             fids[-1], OUTCOMES[code])
     return record, diagnostics
+
+
+def search_unscreened(env: QSEEnv, max_len: int,
+                      rate_cutoff: float = 1e-6) -> list[SequenceRecord]:
+    """``qsteer.sequences.exhaustive_search`` without the leaf screen:
+    every node, the leaves' parents too, steps all seven children in one
+    every-action ``QSEEnv.step_batch`` call. Same arguments and results."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    if max_len > SEARCH_MAX_LEN_BUDGET:
+        raise BudgetExceeded(
+            f"max_len {max_len} exceeds the enumeration budget {SEARCH_MAX_LEN_BUDGET} "
+            f"({7 ** max_len:,} sequences)"
+        )
+    root = env.reset()
+    moves = np.arange(ACTION_COUNT)
+    found: list[SequenceRecord] = []
+
+    def expand(rho, prefix, probs, rate):
+        # every child at once; flattened row-major, node i's child by
+        # action a is row 7*i + a
+        out = env.step_batch(rho, None)
+        prob, fid = out.prob.ravel(), out.fidelity.ravel()
+        actions = np.tile(moves, len(rate))
+        prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), actions])
+        probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), prob])
+        rate = np.repeat(rate, ACTION_COUNT) * prob
+        code = env.classify(fid, out.fatal.ravel(), prefix.shape[1])
+        kept = rate >= rate_cutoff
+        for i in np.flatnonzero(kept & (code == SUCCESS)):
+            found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),
+                                        tuple(probs[i].tolist()), float(fid[i]), "success"))
+        if prefix.shape[1] < max_len:
+            # keep only the continuing rows while their subtrees run
+            todo = np.flatnonzero(kept & (code == CONTINUE))
+            rho, prefix, probs, rate = (out.rho.reshape((-1,) + rho.shape[1:])[todo],
+                                        prefix[todo], probs[todo], rate[todo])
+            del out
+            for lo in range(0, len(todo), SEARCH_BLOCK):
+                block = slice(lo, lo + SEARCH_BLOCK)
+                expand(rho[block], prefix[block], probs[block], rate[block])
+
+    if max_len > 0:
+        expand(root.rho[None], np.empty((1, 0), dtype=np.intp), np.empty((1, 0)), np.ones(1))
+    found.sort(key=lambda r: (len(r.actions), -r.success_rate, r.actions))
+    return found

@@ -398,6 +398,14 @@ class TestReplay:
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Pq+"]) == 2
         assert "token" in capsys.readouterr().err
 
+    def test_count_too_large_to_list_exit_code(self, micro_config, capsys):
+        # a configuration error naming the token, not an OverflowError traceback
+        assert cli.main(["replay", str(micro_config), "--sequence",
+                         "U2 Px+ U99999999999999999999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'U99999999999999999999'" in err
+        assert "(token 3)" in err
+
 
 def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
     # the parser, parsed config texts and env set-ups that one command

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_ATOL
-from oracles import replay_per_step, verify_steady_state
+from oracles import replay_per_step, search_unscreened, verify_steady_state
 from qsteer import sequences
 from qsteer.agent import evaluate_policy
 from qsteer.env import ACTION_COUNT, DO_NOTHING, EnvConfig, QSEEnv
@@ -63,6 +63,19 @@ class TestParseFormat:
     def test_empty_rejected(self):
         with pytest.raises(SequenceParseError):
             parse_sequence("   ")
+
+    @pytest.mark.parametrize("text, position", [
+        ("U99999999999999999999", 1),
+        ("Px+ U00000000000000000000000000000000000000000000000009999999999999999999 Px-", 2),
+        ("U9223372036854775807 U1 Px+", 2),
+        ("U" + "9" * 5000, 1),
+    ])
+    def test_count_too_large_to_list_is_a_parse_error(self, text, position):
+        # no list of that many actions can exist: not an OverflowError from
+        # the list repetition, nor int()'s ValueError for very long digit strings
+        with pytest.raises(SequenceParseError, match="too large") as err:
+            parse_sequence(text)
+        assert err.value.position == position
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, DO_NOTHING), min_size=1, max_size=30))
@@ -400,3 +413,153 @@ class TestReplayScoresOnce:
         monkeypatch.setattr(env, "step_batch", None)
         rec, _ = replay_sequence(env, parse_sequence("U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+"))
         assert rec.succeeded and calls == {"score": 1, "classify": 1}
+
+
+def _search_bits(records):
+    """Search records, every float as its hex string."""
+    return [(r.start_label, r.actions, [p.hex() for p in r.probs], r.final_fidelity.hex(),
+             r.outcome) for r in records]
+
+
+_XMINUS = SPIN_STATES["x-"]
+#: (env config, max_len, rate_cutoff) the screened search is checked on
+#: beside the four Bell targets: an x- start at tau 2, a z+ start with no
+#: rate cutoff, four bath spins, and a step budget under max_len.
+_SCREEN_CASES = {
+    "x- tau2": (EnvConfig(model=ModelParams(tau=2.0), start_mode="fixed_custom",
+                          custom_start=(complex(_XMINUS[0]), complex(_XMINUS[1]))), 5, 1e-6),
+    "z+ cutoff0": (EnvConfig(start_mode="fixed_custom", custom_start=(1, 0)), 5, 0.0),
+    "n_bath4": (EnvConfig(model=ModelParams.uniform(n_bath=4)), 5, 1e-6),
+    "max_steps3": (EnvConfig(target="psi+", max_steps=3, r_fatal=-4.0), 5, 1e-6),
+}
+
+
+class TestLeafScreen:
+    """exhaustive_search screens its last level with two quadratic forms
+    per action and steps only the children that could be recorded; its
+    records are those of stepping every child, byte for byte."""
+
+    @pytest.mark.parametrize("max_len", range(1, 7))
+    @pytest.mark.parametrize("target", sorted(SEARCH_COUNTS[6]))
+    def test_bell_targets(self, searched, target, max_len):
+        env = QSEEnv(EnvConfig(target=target))
+        got = searched.get((max_len, target)) or exhaustive_search(env, max_len)
+        assert _search_bits(got) == _search_bits(search_unscreened(env, max_len))
+
+    @pytest.mark.parametrize("case", sorted(_SCREEN_CASES))
+    def test_other_starts_cutoffs_baths_and_budgets(self, case):
+        cfg, max_len, rate_cutoff = _SCREEN_CASES[case]
+        env = QSEEnv(cfg)
+        got = exhaustive_search(env, max_len, rate_cutoff)
+        assert _search_bits(got) == _search_bits(search_unscreened(env, max_len, rate_cutoff))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
+           .filter(lambda v: np.linalg.norm(v) > 1e-3),
+           st.floats(0.1, 3.0), st.sampled_from(sorted(SEARCH_COUNTS[6])))
+    def test_custom_starts_and_taus(self, amplitudes, tau, target):
+        re0, im0, re1, im1 = amplitudes
+        cfg = EnvConfig(model=ModelParams(tau=tau), target=target, start_mode="fixed_custom",
+                        custom_start=(complex(re0, im0), complex(re1, im1)))
+        env = QSEEnv(cfg)
+        assert _search_bits(exhaustive_search(env, 4)) == _search_bits(search_unscreened(env, 4))
+
+    @staticmethod
+    def leaf_records():
+        # the psi+ records that end at the last level of a length-4 search
+        records = exhaustive_search(QSEEnv(EnvConfig(target="psi+")), 4)
+        leaves = [r for r in records if len(r.actions) == 4]
+        assert len(leaves) == 12
+        return leaves
+
+    def assert_kept_then_dropped(self, rec, values):
+        # at each value the two searches agree; the record is found at the
+        # first value and not at the second
+        present = []
+        for changes in values:
+            cfg = dataclasses.replace(EnvConfig(target="psi+"), **changes.get("env", {}))
+            env, cutoff = QSEEnv(cfg), changes.get("rate_cutoff", 1e-6)
+            got = exhaustive_search(env, 4, cutoff)
+            assert _search_bits(got) == _search_bits(search_unscreened(env, 4, cutoff))
+            present.append(rec.actions in {r.actions for r in got})
+        assert present == [True, False]
+
+    def test_theta_at_a_leaf_fidelity(self):
+        for rec in self.leaf_records():
+            fid = rec.final_fidelity
+            self.assert_kept_then_dropped(rec, [
+                {"env": {"theta": float(np.nextafter(fid, 0))}}, {"env": {"theta": fid}}])
+
+    def test_rate_cutoff_at_a_leaf_rate(self):
+        for rec in self.leaf_records():
+            rate = rec.success_rate
+            self.assert_kept_then_dropped(rec, [
+                {"rate_cutoff": rate}, {"rate_cutoff": float(np.nextafter(rate, np.inf))}])
+
+    def test_floor_at_a_leaf_branch_probability(self):
+        # a floor at the last branch probability must cut no earlier branch
+        lowest_last = [r for r in self.leaf_records() if r.probs[-1] == min(r.probs)]
+        assert len(lowest_last) == 6
+        for rec in lowest_last:
+            p = rec.probs[-1]
+            self.assert_kept_then_dropped(rec, [
+                {"env": {"floor": float(np.nextafter(p, 0))}}, {"env": {"floor": p}}])
+
+    @pytest.mark.parametrize("max_len", [1, 5])
+    def test_the_last_level_makes_no_every_action_call(self, monkeypatch, max_len):
+        # the nodes above the last level are stepped as before: as many
+        # every-action calls as a search one level shorter makes
+        def every_action_calls(search, env, n):
+            calls = []
+            step_batch = env.step_batch
+
+            def counted(rho, actions):
+                calls.append(actions is None)
+                return step_batch(rho, actions)
+            monkeypatch.setattr(env, "step_batch", counted)
+            search(env, n)
+            monkeypatch.undo()
+            return sum(calls)
+
+        env = QSEEnv(EnvConfig(target="psi+"))
+        screened = every_action_calls(exhaustive_search, env, max_len)
+        assert screened == every_action_calls(search_unscreened, env, max_len - 1)
+        assert screened == (0 if max_len == 1 else 21)
+
+
+class TestReplayChunks:
+    """replay_sequence conjugates, scores and classifies in chunks of 8,
+    16, 32, ... steps and runs none after the chunk its record ends in."""
+
+    _PSI_PLUS = QSEEnv(EnvConfig(target="psi+"))
+    _SUCCESS = parse_sequence("U1 Px+ U2 Px+ U1 Px+ U1 Px-")
+
+    @pytest.mark.parametrize("idle_before", [0, 3, 4, 19, 20, 44])
+    def test_success_with_an_idle_tail(self, idle_before):
+        # the five steps end their record in the first, second or third
+        # chunk, or are cut by the step budget, with idle steps before and after
+        actions = (DO_NOTHING,) * idle_before + self._SUCCESS + (DO_NOTHING,) * 45
+        got = replay_sequence(self._PSI_PLUS, actions)
+        assert _replay_bits(got) == _replay_bits(replay_per_step(self._PSI_PLUS, actions))
+
+    @pytest.mark.parametrize("tokens", ["U1 Pz- U49", "U1 Px+ U1 Pz+ U1 Pz- U47",
+                                        "U9 Pz- U40", "U30 Pz- U15"])
+    def test_fatal_z_plus_with_an_idle_tail(self, tokens):
+        actions = parse_sequence(tokens)
+        got = replay_sequence(_ZPLUS, actions)
+        assert got[0].outcome == "fatal"
+        assert _replay_bits(got) == _replay_bits(replay_per_step(_ZPLUS, actions))
+
+    def test_tailed_success_conjugates_one_chunk(self, monkeypatch):
+        env = QSEEnv(EnvConfig(target="psi+"))
+        calls = []
+        conjugate = env.conjugate
+
+        def counted(rho, actions):
+            calls.append(actions)
+            return conjugate(rho, actions)
+        monkeypatch.setattr(env, "conjugate", counted)
+        actions = self._SUCCESS + (DO_NOTHING,) * 45
+        rec, _ = replay_sequence(env, actions)
+        assert rec.succeeded and rec.actions == self._SUCCESS
+        assert len(actions) == 50 and len(calls) == sequences.REPLAY_CHUNK == 8
