@@ -196,11 +196,12 @@ def encode_state(rho: np.ndarray) -> np.ndarray:
 def _setup(cfg: EnvConfig):
     """Everything an env of cfg reads, built once per process for each
     config and shared, read-only, by every env of an equal config: the
-    propagator U, the six central projectors, the seven
-    branch operators (P_a U per projection, U for idle), the target's
-    state vector and density matrix (one copy of the named Bell pair per
-    two bath spins), and a fixed start's (state, encoding, label), or
-    None in random_pure mode.
+    propagator U; the seven branch operators, (7, dim, dim), P_a U for
+    central projection a and U for idle, so that action a's step is the
+    ``measure`` of a state by operator a; the target's state vector and
+    density matrix (one copy of the named Bell pair per two bath spins);
+    and a fixed start's (state, encoding, label), or None in random_pure
+    mode.
 
     Equal configs give the same bits and labels whichever is built first:
     build_hamiltonian sums into a +0.0 array and ``_product_states``
@@ -209,11 +210,11 @@ def _setup(cfg: EnvConfig):
     """
     n_bath = cfg.model.n_bath
     propagator = build_propagator(cfg.model)
-    projectors = tuple(central_projector(axis, sign, n_bath) for axis, sign in _PROJECTOR_SPEC)
-    step_ops = np.stack([p @ propagator for p in projectors] + [propagator])
+    branch_operators = np.stack([central_projector(axis, sign, n_bath) @ propagator
+                                 for axis, sign in _PROJECTOR_SPEC] + [propagator])
     target = kron_all(*[bell_state(cfg.target)] * (n_bath // 2))
     target_matrix = np.outer(target, target.conj())
-    arrays = [propagator, *projectors, step_ops, target, target_matrix]
+    arrays = [propagator, branch_operators, target, target_matrix]
     fixed_start = None
     if cfg.start_mode != "random_pure":
         central = (SPIN_STATES["x+"] if cfg.custom_start is None
@@ -223,7 +224,7 @@ def _setup(cfg: EnvConfig):
         arrays += [rho, enc]
     for a in arrays:
         a.flags.writeable = False
-    return propagator, projectors, step_ops, target, target_matrix, fixed_start
+    return propagator, branch_operators, target, target_matrix, fixed_start
 
 
 def _product_states(central: np.ndarray, n_bath: int):
@@ -246,16 +247,9 @@ class QSEEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self.dim = cfg.model.dim
-        (self.propagator, self.projectors, self._step_ops,
-         self.target_vector, self.target_matrix, self._fixed_start) = _setup(cfg)
+        (self.propagator, self.branch_operators, self.target_vector,
+         self.target_matrix, self._fixed_start) = _setup(cfg)
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
-
-    @property
-    def branch_operators(self) -> np.ndarray:
-        """The seven read-only branch operators, (7, dim, dim): P_a U for
-        projection a, U for doing nothing; action a's step is the
-        ``measure`` of a state by operator a."""
-        return self._step_ops
 
     # -- start states -------------------------------------------------
 
@@ -313,12 +307,12 @@ class QSEEnv:
         """
         if actions is None:
             actions = np.arange(ACTION_COUNT)
-            out, prob = measure(rho[:, None], self._step_ops, self.cfg.floor)
+            out, prob = measure(rho[:, None], self.branch_operators, self.cfg.floor)
         else:
             actions = np.asarray(actions, dtype=np.intp)
             if actions.size and not 0 <= actions.min() <= actions.max() < ACTION_COUNT:
                 raise ValueError(f"action indices must be in [0, {ACTION_COUNT}), got {actions}")
-            out, prob = measure(rho, self._step_ops[actions], self.cfg.floor)
+            out, prob = measure(rho, self.branch_operators[actions], self.cfg.floor)
         prob[..., actions == DO_NOTHING] = 1.0
         return out, prob
 

@@ -334,43 +334,46 @@ def load_params(path, expected_spec: MLPSpec | None = None):
     expected_spec is given, when the stored layout disagrees with it.
     """
     try:
-        data = np.load(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise SchemaMismatch(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # text, empty, corrupt
-        raise SchemaMismatch(f"{path}: not an npz checkpoint") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
-        raise SchemaMismatch(f"{path}: not an npz checkpoint")
-    with data:
-        if "meta" not in data:
-            raise SchemaMismatch(f"{path}: missing checkpoint header")
+    with fh:  # np.load(path) would leave a torn zip's handle to the garbage collector
         try:
-            meta = json.loads(bytes(data["meta"]).decode())
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise SchemaMismatch(f"{path}: unreadable checkpoint header") from exc
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise SchemaMismatch(
-                f"{path}: format version {meta.get('format_version')} unsupported"
-            )
-        try:
-            layout = {f.name: meta[f.name] for f in fields(MLPSpec)}
-            layout["hidden"] = tuple(layout["hidden"])  # JSON stores it as a list
-            spec = MLPSpec(**layout)
-        except (KeyError, ValueError) as exc:
-            raise SchemaMismatch(f"{path}: bad layout header: {exc}") from exc
-        n_layers = len(spec.layer_sizes) - 1
-        weights, biases = [], []
-        for i in range(n_layers):
-            for key, arrays in ((f"w{i}", weights), (f"b{i}", biases)):
-                if key not in data:
-                    raise SchemaMismatch(f"{path}: missing layer {i} arrays")
-                try:
-                    array = data[key]
-                except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # object, corrupt
-                    raise SchemaMismatch(f"{path}: unreadable array {key}: {exc}") from exc
-                if array.dtype != np.float64:
-                    raise SchemaMismatch(f"{path}: array {key} is {array.dtype}, not float64")
-                arrays.append(array)
+            data = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # text, empty, corrupt
+            raise SchemaMismatch(f"{path}: not an npz checkpoint") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise SchemaMismatch(f"{path}: not an npz checkpoint")
+        with data:
+            if "meta" not in data:
+                raise SchemaMismatch(f"{path}: missing checkpoint header")
+            try:
+                meta = json.loads(bytes(data["meta"]).decode())
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise SchemaMismatch(f"{path}: unreadable checkpoint header") from exc
+            if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+                raise SchemaMismatch(
+                    f"{path}: format version {meta.get('format_version')} unsupported"
+                )
+            try:
+                layout = {f.name: meta[f.name] for f in fields(MLPSpec)}
+                layout["hidden"] = tuple(layout["hidden"])  # JSON stores it as a list
+                spec = MLPSpec(**layout)
+            except (KeyError, ValueError) as exc:
+                raise SchemaMismatch(f"{path}: bad layout header: {exc}") from exc
+            n_layers = len(spec.layer_sizes) - 1
+            weights, biases = [], []
+            for i in range(n_layers):
+                for key, arrays in ((f"w{i}", weights), (f"b{i}", biases)):
+                    if key not in data:
+                        raise SchemaMismatch(f"{path}: missing layer {i} arrays")
+                    try:
+                        array = data[key]
+                    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # object, corrupt
+                        raise SchemaMismatch(f"{path}: unreadable array {key}: {exc}") from exc
+                    if array.dtype != np.float64:
+                        raise SchemaMismatch(f"{path}: array {key} is {array.dtype}, not float64")
+                    arrays.append(array)
     try:
         params = MLPParams(weights, biases, spec.activation)
     except ShapeMismatch as exc:

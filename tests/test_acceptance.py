@@ -34,6 +34,7 @@ from qsteer.model import (
     PAULI_Z,
     SPIN_STATES,
     bell_state,
+    central_projector,
     kron_all,
     partial_trace_first,
 )
@@ -366,10 +367,11 @@ def test_criterion_9_invariant_walk(run_cfg):
     env = QSEEnv(run_cfg.env)
     u = env.propagator
     unitary_defect = np.linalg.norm(u @ u.conj().T - np.eye(env.dim))
+    n_bath = run_cfg.env.model.n_bath
     completeness = max(
-        np.linalg.norm(env.projectors[i] + env.projectors[i + 1]
+        np.linalg.norm(central_projector(axis, "+", n_bath) + central_projector(axis, "-", n_bath)
                        - np.eye(env.dim))
-        for i in (0, 2, 4))
+        for axis in "zxy")
 
     rng = np.random.default_rng(424242)
     state = env.reset()

@@ -333,12 +333,15 @@ class TestReplay:
         assert rows[-1][3] == cli._fmt(record.final_fidelity)
 
     def test_aborted_replay_writes_executed_steps(self, micro_config, tmp_path, capsys):
+        # a fatal step ends the replay: the table holds the states reached before it
         out_file = tmp_path / "diag.tsv"
-        assert cli.main(["replay", str(micro_config), "--sequence", "Pz+ Pz-",
-                         "--out", str(out_file)]) == 0
-        rows = out_file.read_text().splitlines()[3:]
-        assert len(rows) == 1 and rows[0].split("\t")[:2] == ["1", "Pz+"]
-        assert "aborted" in capsys.readouterr().out
+        for flags, executed in ((["--sequence", "Pz+ Pz-"], [["1", "Pz+"]]),
+                                (["--sequence", "U1 Px+ U1 Pz+ U1 Pz-", "--start", "z+"],
+                                 [["1", "Px+"], ["2", "Pz+"]])):
+            assert cli.main(["replay", str(micro_config), "--out", str(out_file)] + flags) == 0
+            rows = out_file.read_text().splitlines()[3:]
+            assert [row.split("\t")[:2] for row in rows] == executed
+            assert "(aborted (branch probability under floor))" in capsys.readouterr().out
 
     def test_replay_past_the_step_budget_times_out(self, micro_config, tmp_path, capsys):
         # the fourth Px+ would succeed, but an episode times out at step 3
@@ -374,7 +377,7 @@ class TestReplay:
                          "U1 Px+ U2 Px+ U1 Px+ U1 Px-", "--target", "psi+",
                          "--start", "x+"]) == 0
         out = capsys.readouterr().out
-        assert "final fidelity 1.00000" in out
+        assert "final fidelity 1.00000" in out and "(success)" in out
 
     def test_header_hashes_the_config_that_ran(self, tmp_path):
         config = CONFIG_DIR / "psi_minus_fixed.cfg"
@@ -462,6 +465,8 @@ class TestSearch:
         body = files[0].read_text().splitlines()
         assert body[2] == "steps\tsuccess_rate\tfinal_fidelity\tsequence"
         assert len(body) > 3
+        assert capsys.readouterr().out.startswith(
+            f"{len(body) - 3} successful sequences up to length 4 for target psi-\n")
 
     def test_negative_length_is_a_config_error(self, micro_config, capsys):
         assert cli.main(["search", str(micro_config), "--target", "psi-",

@@ -17,6 +17,7 @@ from qsteer.model import (
     ModelParams,
     bell_state,
     build_propagator,
+    central_projector,
     fidelity_to_pure,
     partial_trace_first,
     purity,
@@ -251,7 +252,8 @@ def _separate_products_reference(env, rho, action):
     evolved = env.propagator @ rho @ env.propagator.conj().T
     if action == DO_NOTHING:
         return evolved, 1.0, False
-    p = env.projectors[action]
+    axis, sign = ACTION_TOKENS[action][1:]
+    p = central_projector(axis, sign, env.cfg.model.n_bath)
     projected = p @ evolved @ p
     prob = float(np.trace(projected).real)
     if prob <= env.cfg.floor:
@@ -450,8 +452,7 @@ def test_action_tokens_cover_seven_actions():
 
 
 class TestSharedOperators:
-    _ARRAYS = ("propagator", "projectors", "_step_ops",
-               "target_vector", "target_matrix")
+    _ARRAYS = ("propagator", "branch_operators", "target_vector", "target_matrix")
 
     def test_equal_configs_share_read_only_arrays(self):
         # separately built, equal configs: one set-up for both envs
@@ -461,8 +462,7 @@ class TestSharedOperators:
             assert getattr(env_a, name) is getattr(env_b, name)
         a, b = env_a.reset(), env_b.reset()
         assert a.rho is b.rho and a.encoding is b.encoding
-        for array in (env_a.propagator, *env_a.projectors,
-                      env_a._step_ops, env_a.target_matrix, a.rho):
+        for array in (env_a.propagator, env_a.branch_operators, env_a.target_matrix, a.rho):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
         for array in (env_a.target_vector, a.encoding):

@@ -26,6 +26,7 @@ PX_PLUS, PX_MINUS, PY_MINUS, PZ_PLUS, PZ_MINUS = 2, 3, 5, 0, 1
 #: Successful sequences per target from the fixed x+ start, by maximum
 #: length; frozen from the one-child-at-a-time enumeration.
 SEARCH_COUNTS = {
+    4: {"phi+": 0, "phi-": 0, "psi+": 13, "psi-": 1},
     5: {"phi+": 0, "phi-": 0, "psi+": 99, "psi-": 9},
     6: {"phi+": 12, "phi-": 4, "psi+": 612, "psi-": 95},
 }
@@ -200,8 +201,9 @@ class TestExhaustiveSearch:
         assert keys == sorted(keys)
 
     def test_no_short_route_to_two_singlet_pairs(self):
-        cfg = EnvConfig(model=ModelParams.uniform(n_bath=4))
-        assert exhaustive_search(QSEEnv(cfg), 4) == []
+        env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=4)))
+        for max_len in (4, 5):
+            assert exhaustive_search(env, max_len) == []
 
     def test_frozen_counts(self, searched):
         counts = {n: {t: len(searched[n, t]) for t in c} for n, c in SEARCH_COUNTS.items()}
