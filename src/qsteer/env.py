@@ -196,8 +196,8 @@ def encode_state(rho: np.ndarray) -> np.ndarray:
 def _setup(cfg: EnvConfig):
     """Everything an env of cfg reads, built once per process for each
     config and shared, read-only, by every env of an equal config: the
-    propagator U; the seven branch operators, (7, dim, dim), P_a U for
-    central projection a and U for idle, so that action a's step is the
+    seven branch operators, (7, dim, dim), P_a U for central projection a
+    and the propagator U itself for idle, so that action a's step is the
     ``measure`` of a state by operator a; the target's state vector and
     density matrix (one copy of the named Bell pair per two bath spins);
     and a fixed start's (state, encoding, label), or None in random_pure
@@ -214,7 +214,7 @@ def _setup(cfg: EnvConfig):
                                  for axis, sign in _PROJECTOR_SPEC] + [propagator])
     target = kron_all(*[bell_state(cfg.target)] * (n_bath // 2))
     target_matrix = np.outer(target, target.conj())
-    arrays = [propagator, branch_operators, target, target_matrix]
+    arrays = [branch_operators, target, target_matrix]
     fixed_start = None
     if cfg.start_mode != "random_pure":
         central = (SPIN_STATES["x+"] if cfg.custom_start is None
@@ -224,7 +224,7 @@ def _setup(cfg: EnvConfig):
         arrays += [rho, enc]
     for a in arrays:
         a.flags.writeable = False
-    return propagator, branch_operators, target, target_matrix, fixed_start
+    return branch_operators, target, target_matrix, fixed_start
 
 
 def _product_states(central: np.ndarray, n_bath: int):
@@ -247,8 +247,8 @@ class QSEEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self.dim = cfg.model.dim
-        (self.propagator, self.branch_operators, self.target_vector,
-         self.target_matrix, self._fixed_start) = _setup(cfg)
+        (self.branch_operators, self.target_vector, self.target_matrix,
+         self._fixed_start) = _setup(cfg)
         self.rewards = np.array([cfg.r_minus, cfg.r_plus, cfg.r_minus, cfg.r_fatal])
 
     # -- start states -------------------------------------------------
@@ -357,7 +357,8 @@ class QSEEnv:
         done = code != CONTINUE
         rho = out.rho
         if code == FATAL:
-            rho = self.propagator @ state.rho[None] @ self.propagator.conj().T
+            u = self.branch_operators[DO_NOTHING]
+            rho = u @ state.rho[None] @ u.conj().T
         nxt = EnvState(encode_state(rho[0]), rho[0], m, done, state.start_label)
         return StepResult(nxt, float(self.rewards[code]), done, float(out.prob[0]),
                           OUTCOMES[code], float(out.fidelity[0]))
@@ -368,5 +369,6 @@ def _labels_for(central: np.ndarray) -> list[str]:
     amplitudes."""
     names, refs = zip(*SPIN_STATES.items())
     match = np.abs(np.abs(central @ np.conj(refs).T) - 1.0) < 1e-12
-    return [names[m.argmax()] if m.any() else f"({v[0]:.6f},{v[1]:.6f})"
-            for v, m in zip(central, match)]
+    hits, first = match.any(axis=1).tolist(), match.argmax(axis=1).tolist()
+    return [names[i] if hit else f"({a:.6f},{b:.6f})"
+            for (a, b), hit, i in zip(central.tolist(), hits, first)]

@@ -5,16 +5,12 @@ class QsteerError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionMismatch(QsteerError):
-    """Operand dimensions are incompatible."""
-
-
 class EpisodeFinished(QsteerError):
     """step() was called on a terminal state."""
 
 
 class ShapeMismatch(QsteerError):
-    """Network parameter or input shapes do not line up."""
+    """Array shapes do not line up: model operands, network parameters or inputs."""
 
 
 class NonFiniteLoss(QsteerError):

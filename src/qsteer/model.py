@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ShapeMismatch
 
 __all__ = [
     "PAULI_X",
@@ -210,7 +210,7 @@ def measure(rho: np.ndarray, ops: np.ndarray, floor: float = 1e-8):
         out = left.reshape(n, k, dim, dim)  # left is spent: its buffer takes the result
         out[...] = right.reshape(k, dim, n, dim).transpose(2, 0, 1, 3)
     else:
-        raise DimensionMismatch(f"states {rho.shape} vs branch operators {ops.shape}")
+        raise ShapeMismatch(f"states {rho.shape} vs branch operators {ops.shape}")
     prob = np.trace(out, axis1=-2, axis2=-1).real
     out /= np.where(prob > floor, prob, 1.0)[..., None, None]
     return out, prob
@@ -225,9 +225,9 @@ def partial_trace_first(m: np.ndarray, dim_first: int) -> np.ndarray:
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     if dim_first < 1 or m.shape[-1] % dim_first != 0:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"dimension {m.shape[-1]} is not divisible by leading factor {dim_first}"
         )
     d = m.shape[-1] // dim_first
@@ -272,7 +272,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     per matrix of rho, with the same bits as a call on that matrix alone.
     """
     if rho.shape[-2:] != sigma.shape:
-        raise DimensionMismatch(f"trace_distance operands {rho.shape} vs {sigma.shape}")
+        raise ShapeMismatch(f"trace_distance operands {rho.shape} vs {sigma.shape}")
     diff = rho - sigma
     w = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2)
     return 0.5 * np.sum(np.abs(w), axis=-1)

@@ -123,12 +123,6 @@ def init_params(spec: MLPSpec) -> MLPParams:
     return MLPParams(weights, biases, spec.activation)
 
 
-def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    z = h @ w
-    z += b
-    return z
-
-
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     """The activation, applied to z in place."""
     if kind == "relu":
@@ -141,6 +135,16 @@ def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return h > 0
     return 1.0 - h ** 2
+
+
+def _layers(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
+    """Each layer's output for the batch x, x first; all but the last activated."""
+    outs = [x]
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
+        z = outs[-1] @ w
+        z += b
+        outs.append(z if layer == len(params.weights) else _activate(z, params.activation))
+    return outs
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
@@ -160,9 +164,7 @@ def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
         # numpy multiplies a one-row batch on its matrix-vector path, which
         # rounds differently from the matrix-matrix path of a larger batch
         h = np.concatenate([h, h])
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = _activate(_affine(h, w, b), params.activation)
-    return _affine(h, params.weights[-1], params.biases[-1])[:n]
+    return _layers(params, h)[-1][:n]
 
 
 def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
@@ -184,10 +186,7 @@ def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
     actions = np.asarray(actions, dtype=int)
     targets = np.asarray(targets, dtype=float)
 
-    post = [x]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        post.append(_activate(_affine(post[-1], w, b), params.activation))
-    q = _affine(post[-1], params.weights[-1], params.biases[-1])
+    *post, q = _layers(params, x)
 
     rows = np.arange(n)
     selected = q[rows, actions]

@@ -45,9 +45,9 @@ SEARCH_MAX_LEN_BUDGET = 6
 #: once, so peak memory bounds the size: 21 nodes ran the four length-5
 #: Bell searches about a third faster than 10, at about 0.5% more peak
 #: RSS; 28 to 49 ran about as fast and grew the peak by 1.2 to 3.3%.
-#: With the leaf screen, whose blocks step only the children that can
-#: succeed, 35 nodes ran about a fifth faster than 21 but raised the
-#: peak, and 14 ran slower (BENCH_search_screen.json, block_sweep).
+#: With the leaf screen, 35 nodes ran a fifth faster than 21 but raised
+#: the peak, and 14 ran slower (BENCH_search_screen.json, block_sweep,
+#: which blocked the leaves' parents too).
 SEARCH_BLOCK = 21
 #: The leaf screen's margin on theta^2 and its rounding allowance per
 #: dim^3, as exhaustive_search derives them.
@@ -166,19 +166,20 @@ def exhaustive_search(env: QSEEnv, max_len: int,
     episodic policy could execute. Sorted by (length, -success_rate).
 
     The leaves, at depth min(max_len, max_steps), are only ever recorded
-    or dropped, and few are recorded, so their parents' blocks are
-    screened instead of stepped. Two Hermitian forms per action a, built
-    once per search, give a child's branch probability p = tr(E_a rho)
-    with E_a = M_a^dagger M_a, and its unnormalized overlap with the
-    target f = tr(F_a rho) with F_a = M_a^dagger (1 (x) |psi><psi|) M_a;
-    one GEMM of the block's states against the fourteen forms estimates
-    both for every child. A child is stepped, by a one-action
-    ``step_batch`` row and ``classify``, only if it could be recorded:
-    p > floor - s, rate * p >= rate_cutoff - s and f >= (theta^2 - m) p - s,
-    with the margin m = _SCREEN_MARGIN and the allowance s below. Each
-    recorded number comes from that row, whose bits do not depend on its
-    stack or on the form of the call, so the records are those of
-    stepping every leaf, bit for bit.
+    or dropped, and few are recorded, so their parents are screened
+    instead of stepped, the continuing children of one block all at once.
+    Two Hermitian forms per action a, built once per search, give a
+    child's branch probability p = tr(E_a rho) with E_a = M_a^dagger M_a,
+    and its unnormalized overlap with the target f = tr(F_a rho) with
+    F_a = M_a^dagger (1 (x) |psi><psi|) M_a; one GEMM of the parents'
+    states against the fourteen forms estimates both for every child. A
+    child is stepped, by a one-action ``step_batch`` row and ``classify``,
+    only if it could be recorded: p > floor - s, rate * p >=
+    rate_cutoff - s and f >= (theta^2 - m) p - s, with the margin
+    m = _SCREEN_MARGIN and the allowance s below. Each recorded number
+    comes from that row, whose bits do not depend on its stack or on the
+    form of the call, so the records are those of stepping every leaf,
+    bit for bit.
 
     Rounding: a state at the leaves' parent depth is a density matrix to
     within rounding, so its entries' moduli sum to at most dim, and
@@ -250,8 +251,9 @@ def exhaustive_search(env: QSEEnv, max_len: int,
             rho, prefix, probs, rate = (out.rho.reshape((-1,) + rho.shape[1:])[todo],
                                         prefix[todo], probs[todo], rate[todo])
             del out
-            for lo in range(0, len(todo), SEARCH_BLOCK):
-                block = slice(lo, lo + SEARCH_BLOCK)
+            size = SEARCH_BLOCK if prefix.shape[1] + 1 < leaves else max(len(todo), 1)
+            for lo in range(0, len(todo), size):
+                block = slice(lo, lo + size)
                 expand(rho[block], prefix[block], probs[block], rate[block])
 
     if max_len > 0:

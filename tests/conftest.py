@@ -1,4 +1,5 @@
-"""Shared fixtures: golden replay rows and independent numeric oracles.
+"""Shared fixtures: golden replay rows, independent numeric oracles, and
+the reduced training run and worker processes the training tests share.
 
 The golden rows are known successful measurement sequences together with
 their final fidelity and post-selection success rate. The numbers were
@@ -12,9 +13,18 @@ double as an end-to-end check of the operator conventions.
 # in-process trainings run on the thread count the program uses
 import qsteer  # noqa: F401  isort: skip
 
+import os
+import pickle
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qsteer.agent import run_training
+from qsteer.config import parse_config_text
 from qsteer.env import EnvConfig
 from qsteer.model import ModelParams
 
@@ -92,3 +102,48 @@ def default_model():
 @pytest.fixture
 def default_env_cfg():
     return EnvConfig()
+
+
+# -- trainings ----------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+#: The reduced training run of criterion 11 and of the thread and worker
+#: checks: (line of psi_minus_fixed.cfg, its replacement).
+REDUCED_RUN = (("training_steps = 800", "training_steps = 40"),
+               ("hidden = 128, 128", "hidden = 32, 32"),
+               ("updates_per_training_step = 16", "updates_per_training_step = 4"),
+               ("batch_size = 128", "batch_size = 32"),
+               ("output_dir = runs/psi_minus_fixed", "output_dir = out"))
+
+
+def reduced_config(keep: tuple[str, ...] = ()) -> str:
+    """psi_minus_fixed.cfg's text under REDUCED_RUN, except for the lines
+    that start with a prefix in keep."""
+    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text()
+    for old, new in REDUCED_RUN:
+        assert old in text
+        if not old.startswith(keep):
+            text = text.replace(old, new)
+    return text
+
+
+def train_seed(config_text: str, seed: int) -> tuple[bytes, bytes, bytes]:
+    """Train one seed of a configuration: the bytes of its best and final
+    checkpoints, and its pickled log. Runs in a worker process as in
+    this one; this module imports qsteer first, so either way training
+    runs on the program's one BLAS thread."""
+    cfg = parse_config_text(config_text)
+    with tempfile.TemporaryDirectory() as out:
+        result = run_training(cfg.env, cfg.agent, cfg.mlp, master_seed=seed,
+                              checkpoint_dir=out)
+        best, final = (Path(out, f"checkpoint_{name}.npz").read_bytes()
+                       for name in ("best", "final"))
+    return best, final, pickle.dumps(result.log)
+
+
+def training_workers(n_tasks: int) -> ProcessPoolExecutor:
+    """A pool of spawned processes for n_tasks trainings: at most two
+    workers, and never more than the host has vCPUs."""
+    return ProcessPoolExecutor(min(2, n_tasks, os.cpu_count() or 1),
+                               mp_context=get_context("spawn"))

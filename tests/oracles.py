@@ -6,7 +6,7 @@ import numpy as np
 from qsteer.agent import select_action
 from qsteer.env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES,
                         SUCCESS, EnvConfig, QSEEnv, _labels_for, encode_state)
-from qsteer.errors import BudgetExceeded, DimensionMismatch, QsteerError
+from qsteer.errors import BudgetExceeded, QsteerError, ShapeMismatch
 from qsteer.model import IDENTITY_2, ModelParams, kron_all, purity, trace_distance
 from qsteer.sequences import (SEARCH_BLOCK, SEARCH_MAX_LEN_BUDGET, SequenceRecord,
                               replay_sequence)
@@ -51,7 +51,7 @@ def fidelity(sigma: np.ndarray, rho: np.ndarray) -> float:
     ``qsteer.model.fidelity_to_pure`` computes directly.
     """
     if sigma.shape != rho.shape:
-        raise DimensionMismatch(f"fidelity operands {sigma.shape} vs {rho.shape}")
+        raise ShapeMismatch(f"fidelity operands {sigma.shape} vs {rho.shape}")
     root = matrix_sqrt_psd(rho)
     inner = root @ sigma @ root
     # inner is PSD up to round-off; its eigenvalue square roots sum to F.

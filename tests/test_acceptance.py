@@ -10,21 +10,24 @@ suite's runtime (a few minutes).
 import dataclasses
 import time
 from itertools import pairwise
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
+    CONFIG_DIR,
     FIDELITY_ATOL,
     GOLDEN_FIXED_START,
     GOLDEN_TAU2_START,
     RATE_ATOL,
     random_density_matrix,
+    reduced_config,
+    train_seed,
+    training_workers,
 )
 from oracles import decode_state, fidelity, verify_steady_state
 from qsteer import cli
-from qsteer.agent import evaluate_policy, run_training
+from qsteer.agent import evaluate_policy
 from qsteer.config import parse_config
 from qsteer.env import DO_NOTHING, QSEEnv, encode_state
 from qsteer.model import (
@@ -38,7 +41,7 @@ from qsteer.model import (
     kron_all,
     partial_trace_first,
 )
-from qsteer.network import MLPSpec, forward, gradients, init_params
+from qsteer.network import MLPSpec, forward, gradients, init_params, load_params
 from qsteer.sequences import (
     SequenceRecord,
     combination_histogram,
@@ -51,7 +54,6 @@ from test_network import max_rel_error, numeric_grads
 # the whole module is the slow tier: pytest -m "not slow" leaves it out
 pytestmark = pytest.mark.slow
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LEARNING_SEEDS = (11, 23, 47)
 
 SUPERPOSITION_AND_IDLE = {2, 3, 4, 5, DO_NOTHING}  # x/y projections plus idle
@@ -70,14 +72,20 @@ def run_cfg():
 
 
 @pytest.fixture(scope="module")
-def trained_agents(run_cfg):
+def trained_agents(run_cfg, tmp_path_factory):
     """Best parameter sets from training the bundled configuration once
-    per seed; shared by the learning-related criteria."""
-    results = {}
-    for seed in LEARNING_SEEDS:
-        results[seed] = run_training(run_cfg.env, run_cfg.agent, run_cfg.mlp,
-                                     master_seed=seed)
-    return results
+    per seed, shared by the learning-related criteria. The seeds train in
+    worker processes, as they would in this one
+    (test_worker_trains_as_in_process)."""
+    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text()
+    with training_workers(len(LEARNING_SEEDS)) as pool:
+        trained = list(pool.map(train_seed, [text] * len(LEARNING_SEEDS), LEARNING_SEEDS,
+                                timeout=1200))
+    out, best = tmp_path_factory.mktemp("trained"), {}
+    for seed, (checkpoint, _, _) in zip(LEARNING_SEEDS, trained):
+        (out / f"best_seed{seed}.npz").write_bytes(checkpoint)
+        best[seed] = load_params(out / f"best_seed{seed}.npz", run_cfg.mlp)[0]
+    return best
 
 
 # -- prerequisite: operator-normalization sweep -------------------------
@@ -229,8 +237,7 @@ def test_criterion_6_exhaustive_oracle(run_cfg, trained_agents):
     found_table_row = bool(best)
 
     oracle = {r.actions for r in exhaustive_search(QSEEnv(run_cfg.env), 5)}
-    result = trained_agents[LEARNING_SEEDS[0]]
-    evaluation = evaluate_policy(result.best_params, run_cfg.env, 0.1, 500,
+    evaluation = evaluate_policy(trained_agents[LEARNING_SEEDS[0]], run_cfg.env, 0.1, 500,
                                  master_seed=LEARNING_SEEDS[0])
     agent_short = {rec.actions for rec in evaluation.records
                    if rec.succeeded and len(rec.actions) <= 5}
@@ -247,10 +254,9 @@ def test_criterion_7_learning_beats_random(run_cfg, trained_agents):
     details = []
     ok = True
     for seed in LEARNING_SEEDS:
-        result = trained_agents[seed]
-        trained = evaluate_policy(result.best_params, run_cfg.env, 0.1, 500,
-                                  master_seed=seed)
-        baseline = evaluate_policy(result.best_params, run_cfg.env, 1.0, 500,
+        params = trained_agents[seed]
+        trained = evaluate_policy(params, run_cfg.env, 0.1, 500, master_seed=seed)
+        baseline = evaluate_policy(params, run_cfg.env, 1.0, 500,
                                    master_seed=seed, seed_stream=4)
         seed_ok = (trained.mean_return >= baseline.mean_return + 10
                    and trained.success_fraction >= 0.30
@@ -309,7 +315,7 @@ def test_criterion_8_successful_sequences_avoid_z(run_cfg, trained_agents):
     details = []
     ok = True
     for seed in LEARNING_SEEDS:
-        params = trained_agents[seed].best_params
+        params = trained_agents[seed]
         evaluation = evaluate_policy(params, run_cfg.env, 0.01, 500,
                                      master_seed=seed, seed_stream=5)
         counts, left_out = policy_pair_histogram(
@@ -365,7 +371,7 @@ def test_criterion_8_counting_still_rejects_policy_z(run_cfg):
 def test_criterion_9_invariant_walk(run_cfg):
     t0 = time.monotonic()
     env = QSEEnv(run_cfg.env)
-    u = env.propagator
+    u = env.branch_operators[DO_NOTHING]
     unitary_defect = np.linalg.norm(u @ u.conj().T - np.eye(env.dim))
     n_bath = run_cfg.env.model.n_bath
     completeness = max(
@@ -426,16 +432,8 @@ def test_criterion_10_gradient_check():
 
 
 def test_criterion_11_training_determinism(tmp_path, monkeypatch):
-    reduced = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text()
-    for old, new in (("training_steps = 800", "training_steps = 40"),
-                     ("hidden = 128, 128", "hidden = 32, 32"),
-                     ("updates_per_training_step = 16", "updates_per_training_step = 4"),
-                     ("batch_size = 128", "batch_size = 32"),
-                     ("output_dir = runs/psi_minus_fixed", "output_dir = out")):
-        assert old in reduced
-        reduced = reduced.replace(old, new)
     config_path = tmp_path / "reduced.cfg"
-    config_path.write_text(reduced)
+    config_path.write_text(reduced_config())
 
     curves = []
     for run in ("first", "second"):
@@ -446,3 +444,12 @@ def test_criterion_11_training_determinism(tmp_path, monkeypatch):
     report(11, curves[0] == curves[1],
            f"two full training commands produced byte-identical learning curves "
            f"({len(curves[0])} bytes)")
+
+
+def test_worker_trains_as_in_process():
+    # the trained_agents fixture trains in spawned workers: one of them
+    # writes the checkpoints and learning curve of a run in this process
+    text = reduced_config()
+    with training_workers(1) as pool:
+        in_worker = pool.submit(train_seed, text, LEARNING_SEEDS[0]).result(timeout=300)
+    assert in_worker == train_seed(text, LEARNING_SEEDS[0])

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_density_matrix
 from oracles import decode_state, random_starts_per_row
-from qsteer.env import (ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, _setup, encode_state,
-                        encoding_length)
+from qsteer.env import (ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, _labels_for, _setup,
+                        encode_state, encoding_length)
 from qsteer.errors import EpisodeFinished
 from qsteer.model import (
     BELL_NAMES,
@@ -105,6 +105,28 @@ class TestReset:
             assert rho.tobytes() == rho_.tobytes()
             assert enc.tobytes() == enc_.tobytes()
             assert labels == labels_
+
+    def test_labels_are_the_per_row_expression(self, rng):
+        # the cardinal name up to global phase, or else the amplitudes
+        # formatted from each row's numpy scalars
+        def per_row(central):
+            names, refs = zip(*SPIN_STATES.items())
+            match = np.abs(np.abs(central @ np.conj(refs).T) - 1.0) < 1e-12
+            return [names[m.argmax()] if m.any() else f"({v[0]:.6f},{v[1]:.6f})"
+                    for v, m in zip(central, match)]
+
+        draws = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(SPIN_STATES), 1)))
+        central = np.concatenate([
+            draws / np.linalg.norm(draws, axis=1, keepdims=True),
+            np.stack(list(SPIN_STATES.values())) * phases,
+            [[0.6, 0.8j], [0.6, -0.8], [np.cos(1e-3), np.sin(1e-3)]],
+            [[complex(0.6, -0.0), 0.8j], [complex(-0.0, 0.8), 0.6], [1, -0.0]],
+        ])
+        labels = _labels_for(central)
+        assert labels == per_row(central)
+        assert labels[200:206] == list(SPIN_STATES)
+        assert labels[-3] == "(0.600000-0.000000j,0.000000+0.800000j)"
 
     def test_custom_start(self):
         cfg = dataclasses.replace(EnvConfig(), start_mode="fixed_custom",
@@ -249,7 +271,8 @@ def _separate_products_reference(env, rho, action):
     """Evolve, then project and renormalize as separate products:
     P (U rho U^dagger) P / p, U rho U^dagger when idle, and the
     unnormalized P (U rho U^dagger) P when fatal."""
-    evolved = env.propagator @ rho @ env.propagator.conj().T
+    u = env.branch_operators[DO_NOTHING]
+    evolved = u @ rho @ u.conj().T
     if action == DO_NOTHING:
         return evolved, 1.0, False
     axis, sign = ACTION_TOKENS[action][1:]
@@ -284,7 +307,8 @@ class TestStepBatch:
             if batch.fatal[i]:
                 # step ends a fatal step in the evolved state, where
                 # step_batch keeps the unnormalized branch
-                evolved = env.propagator @ rho[i:i + 1] @ env.propagator.conj().T
+                u = env.branch_operators[DO_NOTHING]
+                evolved = u @ rho[i:i + 1] @ u.conj().T
                 assert np.array_equal(result.next.rho, evolved[0])
             else:
                 assert np.array_equal(result.next.rho, batch.rho[i])
@@ -452,7 +476,7 @@ def test_action_tokens_cover_seven_actions():
 
 
 class TestSharedOperators:
-    _ARRAYS = ("propagator", "branch_operators", "target_vector", "target_matrix")
+    _ARRAYS = ("branch_operators", "target_vector", "target_matrix")
 
     def test_equal_configs_share_read_only_arrays(self):
         # separately built, equal configs: one set-up for both envs
@@ -462,7 +486,7 @@ class TestSharedOperators:
             assert getattr(env_a, name) is getattr(env_b, name)
         a, b = env_a.reset(), env_b.reset()
         assert a.rho is b.rho and a.encoding is b.encoding
-        for array in (env_a.propagator, env_a.branch_operators, env_a.target_matrix, a.rho):
+        for array in (env_a.branch_operators, env_a.target_matrix, a.rho):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
         for array in (env_a.target_vector, a.encoding):
@@ -471,8 +495,9 @@ class TestSharedOperators:
 
     def test_other_model_gets_its_own_operators(self):
         env = QSEEnv(EnvConfig(model=ModelParams.uniform(tau=2.0)))
-        assert env.propagator is not QSEEnv(EnvConfig()).propagator
-        assert np.array_equal(env.propagator, build_propagator(ModelParams.uniform(tau=2.0)))
+        assert env.branch_operators is not QSEEnv(EnvConfig()).branch_operators
+        assert np.array_equal(env.branch_operators[DO_NOTHING],
+                              build_propagator(ModelParams.uniform(tau=2.0)))
 
     def test_other_target_gets_its_own_arrays(self):
         # one set-up per config: the same model under another target is built again

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import expm_taylor, random_density_matrix
 from oracles import NegativeEigenvalue, matrix_sqrt_psd
-from qsteer.errors import DimensionMismatch
+from qsteer.errors import ShapeMismatch
 from qsteer.model import (
     IDENTITY_2,
     PAULI_X,
@@ -136,9 +136,9 @@ class TestPartialTrace:
             assert np.array_equal(partial_trace_first(m, 2), r)
 
     def test_bad_dims(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             partial_trace_first(np.eye(6, dtype=complex), 4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             partial_trace_first(np.zeros((4, 6)), 2)
 
 

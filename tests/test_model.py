@@ -6,7 +6,7 @@ import pytest
 from conftest import FIRST_XPLUS_BRANCH_PROB, random_density_matrix
 from oracles import assert_density_matrix, fidelity
 from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
-from qsteer.errors import DimensionMismatch
+from qsteer.errors import ShapeMismatch
 from qsteer.model import (
     BELL_NAMES,
     IDENTITY_2,
@@ -93,7 +93,7 @@ class TestEvolve:
         assert_density_matrix(idle_step(rho, default_model))
 
     def test_dimension_mismatch(self, rng, default_model):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             idle_step(random_density_matrix(rng, 4), default_model)
 
 
@@ -165,7 +165,7 @@ class TestMeasure:
         ((8, 8), (7, 8, 8)),        # a bare matrix
     ])
     def test_shapes_that_do_not_fit(self, rho_shape, ops_shape):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             measure(np.zeros(rho_shape, complex), np.zeros(ops_shape, complex))
 
 

@@ -528,6 +528,24 @@ class TestLeafScreen:
         assert screened == every_action_calls(search_unscreened, env, max_len - 1)
         assert screened == (0 if max_len == 1 else 21)
 
+    @pytest.mark.parametrize("target", ["psi+", "psi-"])
+    def test_one_screen_per_parent_block(self, monkeypatch, target):
+        # all the continuing children of an every-action block are the
+        # leaves' parents here, screened in one call, which steps the
+        # children that pass in at most one one-action call: no two
+        # one-action calls follow each other
+        env = QSEEnv(EnvConfig(target=target))
+        calls = []
+        step_batch = env.step_batch
+
+        def counted(rho, actions):
+            calls.append("every" if actions is None else "one")
+            return step_batch(rho, actions)
+        monkeypatch.setattr(env, "step_batch", counted)
+        exhaustive_search(env, 5)
+        assert calls.count("every") == 21 and "one" in calls
+        assert ("one", "one") not in set(zip(calls, calls[1:]))
+
 
 class TestReplayChunks:
     """replay_sequence conjugates, scores and classifies in chunks of 8,

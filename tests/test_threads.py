@@ -12,15 +12,9 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-CONFIG_DIR = ROOT / "configs"
+from conftest import reduced_config
 
-# criterion 11's reduced training run (tests/test_acceptance.py)
-REDUCED = (("training_steps = 800", "training_steps = 40"),
-           ("hidden = 128, 128", "hidden = 32, 32"),
-           ("updates_per_training_step = 16", "updates_per_training_step = 4"),
-           ("batch_size = 128", "batch_size = 32"),
-           ("output_dir = runs/psi_minus_fixed", "output_dir = out"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_python(code: str, threads: str | None, cwd=None) -> str:
@@ -68,18 +62,13 @@ def test_running_the_cli_module_warns_nothing():
     assert out.startswith("usage: qsteer")
 
 
-# At criterion 11's reduced widths (32) OpenBLAS keeps every product on one
+# At the reduced run's widths (32) OpenBLAS keeps every product on one
 # thread, so the run is repeated at the bundled widths, where the 128-row
 # products are split between threads.
 @pytest.mark.parametrize("widths", ["reduced", "bundled"])
 def test_training_bytes_do_not_depend_on_thread_count(tmp_path, widths):
-    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text()
-    for old, new in REDUCED:
-        if widths == "bundled" and old.startswith(("hidden", "batch_size")):
-            continue
-        assert old in text
-        text = text.replace(old, new)
-    (tmp_path / "run.cfg").write_text(text)
+    keep = ("hidden", "batch_size") if widths == "bundled" else ()
+    (tmp_path / "run.cfg").write_text(reduced_config(keep))
 
     outputs = []
     for threads in ("1", "2"):
