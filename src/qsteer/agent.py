@@ -399,28 +399,29 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
     same bits in any batch. So the result does not depend on which
     episodes share a batch.
 
-    Each distinct state is stepped once, as the module docstring says: a
-    fixed start's block begins as one shared row, node[j] is live episode
-    j's row in the state stack, and a step conjugates, scores and encodes
-    each distinct (row, action) child once. Once each live episode holds
-    its own row, and from the start for random starts, node is None and a
-    step runs on the stack as it is.
+    The collector is the one place that encodes states: each lockstep
+    step begins by encoding the live stack. Each distinct state is
+    stepped once, as the module docstring says: when ``starts`` hands out
+    fewer rows than episodes (a fixed start's one shared row), node[j] is
+    live episode j's row in the state stack, and a step conjugates and
+    scores each distinct (row, action) child once. Once each live episode
+    holds its own row, and from the start for random starts, node is None
+    and a step runs on the stack as it is.
 
     Returns (start_labels, totals, offsets, steps): steps maps each name in
     columns (s, the encoding each action was chosen in; a; code; prob;
     fidelity) to its per-step array, the only ones held while the block
     runs, in episode-major order: offsets[i]:offsets[i + 1] are episode i's.
     """
-    rho, enc, start_labels = env.starts(rngs)
+    rho, start_labels = env.starts(rngs)
     n = len(rngs)
     live = np.arange(n)
-    node = None
-    if env.cfg.start_mode != "random_pure" and n > 1:
-        rho, enc, node = rho[:1], enc[:1], np.zeros(n, dtype=np.intp)
+    node = np.zeros(n, dtype=np.intp) if len(rho) < n else None
     totals = np.zeros(n)
     episode = []  # per lockstep step: the episodes that took it
     held = {name: [] for name in columns}
     while len(live):
+        enc = encode_state(rho)
         actions = select_action(params, enc, eps, [rngs[i] for i in live], node)
         if node is None:
             out = env.step_batch(rho, actions)
@@ -448,7 +449,6 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
         for name, column in held.items():
             column.append(row[name])
         live = live[go]
-        enc = encode_state(rho)
     episode = np.concatenate(episode)
     order = np.argsort(episode, kind="stable")
     offsets = np.searchsorted(episode[order], np.arange(n + 1))

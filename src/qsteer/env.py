@@ -10,7 +10,9 @@ rate of reproducing it on hardware. Outcomes are therefore never sampled.
 The observed state is the full density matrix, flattened losslessly to a
 real vector (Hermiticity plus unit trace make the on-and-above-diagonal
 entries, minus one diagonal element, a complete parameterization). With
-two bath spins that is 70 numbers.
+two bath spins that is 70 numbers. The env hands out density matrices;
+``encode_state`` flattens them where the network reads them, in the
+collector.
 
 The bath holds any even number of spins. The target is one copy of the
 named Bell pair per two bath spins, (bath_1, bath_2) (x) (bath_3,
@@ -131,9 +133,10 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """Encoded observation plus the exact density matrix behind it."""
+    """One episode's exact density matrix, its step count and ending, and
+    its start's label. The network's view of the state is
+    ``encode_state(rho)``, which the collector makes."""
 
-    encoding: np.ndarray
     rho: np.ndarray
     step_count: int = 0
     done: bool = False
@@ -200,7 +203,7 @@ def _setup(cfg: EnvConfig):
     and the propagator U itself for idle, so that action a's step is the
     ``measure`` of a state by operator a; the target's state vector and
     density matrix (one copy of the named Bell pair per two bath spins);
-    and a fixed start's (state, encoding, label), or None in random_pure
+    and a fixed start's (states, labels), one row, or None in random_pure
     mode.
 
     Equal configs give the same bits and labels whichever is built first:
@@ -219,9 +222,8 @@ def _setup(cfg: EnvConfig):
     if cfg.start_mode != "random_pure":
         central = (SPIN_STATES["x+"] if cfg.custom_start is None
                    else normalize_states(cfg.custom_start))
-        (rho,), (enc,), (label,) = _product_states(central[None], n_bath)
-        fixed_start = rho, enc, label
-        arrays += [rho, enc]
+        fixed_start = _product_states(central[None], n_bath)
+        arrays.append(fixed_start[0])
     for a in arrays:
         a.flags.writeable = False
     return branch_operators, target, target_matrix, fixed_start
@@ -229,8 +231,7 @@ def _setup(cfg: EnvConfig):
 
 def _product_states(central: np.ndarray, n_bath: int):
     central = central + 0  # a signed zero would reach the bits and the label
-    rho = central_product_state(central, n_bath)
-    return rho, encode_state(rho), _labels_for(central)
+    return central_product_state(central, n_bath), _labels_for(central)
 
 
 class QSEEnv:
@@ -254,14 +255,13 @@ class QSEEnv:
     # -- start states -------------------------------------------------
 
     def starts(self, rngs: Sequence[np.random.Generator | None]):
-        """Start states of len(rngs) new episodes, stacked: (rho, encodings,
-        labels). A fixed start is broadcast from the shared read-only
-        arrays; a random start draws from its own generator."""
-        n = len(rngs)
+        """Start states of len(rngs) new episodes: (rho, labels), one
+        label per episode. A random start draws one row of rho from each
+        generator; a fixed start is the one shared read-only row, (1, dim,
+        dim), whatever the count."""
         if self._fixed_start is not None:
-            rho, enc, label = self._fixed_start
-            return (np.broadcast_to(rho, (n,) + rho.shape),
-                    np.broadcast_to(enc, (n,) + enc.shape), [label] * n)
+            rho, (label,) = self._fixed_start
+            return rho, [label] * len(rngs)
         if any(rng is None for rng in rngs):
             raise ValueError("random_pure start mode needs a random generator")
         # two independent complex standard Gaussians, normalized: uniform
@@ -271,14 +271,10 @@ class QSEEnv:
                                self.cfg.model.n_bath)
 
     def reset(self, rng: np.random.Generator | None = None) -> EnvState:
-        """Start state of a new episode: one row of ``starts``. A fixed
-        start is the shared read-only pair itself."""
-        if self._fixed_start is not None:
-            rho, enc, label = self._fixed_start
-        else:
-            (rho,), (enc,), (label,) = self.starts([rng])
-        return EnvState(encoding=enc, rho=rho, step_count=0, done=False,
-                        start_label=label)
+        """Start state of a new episode: the one row of ``starts([rng])``,
+        a read-only view of the shared row for a fixed start."""
+        (rho,), (label,) = self.starts([rng])
+        return EnvState(rho, start_label=label)
 
     # -- dynamics ------------------------------------------------------
 
@@ -293,7 +289,7 @@ class QSEEnv:
         stack around it and in either form. A fatal row keeps its
         unnormalized branch, as ``BatchStep`` says: training and
         evaluation end the episode there, replay ends its record there,
-        the search drops the child, and ``step`` reports the evolved state.
+        the search drops the child, and ``step`` reports the idle row.
         """
         return self.score(*self.conjugate(rho, actions))
 
@@ -344,23 +340,17 @@ class QSEEnv:
 
     def step(self, state: EnvState, action: int) -> StepResult:
         """Evolve for tau, apply the chosen action, and score the result:
-        one row of ``step_batch``, encoded, plus ``classify``. A fatal
-        step, whose branch ``step_batch`` leaves unnormalized, ends in the
-        evolved, unprojected state."""
+        one row of ``step_batch`` plus ``classify``. A fatal step, whose
+        branch ``step_batch`` leaves unnormalized, ends in the idle row
+        ``conjugate`` gives the state instead: evolved, not projected."""
         if state.done:
             raise EpisodeFinished(f"episode already ended after {state.step_count} steps")
-        if not 0 <= action < ACTION_COUNT:
-            raise ValueError(f"action index must be in [0, {ACTION_COUNT}), got {action}")
         out = self.step_batch(state.rho[None], [action])
         m = state.step_count + 1
         code = int(self.classify(out.fidelity, out.fatal, m)[0])
-        done = code != CONTINUE
-        rho = out.rho
-        if code == FATAL:
-            u = self.branch_operators[DO_NOTHING]
-            rho = u @ state.rho[None] @ u.conj().T
-        nxt = EnvState(encode_state(rho[0]), rho[0], m, done, state.start_label)
-        return StepResult(nxt, float(self.rewards[code]), done, float(out.prob[0]),
+        rho = out.rho if code != FATAL else self.conjugate(state.rho[None], [DO_NOTHING])[0]
+        nxt = EnvState(rho[0], m, code != CONTINUE, state.start_label)
+        return StepResult(nxt, float(self.rewards[code]), nxt.done, float(out.prob[0]),
                           OUTCOMES[code], float(out.fidelity[0]))
 
 

@@ -114,7 +114,7 @@ def random_starts_per_row(env: QSEEnv, rngs):
     """``QSEEnv.starts`` in random_pure mode, one state at a time: each
     state divided by its own ``np.linalg.norm``, once when it is drawn
     and once more when its product state is built. Returns (rho,
-    encodings, labels)."""
+    labels)."""
     def unit(v):
         return v / np.linalg.norm(v)
 
@@ -124,20 +124,22 @@ def random_starts_per_row(env: QSEEnv, rngs):
     central = np.stack([unit(v) for v in central])
     outer = central[:, :, None] * central[:, None, :].conj()
     rho = kron_all(outer, *([IDENTITY_2 / 2] * env.cfg.model.n_bath))
-    return rho, encode_state(rho), labels
+    return rho, labels
 
 
 def collect_per_row(env: QSEEnv, params, eps: float, rngs, columns):
     """``qsteer.agent._collect`` with one state row per live episode:
     every step conjugates, scores, encodes and forwards each episode's
     state, shared or not. Same arguments and results."""
-    rho, enc, start_labels = env.starts(rngs)
+    rho, start_labels = env.starts(rngs)
     n = len(rngs)
+    rho = np.broadcast_to(rho, (n,) + rho.shape[1:])
     live = np.arange(n)
     totals = np.zeros(n)
     episode = []
     held = {name: [] for name in columns}
     while len(live):
+        enc = encode_state(rho)
         actions = select_action(params, enc, eps, [rngs[i] for i in live])
         out = env.step_batch(rho, actions)
         code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
@@ -148,7 +150,6 @@ def collect_per_row(env: QSEEnv, params, eps: float, rngs, columns):
             column.append(row[name])
         go = code == CONTINUE
         live, rho = live[go], out.rho[go]
-        enc = encode_state(rho)
     episode = np.concatenate(episode)
     order = np.argsort(episode, kind="stable")
     offsets = np.searchsorted(episode[order], np.arange(n + 1))

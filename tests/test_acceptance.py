@@ -287,7 +287,7 @@ def policy_pair_histogram(records, env_cfg, greedy):
         state = env.reset()
         chosen = []
         for action in actions:
-            chosen.append(action == greedy(state.encoding))
+            chosen.append(action == greedy(encode_state(state.rho)))
             result = env.step(state, action)
             state = result.next
         assert result.outcome == "success", f"replay of {actions} did not succeed"
@@ -358,7 +358,7 @@ def test_criterion_8_counting_still_rejects_policy_z(run_cfg):
     env = QSEEnv(run_cfg.env)
     script, state = {}, env.reset()
     for action in detour:
-        script[state.encoding.tobytes()] = action
+        script[encode_state(state.rho).tobytes()] = action
         state = env.step(state, action).next
     counts, left_out = policy_pair_histogram(
         records[1:], run_cfg.env, lambda s: script[s.tobytes()])

@@ -20,7 +20,7 @@ from qsteer.agent import (
     select_action,
 )
 from qsteer.config import parse_config
-from qsteer.env import CONTINUE, EnvConfig, QSEEnv
+from qsteer.env import CONTINUE, EnvConfig, QSEEnv, encode_state
 from qsteer.network import MLPParams, MLPSpec, init_params, load_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -332,7 +332,7 @@ class TestCollect:
             # row j holds the state episode i's action j was chosen in
             state = env.reset(np.random.default_rng(i))
             for j in range(lo, hi):
-                assert np.array_equal(ep["s"][j], state.encoding)
+                assert np.array_equal(ep["s"][j], encode_state(state.rho))
                 result = env.step(state, int(ep["a"][j]))
                 assert ep["prob"][j] == result.success_prob
                 state = result.next

@@ -54,36 +54,35 @@ class TestReset:
         # averaging the central-spin state over many draws approaches I/2
         cfg = dataclasses.replace(EnvConfig(), start_mode="random_pure")
         env = QSEEnv(cfg)
-        acc = np.zeros((2, 2), dtype=complex)
         n = 10_000
-        for i in range(n):
-            rho = env.reset(np.random.default_rng(i)).rho
-            acc += np.einsum("ikjk->ij", rho.reshape(2, 4, 2, 4))
+        rho, _labels = env.starts([np.random.default_rng(i) for i in range(n)])
+        acc = np.einsum("nikjk->ij", rho.reshape(n, 2, 4, 2, 4))
         assert np.linalg.norm(acc / n - np.eye(2) / 2) < 0.02
 
     def test_fixed_start_is_built_once_and_read_only(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
         a, b = env.reset(), env.reset(np.random.default_rng(3))
-        assert a.rho is b.rho and a.encoding is b.encoding
-        assert not a.rho.flags.writeable and not a.encoding.flags.writeable
-        assert np.array_equal(a.encoding, encode_state(a.rho))
+        assert np.shares_memory(a.rho, b.rho) and not a.rho.flags.writeable
+        rho, labels = env.starts([None] * 5)
+        assert rho.shape == (1, 8, 8) and labels == ["x+"] * 5
+        assert np.shares_memory(rho, a.rho)
 
     @pytest.mark.parametrize("mode", ["random_pure", "fixed_xplus", "fixed_custom"])
     def test_starts_match_reset_row_by_row(self, mode):
         custom = (0.3 + 0.1j, -0.7j) if mode == "fixed_custom" else None
         env = QSEEnv(dataclasses.replace(EnvConfig(), start_mode=mode, custom_start=custom))
-        rho, enc, labels = env.starts([np.random.default_rng(i) for i in range(40)])
-        assert rho.shape == (40, 8, 8) and enc.shape == (40, 70) and len(labels) == 40
+        rho, labels = env.starts([np.random.default_rng(i) for i in range(40)])
+        # one row per episode, or a fixed start's one shared row
+        assert rho.shape == (40 if mode == "random_pure" else 1, 8, 8) and len(labels) == 40
         for i in range(40):
             one = env.reset(np.random.default_rng(i))
             # tobytes() also tells a signed zero from an unsigned one
-            assert rho[i].tobytes() == one.rho.tobytes()
-            assert enc[i].tobytes() == one.encoding.tobytes()
+            assert rho[i % len(rho)].tobytes() == one.rho.tobytes()
             assert labels[i] == one.start_label
 
     def test_random_starts_match_the_one_state_formula(self):
         env = QSEEnv(dataclasses.replace(EnvConfig(), start_mode="random_pure"))
-        rho, _enc, _labels = env.starts([np.random.default_rng(i) for i in range(40)])
+        rho, _labels = env.starts([np.random.default_rng(i) for i in range(40)])
         for i in range(40):
             g = np.random.default_rng(i)
             raw = g.standard_normal(2) + 1j * g.standard_normal(2)
@@ -99,11 +98,10 @@ class TestReset:
                                start_mode="random_pure"))
         for seed in range(8 if n == 512 else 25):
             rngs = [np.random.default_rng([seed, i]) for i in range(n)]
-            rho, enc, labels = env.starts(rngs)
-            rho_, enc_, labels_ = random_starts_per_row(
+            rho, labels = env.starts(rngs)
+            rho_, labels_ = random_starts_per_row(
                 env, [np.random.default_rng([seed, i]) for i in range(n)])
             assert rho.tobytes() == rho_.tobytes()
-            assert enc.tobytes() == enc_.tobytes()
             assert labels == labels_
 
     def test_labels_are_the_per_row_expression(self, rng):
@@ -229,7 +227,7 @@ class TestStep:
         sa, sb = env_a.reset(), env_b.reset()
         for action in (2, DO_NOTHING, 4, 2):
             ra, rb = env_a.step(sa, action), env_b.step(sb, action)
-            assert np.array_equal(ra.next.encoding, rb.next.encoding)
+            assert np.array_equal(ra.next.rho, rb.next.rho)
             assert ra.reward == rb.reward and ra.success_prob == rb.success_prob
             sa, sb = ra.next, rb.next
 
@@ -305,14 +303,12 @@ class TestStepBatch:
                 assert np.array_equal(got[0], want[i], equal_nan=True)
             result = env.step(dataclasses.replace(env.reset(), rho=rho[i]), int(action))
             if batch.fatal[i]:
-                # step ends a fatal step in the evolved state, where
-                # step_batch keeps the unnormalized branch
-                u = env.branch_operators[DO_NOTHING]
-                evolved = u @ rho[i:i + 1] @ u.conj().T
-                assert np.array_equal(result.next.rho, evolved[0])
+                # step ends a fatal step in the idle row, where step_batch
+                # keeps the unnormalized branch
+                idle = env.step_batch(rho[i:i + 1], [DO_NOTHING])
+                assert result.next.rho.tobytes() == idle.rho[0].tobytes()
             else:
                 assert np.array_equal(result.next.rho, batch.rho[i])
-            assert np.array_equal(result.next.encoding, encode_state(result.next.rho))
             assert result.success_prob == batch.prob[i]
             assert result.fidelity == batch.fidelity[i] or batch.fatal[i]
             assert (result.outcome == "fatal") == batch.fatal[i]
@@ -359,6 +355,8 @@ class TestStepBatch:
         for action in (-1, 7):
             with pytest.raises(ValueError):
                 env.step_batch(rho, [action])
+            with pytest.raises(ValueError):
+                env.step(env.reset(), action)
 
     def test_classify_takes_one_step_count_per_step(self, default_env_cfg):
         env = QSEEnv(dataclasses.replace(default_env_cfg, max_steps=3, r_fatal=-4.0))
@@ -485,13 +483,12 @@ class TestSharedOperators:
         for name in self._ARRAYS:
             assert getattr(env_a, name) is getattr(env_b, name)
         a, b = env_a.reset(), env_b.reset()
-        assert a.rho is b.rho and a.encoding is b.encoding
+        assert np.shares_memory(a.rho, b.rho)
         for array in (env_a.branch_operators, env_a.target_matrix, a.rho):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
-        for array in (env_a.target_vector, a.encoding):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            env_a.target_vector[0] = 0.0
 
     def test_other_model_gets_its_own_operators(self):
         env = QSEEnv(EnvConfig(model=ModelParams.uniform(tau=2.0)))
@@ -504,7 +501,7 @@ class TestSharedOperators:
         env, base = QSEEnv(EnvConfig(target="phi+")), QSEEnv(EnvConfig())
         for name in self._ARRAYS:
             assert getattr(env, name) is not getattr(base, name)
-        assert env.reset().rho is not base.reset().rho
+        assert not np.shares_memory(env.reset().rho, base.reset().rho)
 
     @pytest.mark.parametrize("signed, unsigned", [
         ((1, -0.0), (1, 0)),
@@ -523,7 +520,6 @@ class TestSharedOperators:
                                            custom_start=amplitudes)).reset())
         a, b = starts
         assert a.rho.tobytes() == b.rho.tobytes()
-        assert a.encoding.tobytes() == b.encoding.tobytes()
         assert a.start_label == b.start_label
 
     @pytest.mark.parametrize("signed, unsigned", [

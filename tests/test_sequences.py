@@ -9,7 +9,7 @@ from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_
 from oracles import replay_per_step, search_unscreened, verify_steady_state
 from qsteer import sequences
 from qsteer.agent import evaluate_policy
-from qsteer.env import ACTION_COUNT, DO_NOTHING, EnvConfig, QSEEnv
+from qsteer.env import ACTION_COUNT, DO_NOTHING, EnvConfig, QSEEnv, encoding_length
 from qsteer.errors import BudgetExceeded, SequenceParseError
 from qsteer.model import SPIN_STATES, ModelParams, purity, trace_distance
 from qsteer.network import MLPParams
@@ -119,7 +119,7 @@ class TestReplay:
         zplus = SPIN_STATES["z+"]
         cfg = dataclasses.replace(default_env_cfg, start_mode="fixed_custom",
                                   custom_start=(complex(zplus[0]), complex(zplus[1])))
-        n_inputs = QSEEnv(cfg).reset().encoding.size
+        n_inputs = encoding_length(QSEEnv(cfg).dim)
         # one linear layer with zero weights: the bias row picks Pz- everywhere
         params = MLPParams(weights=[np.zeros((n_inputs, 7))],
                            biases=[np.eye(7)[PZ_MINUS]])
@@ -132,7 +132,7 @@ class TestReplay:
         # an episode of a policy that always picks Px+ times out at step 3;
         # replaying four Px+ must leave that record, not a step-4 success
         cfg = dataclasses.replace(default_env_cfg, max_steps=3, r_fatal=-4.0)
-        n_inputs = QSEEnv(cfg).reset().encoding.size
+        n_inputs = encoding_length(QSEEnv(cfg).dim)
         params = MLPParams(weights=[np.zeros((n_inputs, 7))],
                            biases=[np.eye(7)[PX_PLUS]])
         result = evaluate_policy(params, cfg, 0.0, 1, master_seed=0)
