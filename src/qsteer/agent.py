@@ -73,12 +73,15 @@ class ReplayMemory:
     itself. A terminal row's next state is whatever row follows.
     Insertion evicts oldest-first once full; sampling is with replacement
     from its own stream: seed_seq is anything ``np.random.default_rng``
-    takes, a generator included.
+    takes, a generator included, but not None, which would draw OS entropy
+    and so break the rule that one config and master seed give one log.
     """
 
-    def __init__(self, capacity: int, state_size: int, seed_seq=None):
+    def __init__(self, capacity: int, state_size: int, seed_seq):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if seed_seq is None:
+            raise ValueError("seed_seq must be given: None would seed from OS entropy")
         self.capacity = capacity
         self._columns = (np.zeros((capacity, state_size)), np.zeros(capacity, dtype=np.int64),
                          np.zeros(capacity), np.zeros(capacity, dtype=bool))

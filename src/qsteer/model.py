@@ -24,6 +24,7 @@ Hamiltonian, whose real couplings make it exactly Hermitian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,12 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        # bounds ||H|| tau; in Python floats, which overflow to inf silently
+        g = max((sum(abs(float(c)) for c in v) for v in self.couplings), default=0.0)
+        if not math.isfinite(self.n_bath * (g + abs(float(self.omega))) * float(self.tau)):
+            raise ValueError(
+                f"coupling, omega and tau must keep n_bath * (max_k |g_k|_1 + |omega|) * tau "
+                f"finite, got max |g|_1 = {g}, omega = {self.omega}, tau = {self.tau}")
 
     @classmethod
     def uniform(cls, n_bath: int = 2, coupling=(1.0, 0.0, 0.0), omega: float = 0.5,

@@ -39,25 +39,20 @@ __all__ = [
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-_ACTIVATIONS = ("relu", "tanh")
-
 
 @dataclass(frozen=True)
 class MLPSpec:
-    """Network layout: input width, hidden widths, output heads."""
+    """Network layout: input width, ReLU hidden widths, output heads."""
 
     input_size: int
     hidden: tuple[int, ...] = (128, 128)
     output_size: int = 7
-    activation: str = "relu"
     init_seed: int = 0
 
     def __post_init__(self):
         widths = (self.input_size, *self.hidden, self.output_size)
         if any(w < 1 for w in widths):
             raise ValueError(f"all layer widths must be >= 1, got {widths}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
         if self.init_seed < 0:
             raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
 
@@ -87,7 +82,6 @@ class MLPParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -104,7 +98,7 @@ class MLPParams:
         self.weights, self.biases = _layer_views(self.flat, sizes)
 
     def clone(self) -> "MLPParams":
-        return MLPParams(self.weights, self.biases, self.activation)
+        return MLPParams(self.weights, self.biases)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -120,30 +114,16 @@ def init_params(spec: MLPSpec) -> MLPParams:
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MLPParams(weights, biases, spec.activation)
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """The activation, applied to z in place."""
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=z)
-    return np.tanh(z, out=z)
-
-
-def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative, from its output h."""
-    if kind == "relu":
-        return h > 0
-    return 1.0 - h ** 2
+    return MLPParams(weights, biases)
 
 
 def _layers(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
-    """Each layer's output for the batch x, x first; all but the last activated."""
+    """Each layer's output for the batch x, x first; all but the last through ReLU."""
     outs = [x]
     for layer, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
         z = outs[-1] @ w
         z += b
-        outs.append(z if layer == len(params.weights) else _activate(z, params.activation))
+        outs.append(z if layer == len(params.weights) else np.maximum(z, 0.0, out=z))
     return outs
 
 
@@ -201,7 +181,7 @@ def gradients(params: MLPParams, inputs: np.ndarray, actions: np.ndarray,
         delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
             delta = delta @ params.weights[layer].T
-            delta *= _activate_grad(post[layer], params.activation)
+            delta *= post[layer] > 0
     return grad_w, grad_b, loss
 
 
@@ -329,8 +309,11 @@ def load_params(path, expected_spec: MLPSpec | None = None):
     """Load a checkpoint; returns (params, spec, meta).
 
     Raises SchemaMismatch when the file cannot be read as a checkpoint,
-    when a layer array is not the float64 save_params writes or, if
+    when a layer array is not the finite float64 save_params writes or, if
     expected_spec is given, when the stored layout disagrees with it.
+    Older headers name their activation, which must be relu. The
+    diverged_step*.npz a diverging run dumps may hold NaN or inf and is
+    refused here; np.load reads it.
     """
     try:
         fh = open(path, "rb")
@@ -360,6 +343,8 @@ def load_params(path, expected_spec: MLPSpec | None = None):
                 spec = MLPSpec(**layout)
             except (KeyError, ValueError) as exc:
                 raise SchemaMismatch(f"{path}: bad layout header: {exc}") from exc
+            if meta.get("activation", "relu") != "relu":
+                raise SchemaMismatch(f"{path}: activation {meta['activation']!r} is not relu")
             n_layers = len(spec.layer_sizes) - 1
             weights, biases = [], []
             for i in range(n_layers):
@@ -372,21 +357,18 @@ def load_params(path, expected_spec: MLPSpec | None = None):
                         raise SchemaMismatch(f"{path}: unreadable array {key}: {exc}") from exc
                     if array.dtype != np.float64:
                         raise SchemaMismatch(f"{path}: array {key} is {array.dtype}, not float64")
+                    if not np.isfinite(array).all():
+                        raise SchemaMismatch(f"{path}: array {key} holds non-finite values")
                     arrays.append(array)
     try:
-        params = MLPParams(weights, biases, spec.activation)
+        params = MLPParams(weights, biases)
     except ShapeMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from exc
     expected = tuple(spec.layer_sizes)
     actual = tuple(params.layer_sizes)
     if actual != expected:
         raise SchemaMismatch(f"{path}: stored arrays {actual} do not match header {expected}")
-    if expected_spec is not None and (
-        expected_spec.layer_sizes != spec.layer_sizes
-        or expected_spec.activation != spec.activation
-    ):
-        raise SchemaMismatch(
-            f"{path}: checkpoint layout {spec.layer_sizes}/{spec.activation} does not "
-            f"match configured {expected_spec.layer_sizes}/{expected_spec.activation}"
-        )
+    if expected_spec is not None and expected_spec.layer_sizes != spec.layer_sizes:
+        raise SchemaMismatch(f"{path}: checkpoint layout {spec.layer_sizes} does not "
+                             f"match configured {expected_spec.layer_sizes}")
     return params, spec, meta

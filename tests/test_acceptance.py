@@ -414,8 +414,7 @@ def test_criterion_9_invariant_walk(run_cfg):
 
 
 def test_criterion_10_gradient_check():
-    spec = MLPSpec(input_size=70, hidden=(64, 32), output_size=7,
-                   activation="relu", init_seed=12345)
+    spec = MLPSpec(input_size=70, hidden=(64, 32), output_size=7, init_seed=12345)
     params = init_params(spec)
     rng = np.random.default_rng(777)
     worst = 0.0

@@ -245,7 +245,13 @@ class TestReplayMemory:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            ReplayMemory(capacity=4, state_size=1).sample(2)
+            ReplayMemory(capacity=4, state_size=1, seed_seq=0).sample(2)
+
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError):
+            ReplayMemory(capacity=4, state_size=1)
+        with pytest.raises(ValueError, match="seed_seq"):
+            ReplayMemory(capacity=4, state_size=1, seed_seq=None)
 
 
 class TestRunTraining:

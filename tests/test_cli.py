@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,6 @@ grad_clip = 10
 
 [mlp]
 hidden = 16
-activation = relu
 init_seed = 0
 
 [run]
@@ -222,6 +222,31 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "--checkpoint" in err and str(bad) in err and "w0" in err
 
+    @pytest.mark.parametrize("edit", ["one-nan", "all-inf", "tanh-header"])
+    def test_reference_agent_edits_are_refused(self, tmp_path, monkeypatch, capsys, edit):
+        # a NaN row's argmax is action 0, so such an agent used to evaluate
+        # to a plausible-looking table
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        with np.load(REFERENCE_DIR / "psi_minus_fixed.npz") as data:
+            arrays = dict(data)
+        if edit == "one-nan":
+            arrays["w0"][3, 5] = np.nan
+        elif edit == "all-inf":
+            arrays["w0"][:] = np.inf
+        else:
+            meta = json.loads(bytes(arrays["meta"]).decode())
+            assert meta["activation"] == "relu"
+            meta["activation"] = "tanh"
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        assert cli.main(["evaluate", str(CONFIG_DIR / "psi_minus_fixed.cfg"), "--checkpoint",
+                         str(bad), "--episodes", "20", "--eps", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint" in err and str(bad) in err
+        assert ("tanh" if edit == "tanh-header" else "w0") in err
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_unreadable_checkpoint_makes_no_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         assert cli.main(["evaluate", str(CONFIG_DIR / "psi_minus_fixed.cfg"), "--checkpoint",
@@ -365,6 +390,21 @@ class TestReplay:
         assert "sequence: U1 Px+ U2 Px+ U1 Px+ U1 Px-  [" in out
         assert "success rate 20.313%  (success; the last 1 action(s) not run)" in out
 
+    @pytest.mark.parametrize("model, code", [
+        ("omega = 1e308", 2),
+        ("coupling = 1e308, 0, 0", 2),
+        ("coupling = 1e200, 0, 0\ntau = 1e200", 2),
+        ("tau = 1e300", 0),
+    ], ids=["omega", "coupling", "coupling-and-tau", "long-tau"])
+    def test_overflowing_model_is_a_config_error(self, tmp_path, capsys, model, code):
+        # the three overflows made eigh fail to converge (exit 3) after a RuntimeWarning
+        path = tmp_path / "model.cfg"
+        path.write_text(f"[model]\n{model}\n")
+        assert cli.main(["replay", str(path), "--sequence", "U1 Px+"]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert all(name in err for name in ("coupling", "omega", "tau"))
+
     def test_out_in_missing_directory_is_a_config_error(self, micro_config, tmp_path, capsys):
         out_file = tmp_path / "nodir" / "x.tsv"
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
@@ -384,13 +424,13 @@ class TestReplay:
         cfg = parse_config(config)
         phi_plus = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env, target="phi+"))
         # psi- is the file's own target: no override differs from the file
-        for target, hashed in (("phi+", config_hash(phi_plus)), ("psi-", "2de7b67523f9")):
+        for target, hashed in (("phi+", config_hash(phi_plus)), ("psi-", "a2f3f2582f83")):
             out = tmp_path / f"{target}.tsv"
             assert cli.main(["replay", str(config), "--sequence", "U2 Px+", "--target",
                              target, "--out", str(out)]) == 0
             header = out.read_text().splitlines()[0]
             assert header == f"# config_hash={hashed} master_seed={cfg.master_seed}"
-        assert config_hash(phi_plus) != "2de7b67523f9" == config_hash(cfg)
+        assert config_hash(phi_plus) != "a2f3f2582f83" == config_hash(cfg)
 
     def test_unknown_start_is_a_config_error(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",

@@ -22,11 +22,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 #: Bundled config -> its config_hash, which every run's manifest records.
 BUNDLED = {
-    "psi_minus_fixed.cfg": "2de7b67523f9",
-    "psi_plus_fixed.cfg": "492e00b74841",
-    "phi_plus_fixed.cfg": "04d0b8470def",
-    "phi_minus_fixed.cfg": "b61cf1fd1f0f",
-    "psi_minus_random.cfg": "0e167e6c0978",
+    "psi_minus_fixed.cfg": "a2f3f2582f83",
+    "psi_plus_fixed.cfg": "ad7835c02173",
+    "phi_plus_fixed.cfg": "1fcf995af232",
+    "phi_minus_fixed.cfg": "314232213554",
+    "psi_minus_random.cfg": "4a4b6c0839b9",
 }
 
 
@@ -151,6 +151,15 @@ def test_leftover_workers_key_is_rejected():
     assert "run.workers" in str(err.value)
 
 
+def test_activation_key_is_rejected():
+    # the hidden layers are always ReLU
+    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text().replace(
+        "[mlp]\n", "[mlp]\nactivation = relu\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert "mlp.activation" in str(err.value)
+
+
 def test_unknown_section_is_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text("[run]\nmaster_seed = 4\n\n[agnet]\ngamma = 0.9\n")
@@ -243,7 +252,7 @@ def run_configs(draw):
         learning_rate=draw(_floats(1e-6, 1)),
         grad_clip=draw(st.none() | _floats(1e-3, 100)))
     mlp = MLPSpec(input_size=70, hidden=draw(st.lists(st.integers(1, 256), max_size=3).map(tuple)),
-                  activation=draw(st.sampled_from(("relu", "tanh"))), init_seed=draw(_SEEDS))
+                  init_seed=draw(_SEEDS))
     steps = st.integers(1, agent.training_steps)
     return RunConfig(env=env, agent=agent, mlp=mlp, master_seed=draw(_SEEDS),
                      checkpoint_steps=tuple(draw(st.lists(steps, max_size=5))),

@@ -65,6 +65,11 @@ class TestPropagator:
         u = build_propagator(default_model)
         assert np.linalg.norm(u @ u.conj().T - np.eye(8)) < 1e-10
 
+    def test_longest_accepted_interval_stays_unitary(self):
+        u = build_propagator(ModelParams.uniform(tau=1e300))
+        assert np.isfinite(u).all()
+        assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-14
+
     def test_interval_composition(self, default_model):
         u1 = build_propagator(default_model)
         u2 = build_propagator(dataclasses.replace(default_model, tau=2 * default_model.tau))

@@ -162,6 +162,22 @@ class TestReplay:
         assert replayed.succeeded and replayed.actions == actions[:5]
         assert len(diagnostics) == 5 and replayed in searched[5, "psi+"]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="float64 round-off revives a bath sector that a projection removed: "
+        "with uniform couplings H annihilates the bath singlet, so after U1 Py- U1 Px- "
+        "the central state in the singlet block is x-, and the next Px+ removes that "
+        "block exactly; from then on the exact fidelity to psi- is 0. Round-off left "
+        "in the block survives every later Px+ while the triplet part keeps only its "
+        "branch probability p, so it grows by about 1/p per step, and the replay "
+        "reports success at step 41 with fidelity 0.9916. See the repo notes.",
+    )
+    def test_removed_singlet_sector_stays_removed(self, default_env_cfg):
+        actions = parse_sequence("U1 Py- U1 Px-" + " U1 Px+" * 48)
+        _, diagnostics = replay_sequence(QSEEnv(default_env_cfg), actions)
+        fids = [fid for fid, _, _ in diagnostics]
+        assert max(fids[2:]) <= 1e-6, f"fidelity {max(fids[2:]):.4f} after the removal"
+
     def test_deterministic(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
         actions = parse_sequence("U2 Px+ U1 Px+ U1 Px+")
