@@ -427,17 +427,15 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
         enc = encode_state(rho)
         actions = select_action(params, enc, eps, [rngs[i] for i in live], node)
         if node is None:
-            out = env.step_batch(rho, actions)
-            code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
-            row = dict(s=enc, code=code, prob=out.prob, fidelity=out.fidelity)
-            go = code == CONTINUE
+            out = env.step_batch(rho, actions, len(episode) + 1)
+            row = dict(s=enc, code=out.code, prob=out.prob, fidelity=out.fidelity)
+            go = out.code == CONTINUE
             rho = out.rho[go]
         else:
             # one child per distinct (row, action): live episode j's is child[j]
             key, child = _distinct(node * ACTION_COUNT + actions, len(rho) * ACTION_COUNT)
-            out = env.step_batch(rho[key // ACTION_COUNT], key % ACTION_COUNT)
-            code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
-            row = dict(code=code[child], prob=out.prob[child], fidelity=out.fidelity[child])
+            out = env.step_batch(rho[key // ACTION_COUNT], key % ACTION_COUNT, len(episode) + 1)
+            row = dict(code=out.code[child], prob=out.prob[child], fidelity=out.fidelity[child])
             if "s" in held:
                 row["s"] = enc[node]
             go = row["code"] == CONTINUE

@@ -145,7 +145,7 @@ def parse_config_text(text: str) -> RunConfig:
     object serves every call with the same text. Bad text is not cached
     and raises on every call.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -190,7 +190,8 @@ def _format(value) -> str:
     if isinstance(value, (float, complex)):
         value += 0  # -0.0 == 0.0: equal configs print, and so hash, alike
     if isinstance(value, float):
-        return format(value, ".12g")
+        short = format(value, ".12g")  # where exact, keeps the text and hash of old configs
+        return short if float(short) == value else repr(value)
     return str(value)
 
 

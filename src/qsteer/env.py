@@ -23,7 +23,7 @@ one conjugation ``M rho M^dagger`` per row (``M = P U`` for a projection,
 ``U`` for doing nothing), or by all seven actions each for the search;
 ``QSEEnv.step`` is its one-row form. It is ``QSEEnv.conjugate``, the
 only part a step needs of the one before it, followed by
-``QSEEnv.score``: the fatal flag, the bath and its fidelity, row by row,
+``QSEEnv.score``: the bath, its fidelity and the outcome, row by row,
 so a replay conjugates step by step and scores its whole sequence once.
 """
 
@@ -74,7 +74,7 @@ _PROJECTOR_SPEC = (("z", "+"), ("z", "-"), ("x", "+"), ("x", "-"), ("y", "+"), (
 
 START_MODES = ("fixed_xplus", "random_pure", "fixed_custom")
 
-#: Outcome code -> name, as returned by ``QSEEnv.classify``.
+#: Outcome code -> name; ``BatchStep.code`` holds the codes.
 OUTCOMES = ("continue", "success", "timeout", "fatal")
 CONTINUE, SUCCESS, TIMEOUT, FATAL = range(4)
 
@@ -166,7 +166,7 @@ class BatchStep(NamedTuple):
     bath: np.ndarray      # (N, 2**n_bath, 2**n_bath) reduced state of the bath
     prob: np.ndarray      # (N,) branch probability, exactly 1 when idle
     fidelity: np.ndarray  # (N,) bath fidelity to the target
-    fatal: np.ndarray     # (N,) bool
+    code: np.ndarray      # (N,) outcome, an index into OUTCOMES
 
 
 def encoding_length(dim: int) -> int:
@@ -278,9 +278,10 @@ class QSEEnv:
 
     # -- dynamics ------------------------------------------------------
 
-    def step_batch(self, rho: np.ndarray, actions) -> BatchStep:
+    def step_batch(self, rho: np.ndarray, actions, step_count) -> BatchStep:
         """Evolve each state for tau, apply its action and score the
-        result, all in one pass: ``score(*conjugate(rho, actions))``.
+        result, all in one pass: ``score(*conjugate(rho, actions),
+        step_count)``.
 
         rho is an (N, dim, dim) stack and actions N action indices, one
         per state; or actions is None, and each state is stepped by all
@@ -291,7 +292,7 @@ class QSEEnv:
         evaluation end the episode there, replay ends its record there,
         the search drops the child, and ``step`` reports the idle row.
         """
-        return self.score(*self.conjugate(rho, actions))
+        return self.score(*self.conjugate(rho, actions), step_count)
 
     def conjugate(self, rho: np.ndarray, actions):
         """The first half of ``step_batch``: (branches, probabilities),
@@ -312,42 +313,35 @@ class QSEEnv:
         prob[..., actions == DO_NOTHING] = 1.0
         return out, prob
 
-    def score(self, out: np.ndarray, prob: np.ndarray) -> BatchStep:
+    def score(self, out: np.ndarray, prob: np.ndarray, step_count) -> BatchStep:
         """The second half of ``step_batch``: a ``BatchStep`` of branches
-        and probabilities from ``conjugate``, in any stack shape. A row's
-        fatal flag, bath and fidelity depend on that row alone, with the
-        same bits in any stack, so branches conjugated one at a time can
-        be scored together."""
+        and probabilities from ``conjugate``, in any stack shape, for steps
+        that ended after step_count steps, one count for every row or an
+        array of one per row, as for the successive steps of a replay. A
+        row's outcome is fatal (branch probability at or below the floor),
+        else success (bath fidelity above theta), else continue below
+        max_steps, else timeout; ``self.rewards[code]`` is its reward. It
+        depends on that row and its count alone, with the same bits in any
+        stack, so branches conjugated one at a time can be scored together.
+        """
         fatal = prob <= self.cfg.floor
         bath = partial_trace_first(out, 2)
         fid = fidelity_to_pure(bath, self.target_vector)
         fid[fatal] = np.nan
-        return BatchStep(out, bath, prob, fid, fatal)
-
-    def classify(self, fidelity: np.ndarray, fatal: np.ndarray, step_count) -> np.ndarray:
-        """Outcome codes (indices into OUTCOMES) of steps that ended after
-        step_count steps; ``self.rewards[code]`` is each step's reward.
-        step_count is one count for every step, or an array of one count
-        per step, as for the successive steps of one replay.
-
-        Exactly one of the four cases fires: fatal (branch probability at
-        or below the floor), success (bath fidelity above theta), continue,
-        or timeout (step budget exhausted).
-        """
-        code = np.where(fidelity > self.cfg.theta, SUCCESS,
+        code = np.where(fid > self.cfg.theta, SUCCESS,
                         np.where(step_count < self.cfg.max_steps, CONTINUE, TIMEOUT))
-        return np.where(fatal, FATAL, code)
+        return BatchStep(out, bath, prob, fid, np.where(fatal, FATAL, code))
 
     def step(self, state: EnvState, action: int) -> StepResult:
         """Evolve for tau, apply the chosen action, and score the result:
-        one row of ``step_batch`` plus ``classify``. A fatal step, whose
-        branch ``step_batch`` leaves unnormalized, ends in the idle row
+        one row of ``step_batch``. A fatal step, whose branch
+        ``step_batch`` leaves unnormalized, ends in the idle row
         ``conjugate`` gives the state instead: evolved, not projected."""
         if state.done:
             raise EpisodeFinished(f"episode already ended after {state.step_count} steps")
-        out = self.step_batch(state.rho[None], [action])
         m = state.step_count + 1
-        code = int(self.classify(out.fidelity, out.fatal, m)[0])
+        out = self.step_batch(state.rho[None], [action], m)
+        code = int(out.code[0])
         rho = out.rho if code != FATAL else self.conjugate(state.rho[None], [DO_NOTHING])[0]
         nxt = EnvState(rho[0], m, code != CONTINUE, state.start_label)
         return StepResult(nxt, float(self.rewards[code]), nxt.done, float(out.prob[0]),

@@ -333,6 +333,8 @@ def load_params(path, expected_spec: MLPSpec | None = None):
                 meta = json.loads(bytes(data["meta"]).decode())
             except (ValueError, UnicodeDecodeError) as exc:
                 raise SchemaMismatch(f"{path}: unreadable checkpoint header") from exc
+            if not isinstance(meta, dict):
+                raise SchemaMismatch(f"{path}: checkpoint header {meta!r} is not an object")
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise SchemaMismatch(
                     f"{path}: format version {meta.get('format_version')} unsupported"
@@ -341,7 +343,7 @@ def load_params(path, expected_spec: MLPSpec | None = None):
                 layout = {f.name: meta[f.name] for f in fields(MLPSpec)}
                 layout["hidden"] = tuple(layout["hidden"])  # JSON stores it as a list
                 spec = MLPSpec(**layout)
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a wrong JSON type
                 raise SchemaMismatch(f"{path}: bad layout header: {exc}") from exc
             if meta.get("activation", "relu") != "relu":
                 raise SchemaMismatch(f"{path}: activation {meta['activation']!r} is not relu")

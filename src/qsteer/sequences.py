@@ -63,8 +63,8 @@ REPLAY_CHUNK = 8
 class SequenceRecord:
     """One executed sequence with each step's branch probability.
 
-    outcome is the ``OUTCOMES`` name ``QSEEnv.classify`` gave the last
-    step: success, fatal (a branch probability at or below the floor),
+    outcome is the ``OUTCOMES`` name of the last step's ``BatchStep.code``:
+    success, fatal (a branch probability at or below the floor),
     timeout (the env's max_steps reached) or continue (a replay whose
     actions ran out first). success_rate and succeeded are derived, not
     stored.
@@ -94,24 +94,24 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
                     ) -> tuple[SequenceRecord, list[tuple[float, float, float]]]:
     """Execute a sequence from the env's own start state, as an episode.
 
-    Each step is one row of ``QSEEnv.step_batch`` judged by
-    ``QSEEnv.classify``, as in the search, so a replay reproduces its
-    records bit for bit. Only the conjugation needs the step before it:
-    the actions, at most the env's max_steps of them, are conjugated one
-    by one with ``QSEEnv.conjugate`` in chunks of REPLAY_CHUNK, then twice
-    that, four times that and so on, and each chunk's branches are scored
-    by one ``QSEEnv.score`` and classified by one ``QSEEnv.classify``
-    call, with the bits of one call per step. Like an episode, the record
-    ends at the first step that succeeds, is fatal (branch probability at
-    or below the floor) or reaches max_steps, and no chunk runs after the
-    one that holds that step. The record holds the steps run and the
-    last one's outcome: a fatal one ends it with a NaN final fidelity, as
-    an evaluation episode's does, and one cut at max_steps without
-    success is the record of an episode that timed out. Beside the record
-    come the bath diagnostics, one (fidelity, trace_distance, purity) row
-    per state reached, so an aborted replay has one row fewer than steps;
-    they are taken over the stack of the scored baths, with the bits of
-    one call per state. An empty sequence raises ValueError.
+    Each step is one row of ``QSEEnv.step_batch`` and its outcome code,
+    as in the search, so a replay reproduces its records bit for bit.
+    Only the conjugation needs the step before it: the actions, at most
+    the env's max_steps of them, are conjugated one by one with
+    ``QSEEnv.conjugate`` in chunks of REPLAY_CHUNK, then twice that, four
+    times that and so on, and each chunk's branches are scored by one
+    ``QSEEnv.score`` call, with the bits of one call per step. Like an
+    episode, the record ends at the first step that succeeds, is fatal
+    (branch probability at or below the floor) or reaches max_steps, and
+    no chunk runs after the one that holds that step. The record holds
+    the steps run and the last one's outcome: a fatal one ends it with a
+    NaN final fidelity, as an evaluation episode's does, and one cut at
+    max_steps without success is the record of an episode that timed
+    out. Beside the record come the bath diagnostics, one (fidelity,
+    trace_distance, purity) row per state reached, so an aborted replay
+    has one row fewer than steps; they are taken over the stack of the
+    scored baths, with the bits of one call per state. An empty sequence
+    raises ValueError.
     """
     if not actions:
         raise ValueError("cannot replay an empty sequence")
@@ -127,18 +127,17 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
             rho, prob = env.conjugate(rho, [action])
             outs.append(rho)
             probs.append(prob)
-        out = env.score(np.concatenate(outs), np.concatenate(probs))
-        code = env.classify(out.fidelity, out.fatal, np.arange(lo + 1, lo + len(outs) + 1))
-        chunks.append((out, code))
-        ended = np.flatnonzero(code != CONTINUE)
+        out = env.score(np.concatenate(outs), np.concatenate(probs),
+                        np.arange(lo + 1, lo + len(outs) + 1))
+        chunks.append(out)
+        ended = np.flatnonzero(out.code != CONTINUE)
         if len(ended):
             break
         lo, size = lo + len(outs), 2 * size
     n = lo + ended[0] + 1 if len(ended) else len(actions)
     if len(chunks) > 1:
-        scored, codes = zip(*chunks)
-        out, code = BatchStep(*map(np.concatenate, zip(*scored))), np.concatenate(codes)
-    last = code[n - 1]
+        out = BatchStep(*map(np.concatenate, zip(*chunks)))
+    last = out.code[n - 1]
     fids = out.fidelity[:n].tolist()  # NaN on a fatal step
     diagnostics = []
     reached = n - (last == FATAL)
@@ -160,7 +159,7 @@ def exhaustive_search(env: QSEEnv, max_len: int,
     nodes of one depth expand in blocks of up to SEARCH_BLOCK, all seven
     children of each in one every-action ``QSEEnv.step_batch`` call. A
     child whose running success rate is under rate_cutoff is pruned;
-    otherwise ``QSEEnv.classify`` judges it as an episode's step, so a
+    otherwise its outcome code judges it as an episode's step, so a
     success is recorded and not extended, and nothing runs past the env's
     max_steps. The result is exactly the set of successful sequences an
     episodic policy could execute. Sorted by (length, -success_rate).
@@ -173,13 +172,12 @@ def exhaustive_search(env: QSEEnv, max_len: int,
     and its unnormalized overlap with the target f = tr(F_a rho) with
     F_a = M_a^dagger (1 (x) |psi><psi|) M_a; one GEMM of the parents'
     states against the fourteen forms estimates both for every child. A
-    child is stepped, by a one-action ``step_batch`` row and ``classify``,
-    only if it could be recorded: p > floor - s, rate * p >=
-    rate_cutoff - s and f >= (theta^2 - m) p - s, with the margin
-    m = _SCREEN_MARGIN and the allowance s below. Each recorded number
-    comes from that row, whose bits do not depend on its stack or on the
-    form of the call, so the records are those of stepping every leaf,
-    bit for bit.
+    child is stepped, by a one-action ``step_batch`` row, only if it could
+    be recorded: p > floor - s, rate * p >= rate_cutoff - s and
+    f >= (theta^2 - m) p - s, with the margin m = _SCREEN_MARGIN and the
+    allowance s below. Each recorded number comes from that row, whose
+    bits do not depend on its stack or on the form of the call, so the
+    records are those of stepping every leaf, bit for bit.
 
     Rounding: a state at the leaves' parent depth is a density matrix to
     within rounding, so its entries' moduli sum to at most dim, and
@@ -224,7 +222,7 @@ def exhaustive_search(env: QSEEnv, max_len: int,
         # the children (node[i], action[i]) stepped; flattened row-major
         # in the every-action form, node i's child by action a is row 7*i + a
         if prefix.shape[1] + 1 < leaves:
-            out = env.step_batch(rho, None)
+            out = env.step_batch(rho, None, prefix.shape[1] + 1)
             node = np.repeat(np.arange(len(rate)), ACTION_COUNT)
             action = np.tile(moves, len(rate))
         else:
@@ -235,12 +233,11 @@ def exhaustive_search(env: QSEEnv, max_len: int,
                                       & (f >= overlap_floor * p - slack))
             if not len(node):
                 return
-            out = env.step_batch(rho[node], action)
-        prob, fid = out.prob.ravel(), out.fidelity.ravel()
+            out = env.step_batch(rho[node], action, prefix.shape[1] + 1)
+        prob, fid, code = out.prob.ravel(), out.fidelity.ravel(), out.code.ravel()
         prefix = np.column_stack([prefix[node], action])
         probs = np.column_stack([probs[node], prob])
         rate = rate[node] * prob
-        code = env.classify(fid, out.fatal.ravel(), prefix.shape[1])
         kept = rate >= rate_cutoff
         for i in np.flatnonzero(kept & (code == SUCCESS)):
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),

@@ -141,14 +141,13 @@ def collect_per_row(env: QSEEnv, params, eps: float, rngs, columns):
     while len(live):
         enc = encode_state(rho)
         actions = select_action(params, enc, eps, [rngs[i] for i in live])
-        out = env.step_batch(rho, actions)
-        code = env.classify(out.fidelity, out.fatal, len(episode) + 1)
-        totals[live] += env.rewards[code]
+        out = env.step_batch(rho, actions, len(episode) + 1)
+        totals[live] += env.rewards[out.code]
         episode.append(live)
-        row = dict(s=enc, a=actions, code=code, prob=out.prob, fidelity=out.fidelity)
+        row = dict(s=enc, a=actions, code=out.code, prob=out.prob, fidelity=out.fidelity)
         for name, column in held.items():
             column.append(row[name])
-        go = code == CONTINUE
+        go = out.code == CONTINUE
         live, rho = live[go], out.rho[go]
     episode = np.concatenate(episode)
     order = np.argsort(episode, kind="stable")
@@ -159,10 +158,10 @@ def collect_per_row(env: QSEEnv, params, eps: float, rngs, columns):
 
 def replay_per_step(env: QSEEnv, actions):
     """``qsteer.sequences.replay_sequence`` one step at a time: each
-    action is one ``QSEEnv.step_batch`` row judged by its own
-    ``QSEEnv.classify`` call, stopping at the first step that does not
-    continue, and the baths reached are stacked for the diagnostics.
-    Same arguments and results."""
+    action is one ``QSEEnv.step_batch`` row judged by its own outcome
+    code, stopping at the first step that does not continue, and the
+    baths reached are stacked for the diagnostics. Same arguments and
+    results."""
     if not actions:
         raise ValueError("cannot replay an empty sequence")
     start = env.reset()
@@ -171,10 +170,10 @@ def replay_per_step(env: QSEEnv, actions):
     fids: list[float] = []
     baths: list[np.ndarray] = []
     for step, action in enumerate(actions[:env.cfg.max_steps], start=1):
-        out = env.step_batch(rho, [action])
+        out = env.step_batch(rho, [action], step)
         probs.append(float(out.prob[0]))
         fids.append(float(out.fidelity[0]))  # NaN on a fatal step
-        code = env.classify(out.fidelity, out.fatal, step)[0]
+        code = out.code[0]
         if code == FATAL:
             break
         rho = out.rho
@@ -211,13 +210,12 @@ def search_unscreened(env: QSEEnv, max_len: int,
     def expand(rho, prefix, probs, rate):
         # every child at once; flattened row-major, node i's child by
         # action a is row 7*i + a
-        out = env.step_batch(rho, None)
-        prob, fid = out.prob.ravel(), out.fidelity.ravel()
+        out = env.step_batch(rho, None, prefix.shape[1] + 1)
+        prob, fid, code = out.prob.ravel(), out.fidelity.ravel(), out.code.ravel()
         actions = np.tile(moves, len(rate))
         prefix = np.column_stack([np.repeat(prefix, ACTION_COUNT, axis=0), actions])
         probs = np.column_stack([np.repeat(probs, ACTION_COUNT, axis=0), prob])
         rate = np.repeat(rate, ACTION_COUNT) * prob
-        code = env.classify(fid, out.fatal.ravel(), prefix.shape[1])
         kept = rate >= rate_cutoff
         for i in np.flatnonzero(kept & (code == SUCCESS)):
             found.append(SequenceRecord(root.start_label, tuple(prefix[i].tolist()),

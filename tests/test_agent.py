@@ -405,9 +405,9 @@ class TestSharedStates:
         stepped = []
         step_batch = QSEEnv.step_batch
 
-        def counted(env, rho, actions):
+        def counted(env, rho, actions, step_count):
             stepped.append(len(rho))
-            return step_batch(env, rho, actions)
+            return step_batch(env, rho, actions, step_count)
 
         monkeypatch.setattr(QSEEnv, "step_batch", counted)
         _, _, offsets, _ = _collect(self.env(agent, start), agent[1], 0.0,

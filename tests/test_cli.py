@@ -247,6 +247,27 @@ class TestEvaluate:
         assert ("tanh" if edit == "tanh-header" else "w0") in err
         assert list(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("edit", [[1, 2], {"hidden": "ab"}, {"hidden": 5},
+                                      {"input_size": None}, {"init_seed": "0"}],
+                             ids=["list", "hidden-text", "hidden-number", "input-null",
+                                  "seed-text"])
+    def test_reference_agent_header_of_the_wrong_shape_is_refused(self, tmp_path, monkeypatch,
+                                                                  capsys, edit):
+        # valid JSON of the wrong shape used to escape as AttributeError or TypeError
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        with np.load(REFERENCE_DIR / "psi_minus_fixed.npz") as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta = edit if isinstance(edit, list) else {**meta, **edit}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        assert cli.main(["evaluate", str(CONFIG_DIR / "psi_minus_fixed.cfg"), "--checkpoint",
+                         str(bad), "--episodes", "20", "--eps", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint" in err and str(bad) in err and "header" in err
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_unreadable_checkpoint_makes_no_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         assert cli.main(["evaluate", str(CONFIG_DIR / "psi_minus_fixed.cfg"), "--checkpoint",
@@ -507,6 +528,15 @@ class TestSearch:
         assert len(body) > 3
         assert capsys.readouterr().out.startswith(
             f"{len(body) - 3} successful sequences up to length 4 for target psi-\n")
+
+    @pytest.mark.parametrize("output_dir", ["runs/50%", "%(here)s/x"])
+    def test_output_dir_is_literal(self, micro_config, tmp_path, output_dir):
+        # a % used to be read as interpolation and end in a traceback
+        micro_config.write_text(MICRO_CONFIG.replace("output_dir = out",
+                                                     f"output_dir = {output_dir}"))
+        assert cli.main(["search", str(micro_config), "--target", "psi-",
+                         "--max-len", "1"]) == 0
+        assert list((tmp_path / output_dir).glob("search_*_len1.tsv"))
 
     def test_negative_length_is_a_config_error(self, micro_config, capsys):
         assert cli.main(["search", str(micro_config), "--target", "psi-",

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_density_matrix
 from oracles import decode_state, random_starts_per_row
-from qsteer.env import (ACTION_TOKENS, DO_NOTHING, EnvConfig, QSEEnv, _labels_for, _setup,
-                        encode_state, encoding_length)
+from qsteer.env import (ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, SUCCESS, TIMEOUT,
+                        EnvConfig, QSEEnv, _labels_for, _setup, encode_state, encoding_length)
 from qsteer.errors import EpisodeFinished
 from qsteer.model import (
     BELL_NAMES,
@@ -295,31 +295,32 @@ class TestStepBatch:
     def test_rows_are_bit_identical_to_one_row_calls(self, default_env_cfg, rng):
         env = QSEEnv(default_env_cfg)
         rho, actions = _kernel_inputs(env, rng)
-        batch = env.step_batch(rho, actions)
-        assert batch.fatal.sum() == 2
+        batch = env.step_batch(rho, actions, 1)
+        fatal = batch.code == FATAL
+        assert fatal.sum() == 2
         for i, action in enumerate(actions):
-            row = env.step_batch(rho[i:i + 1], [action])
+            row = env.step_batch(rho[i:i + 1], [action], 1)
             for got, want in zip(row, batch):
                 assert np.array_equal(got[0], want[i], equal_nan=True)
             result = env.step(dataclasses.replace(env.reset(), rho=rho[i]), int(action))
-            if batch.fatal[i]:
+            if fatal[i]:
                 # step ends a fatal step in the idle row, where step_batch
                 # keeps the unnormalized branch
-                idle = env.step_batch(rho[i:i + 1], [DO_NOTHING])
+                idle = env.step_batch(rho[i:i + 1], [DO_NOTHING], 1)
                 assert result.next.rho.tobytes() == idle.rho[0].tobytes()
             else:
                 assert np.array_equal(result.next.rho, batch.rho[i])
             assert result.success_prob == batch.prob[i]
-            assert result.fidelity == batch.fidelity[i] or batch.fatal[i]
-            assert (result.outcome == "fatal") == batch.fatal[i]
+            assert result.fidelity == batch.fidelity[i] or fatal[i]
+            assert result.outcome == OUTCOMES[batch.code[i]]
 
     def test_matches_separate_evolve_and_project(self, default_env_cfg, rng):
         env = QSEEnv(default_env_cfg)
         rho, actions = _kernel_inputs(env, rng)
-        batch = env.step_batch(rho, actions)
+        batch = env.step_batch(rho, actions, 1)
         for i, action in enumerate(actions):
             want, prob, fatal = _separate_products_reference(env, rho[i], action)
-            assert batch.fatal[i] == fatal
+            assert (batch.code[i] == FATAL) == fatal
             assert np.abs(batch.rho[i] - want).max() < 1e-12
             assert abs(batch.prob[i] - prob) < 1e-12
             assert np.abs(encode_state(batch.rho[i]) - encode_state(want)).max() < 1e-12
@@ -337,16 +338,17 @@ class TestStepBatch:
         zplus = QSEEnv(EnvConfig(model=model, start_mode="fixed_custom", custom_start=(1, 0)))
         rho = np.stack([random_density_matrix(rng, model.dim) for _ in range(3)]
                        + [env.reset().rho, zplus.reset().rho, env.step(env.reset(), 2).next.rho])
-        every = env.step_batch(rho, None)
-        assert every.prob.shape == every.fidelity.shape == every.fatal.shape == (6, 7)
+        every = env.step_batch(rho, None, 1)
+        assert every.prob.shape == every.fidelity.shape == every.code.shape == (6, 7)
         assert every.rho.shape == (6, 7) + rho.shape[1:]
         for i, a in np.ndindex(6, 7):
-            one = env.step_batch(rho[i:i + 1], [a])
+            one = env.step_batch(rho[i:i + 1], [a], 1)
             for got, want in zip(every, one):
                 assert np.asarray(got[i, a]).tobytes() == want[0].tobytes()
         assert np.all(every.prob[:, DO_NOTHING] == 1.0)
         # z- after the z+ start: fatal, the branch left unnormalized
-        assert every.fatal.sum() == 1 and every.fatal[4, 1] and np.isnan(every.fidelity[4, 1])
+        fatal = every.code == FATAL
+        assert fatal.sum() == 1 and fatal[4, 1] and np.isnan(every.fidelity[4, 1])
         assert abs(np.trace(every.rho[4, 1])) <= env.cfg.floor
 
     def test_rejects_unknown_actions(self, default_env_cfg):
@@ -354,20 +356,24 @@ class TestStepBatch:
         rho = env.reset().rho[None]
         for action in (-1, 7):
             with pytest.raises(ValueError):
-                env.step_batch(rho, [action])
+                env.step_batch(rho, [action], 1)
             with pytest.raises(ValueError):
                 env.step(env.reset(), action)
 
-    def test_classify_takes_one_step_count_per_step(self, default_env_cfg):
+    def test_score_takes_one_step_count_per_row(self, default_env_cfg):
         env = QSEEnv(dataclasses.replace(default_env_cfg, max_steps=3, r_fatal=-4.0))
-        fidelity = np.array([0.5, 0.995, np.nan, 0.2, 0.5, 0.995, np.nan, 0.9])
-        fatal = np.isnan(fidelity)
-        counts = np.array([1, 2, 3, 3, 4, 4, 4, 2])
-        codes = env.classify(fidelity, fatal, counts)
-        one_by_one = [env.classify(fidelity[i:i + 1], fatal[i:i + 1], int(m))[0]
-                      for i, m in enumerate(counts)]
-        assert codes.tolist() == one_by_one
-        assert sorted(set(one_by_one)) == [0, 1, 2, 3]
+        # Px+ four times from x+ reaches psi- on the fourth step; z- after z+ is fatal
+        rho, branches = env.reset().rho[None], []
+        for action in (2, 2, 2, 2):
+            rho, prob = env.conjugate(rho, [action])
+            branches.append((rho, prob))
+        branches.append(env.conjugate(env.conjugate(env.reset().rho[None], [0])[0], [1]))
+        rows = [0, 3, 1, 4, 3, 0, 4]
+        counts = np.array([1, 4, 3, 1, 2, 5, 4])
+        out = env.score(*map(np.concatenate, zip(*[branches[r] for r in rows])), counts)
+        one_by_one = [env.score(*branches[r], int(m)).code[0] for r, m in zip(rows, counts)]
+        assert out.code.tolist() == one_by_one == [CONTINUE, SUCCESS, TIMEOUT, FATAL, SUCCESS,
+                                                   TIMEOUT, FATAL]
 
 
 _AMPLITUDES = st.floats(-1.0, 1.0, allow_nan=False)
@@ -399,16 +405,16 @@ class TestStepBatchProperties:
     @given(kernel_stacks(dims=(8, 32)))
     def test_rows_are_density_matrices(self, stack):
         rho, actions = stack
-        out = self.envs[rho.shape[-1]].step_batch(rho, actions)
+        out = self.envs[rho.shape[-1]].step_batch(rho, actions, 1)
         # a branch certain in exact arithmetic can read 1 + 2.2e-16
         assert np.all((out.prob >= 0.0) & (out.prob <= 1.0 + 1e-12))
         assert np.all(out.prob[actions == DO_NOTHING] == 1.0)
-        for row in out.rho[~out.fatal]:
+        for row in out.rho[out.code != FATAL]:
             assert abs(np.trace(row) - 1.0) < 1e-9
             assert np.abs(row - row.conj().T).max() < 1e-9
             assert np.linalg.eigvalsh((row + row.conj().T) / 2)[0] >= -1e-9
         # a fatal row keeps its branch unnormalized
-        for row in out.rho[out.fatal]:
+        for row in out.rho[out.code == FATAL]:
             assert abs(np.trace(row)) <= self.envs[rho.shape[-1]].cfg.floor
 
     @settings(max_examples=100, deadline=None)
@@ -416,9 +422,9 @@ class TestStepBatchProperties:
     def test_rows_do_not_depend_on_the_stack(self, stack):
         rho, actions = stack
         env = self.envs[rho.shape[-1]]
-        out = env.step_batch(rho, actions)
+        out = env.step_batch(rho, actions, 1)
         for i, action in enumerate(actions):
-            alone = env.step_batch(rho[i:i + 1], [action])
+            alone = env.step_batch(rho[i:i + 1], [action], 1)
             for got, want in zip(alone, out):
                 assert np.array_equal(got[0], want[i], equal_nan=True)
 
@@ -427,9 +433,9 @@ class TestStepBatchProperties:
     def test_every_action_rows_are_one_row_calls(self, stack):
         rho, _ = stack
         env = self.envs[rho.shape[-1]]
-        out = env.step_batch(rho, None)
+        out = env.step_batch(rho, None, 1)
         for i, a in np.ndindex(out.prob.shape):
-            alone = env.step_batch(rho[i:i + 1], [a])
+            alone = env.step_batch(rho[i:i + 1], [a], 1)
             for got, want in zip(alone, out):
                 assert np.array_equal(got[0], want[i, a], equal_nan=True)
 

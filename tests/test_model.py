@@ -78,7 +78,7 @@ class TestPropagator:
 
 def idle_step(rho, model):
     """One interval of free evolution: the idle row of the step kernel."""
-    return QSEEnv(EnvConfig(model=model)).step_batch(rho[None], [DO_NOTHING]).rho[0]
+    return QSEEnv(EnvConfig(model=model)).step_batch(rho[None], [DO_NOTHING], 1).rho[0]
 
 
 class TestEvolve:

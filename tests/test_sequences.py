@@ -339,7 +339,7 @@ class TestDiagnosticTrace:
         # walk the replay again, one bath state at a time
         rho, baths = env.reset().rho[None], []
         for action in rec.actions[:len(rows)]:
-            out = env.step_batch(rho, [action])
+            out = env.step_batch(rho, [action], 1)
             rho = out.rho
             baths.append(out.bath[0])
         assert len(rows) > 1
@@ -420,17 +420,18 @@ class TestReplayScoresOnce:
             rec = self.assert_same(env, parse_sequence(tokens))
             assert len(rec.actions) <= max_steps
 
-    def test_one_score_and_classify_call_per_replay(self, monkeypatch):
+    def test_one_score_call_per_replay(self, monkeypatch):
         env = QSEEnv(EnvConfig())
-        calls = {"score": 0, "classify": 0}
-        for name in calls:
-            def counted(*args, _name=name, _method=getattr(env, name)):
-                calls[_name] += 1
-                return _method(*args)
-            monkeypatch.setattr(env, name, counted)
+        calls = []
+        score = env.score
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return score(*args)
+        monkeypatch.setattr(env, "score", counted)
         monkeypatch.setattr(env, "step_batch", None)
         rec, _ = replay_sequence(env, parse_sequence("U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+"))
-        assert rec.succeeded and calls == {"score": 1, "classify": 1}
+        assert rec.succeeded and calls == [6]
 
 
 def _search_bits(records):
@@ -531,9 +532,9 @@ class TestLeafScreen:
             calls = []
             step_batch = env.step_batch
 
-            def counted(rho, actions):
+            def counted(rho, actions, step_count):
                 calls.append(actions is None)
-                return step_batch(rho, actions)
+                return step_batch(rho, actions, step_count)
             monkeypatch.setattr(env, "step_batch", counted)
             search(env, n)
             monkeypatch.undo()
@@ -554,9 +555,9 @@ class TestLeafScreen:
         calls = []
         step_batch = env.step_batch
 
-        def counted(rho, actions):
+        def counted(rho, actions, step_count):
             calls.append("every" if actions is None else "one")
-            return step_batch(rho, actions)
+            return step_batch(rho, actions, step_count)
         monkeypatch.setattr(env, "step_batch", counted)
         exhaustive_search(env, 5)
         assert calls.count("every") == 21 and "one" in calls
