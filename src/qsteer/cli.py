@@ -39,6 +39,8 @@ from .errors import (
 from .model import BELL_NAMES, SPIN_STATES
 from .network import load_params
 from .sequences import (
+    SEARCH_WORK_BUDGET,
+    check_search_budget,
     combination_histogram,
     exhaustive_search,
     format_sequence,
@@ -239,6 +241,8 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--rate-cutoff must be in [0, 1], got {args.rate_cutoff}")
     if args.show < 0:
         raise ConfigError(f"--show must be >= 0, got {args.show}")
+    # refused before it makes the output directory
+    check_search_budget(cfg.env, args.max_len)
     out = _output_dir(cfg)
     records = exhaustive_search(QSEEnv(cfg.env), args.max_len, rate_cutoff=args.rate_cutoff)
     rows = [
@@ -335,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate successful sequences")
     p.add_argument("config")
     p.add_argument("--target", required=True, choices=BELL_NAMES)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=int, required=True,
+                   help=f"the longest sequence; exit 4 past the work budget, "
+                        f"7^(L-2) dim^3 <= {SEARCH_WORK_BUDGET:g} for L = min(max-len, "
+                        f"max_steps): length 9 at n_bath 2, 7 at 4")
     p.add_argument("--rate-cutoff", type=float, default=1e-6)
     p.add_argument("--start", default=None,
                    help="override start state: x+, x-, y+, y-, z+, z-")

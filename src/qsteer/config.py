@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import configparser
 import hashlib
+import re
 import typing
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -51,6 +52,13 @@ class RunConfig:
         # rejected: a shortened copy of a bundled config keeps its list
         if any(step < 1 for step in self.checkpoint_steps):
             raise ValueError(f"checkpoint_steps must be >= 1, got {self.checkpoint_steps}")
+        # serialize_config writes it as it is, and the parser strips the
+        # ends of a value, ends it at a line break and cuts a comment from it
+        out = self.output_dir
+        if out != out.strip() or len(out.splitlines()) > 1 or re.search(r"(^|\s)[#;]", out):
+            raise ValueError(f"output_dir {out!r} cannot be written to a config file: it "
+                             f"may not begin or end with whitespace, hold a line break, or "
+                             f"hold # or ; first or after whitespace")
 
 
 #: Section -> (dataclass, fields not read from the file). The skipped

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SequenceParseError
 from .env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, SUCCESS,
-                  BatchStep, QSEEnv)
+                  BatchStep, EnvConfig, QSEEnv)
 from .model import purity, trace_distance
 
 # not called here, but perfbench's tracer wraps these names in this module
@@ -33,23 +33,28 @@ __all__ = [
     "SequenceRecord",
     "replay_sequence",
     "exhaustive_search",
+    "check_search_budget",
     "combination_histogram",
     "parse_sequence",
     "format_sequence",
 ]
 
-SEARCH_MAX_LEN_BUDGET = 6
+#: Work a search may do, as check_search_budget estimates it: the round
+#: figure just above length 7 at n_bath = 4 (5.5e8). It admits lengths up
+#: to 9, 7, 4 and 2 at n_bath = 2, 4, 6 and 8, a few seconds or less per
+#: target (README), and refuses 10 at n_bath = 2 (2.9e9).
+SEARCH_WORK_BUDGET = 6e8
 #: Nodes exhaustive_search expands per every-action step_batch call (7
 #: children each); a child's bits do not depend on its block. Larger
 #: blocks amortize more of a call's fixed cost but hold more children at
 #: once, so peak memory bounds the size: 21 nodes ran the four length-5
 #: Bell searches about a third faster than 10, at about 0.5% more peak
 #: RSS; 28 to 49 ran about as fast and grew the peak by 1.2 to 3.3%.
-#: With the leaf screen, 35 nodes ran a fifth faster than 21 but raised
-#: the peak, and 14 ran slower (BENCH_search_screen.json, block_sweep,
-#: which blocked the leaves' parents too).
+#: With the two-level screen, at lengths 6 to 8, 35 nodes ran 4-8%
+#: faster than 21 but raised the peak, and 14 ran 6-23% slower
+#: (BENCH_search_two_level.json, block_sweep).
 SEARCH_BLOCK = 21
-#: The leaf screen's margin on theta^2 and its rounding allowance per
+#: The screen's margin on theta^2 and its rounding allowance per
 #: dim^3, as exhaustive_search derives them.
 _SCREEN_MARGIN = 1e-6
 _SCREEN_SLACK = 2.0 ** -44
@@ -150,6 +155,26 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
     return record, diagnostics
 
 
+def check_search_budget(cfg: EnvConfig, max_len: int) -> None:
+    """Refuse, before any work, a search of env config cfg to max_len
+    that is negative (ValueError) or whose work exceeds
+    SEARCH_WORK_BUDGET (BudgetExceeded). The work is estimated as the
+    rows the search's last every-action level steps, 7^(depth - 2) at
+    depth min(max_len, max_steps), times dim^3 per row, in floats, so no
+    length costs time."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    levels = max(min(max_len, cfg.max_steps) - 2, 0)
+    try:
+        work = 7.0 ** levels * cfg.model.dim ** 3
+    except OverflowError:  # past about 364 levels
+        work = math.inf
+    if work > SEARCH_WORK_BUDGET:
+        raise BudgetExceeded(
+            f"max_len {max_len} at n_bath {cfg.model.n_bath} exceeds the search budget: "
+            f"an estimated {work:.3g} rows x dim^3 against {SEARCH_WORK_BUDGET:.3g}")
+
+
 def exhaustive_search(env: QSEEnv, max_len: int,
                       rate_cutoff: float = 1e-6) -> list[SequenceRecord]:
     """All minimal successful sequences up to max_len from the env's own
@@ -164,73 +189,111 @@ def exhaustive_search(env: QSEEnv, max_len: int,
     max_steps. The result is exactly the set of successful sequences an
     episodic policy could execute. Sorted by (length, -success_rate).
 
-    The leaves, at depth min(max_len, max_steps), are only ever recorded
-    or dropped, and few are recorded, so their parents are screened
-    instead of stepped, the continuing children of one block all at once.
-    Two Hermitian forms per action a, built once per search, give a
-    child's branch probability p = tr(E_a rho) with E_a = M_a^dagger M_a,
-    and its unnormalized overlap with the target f = tr(F_a rho) with
-    F_a = M_a^dagger (1 (x) |psi><psi|) M_a; one GEMM of the parents'
-    states against the fourteen forms estimates both for every child. A
-    child is stepped, by a one-action ``step_batch`` row, only if it could
-    be recorded: p > floor - s, rate * p >= rate_cutoff - s and
-    f >= (theta^2 - m) p - s, with the margin m = _SCREEN_MARGIN and the
-    allowance s below. Each recorded number comes from that row, whose
-    bits do not depend on its stack or on the form of the call, so the
-    records are those of stepping every leaf, bit for bit.
+    The last two levels are screened instead of stepped. The leaves, at
+    depth min(max_len, max_steps), are only ever recorded or dropped, and
+    few are recorded, so their grandparents and parents, each taken as
+    all the continuing children of one block at once, screen their
+    children. Two Hermitian forms per action a give a child's branch
+    probability p_a = tr(E_a rho) with E_a = M_a^dagger M_a, and its
+    unnormalized overlap with the target f_a = tr(F_a rho) with
+    F_a = M_a^dagger (1 (x) |psi><psi|) M_a. Two per pair of actions give
+    the same for the grandchild by a, then b, from the grandparent's rho:
+    p_ab = tr(E_ab rho) and f_ab = tr(F_ab rho) with
+    E_ab = M_a^dagger E_b M_a and F_ab = M_a^dagger F_b M_a. All 112 are
+    built once per search. One GEMM of a block's states against the
+    fourteen one-step forms, or at the grandparents against all 112,
+    estimates these for every child and grandchild. A child is stepped,
+    by a one-action ``step_batch`` row, only if it could be recorded:
+    p_a > floor - s, rate * p_a >= rate_cutoff - s and
+    f_a >= (theta^2 - m) p_a - s, with the margin m = _SCREEN_MARGIN and
+    the allowance s below. At the grandparents a child is also stepped if
+    it is not fatal, p_a > floor - s, and one of its grandchildren could
+    be recorded: p_ab > floor * p_a - s, rate * p_ab >= rate_cutoff - s
+    and f_ab >= (theta^2 - m) p_ab - s. The floor condition carries p_a
+    because the kernel renormalizes the child before the grandchild's
+    step, whose probability is p_ab / p_a. The stepped children that
+    continue are the parents, screened one level down. Each recorded
+    number comes from a ``step_batch`` row, whose bits do not depend on
+    its stack or on the form of the call, so the records are those of
+    stepping every child, bit for bit.
 
-    Rounding: a state at the leaves' parent depth is a density matrix to
-    within rounding, so its entries' moduli sum to at most dim, and
-    ||M_a|| <= 1 bounds every entry of E_a and F_a by 1. With u = 2^-53,
-    a form's entries carry the rounding of at most 2 dim-term sums, and a
-    screened trace is a dot product of 2 dim^2 real terms whose moduli
-    sum to at most dim, so it lies within about 2 dim^3 u of the exact
-    trace. The kernel's probability and unnormalized overlap, two dim-term
-    GEMMs and a sum over dim^2 entries, lie within about 2 dim^2 u of it.
-    So a screened value and the kernel's differ by e < 4 dim^3 u, and a
-    condition weighs at most two such values (f against p), 2e <
-    dim^3 2^-50: the allowance s = dim^3 _SCREEN_SLACK is 64 times
-    that (2.9e-11 at dim 8, 1.9e-9 at dim 32). The kernel succeeds when
-    the square root of its normalized overlap exceeds theta, which needs
-    f > theta^2 p up to a relative rounding of a few dim u; m = 1e-6 is
-    far above it. So every child the kernel would record passes the
-    screen, and the few extra children that pass are stepped and dropped.
+    Rounding: a state at a screened depth is a density matrix to within
+    rounding, so its entries' moduli sum to at most dim, and
+    ||M_a|| <= 1 and ||M_b M_a|| <= 1 bound every entry of the forms by
+    1. With u = 2^-53, a one-step form's entries carry the rounding of at
+    most 2 dim-term sums and a two-step form's at most 4, so their
+    rounding adds at most 4 dim^2 u to a screened trace. That trace is a
+    dot product of 2 dim^2 real terms whose moduli sum to at most dim, so
+    it lies within about 2 dim^3 u + 4 dim^2 u <= 3 dim^3 u (dim >= 4) of
+    the exact trace. The kernel's probability and unnormalized overlap,
+    two dim-term GEMMs and a sum over dim^2 entries, lie within about
+    2 dim^2 u of it; for a grandchild, the kernel's p_b and f_b times its
+    p_a lie within about 6 dim^2 u of p_ab and f_ab, since the child's
+    division by p_a scales its rounding back with it. So a screened value
+    and the kernel's, in units of the screened node's trace, differ by
+    e < 4 dim^3 u (dim >= 8), and a condition weighs at most two such
+    values (f against p, or p_ab against floor * p_a), 2e < dim^3 2^-50:
+    the allowance s = dim^3 _SCREEN_SLACK is 64 times that (2.9e-11 at
+    dim 8, 1.9e-9 at dim 32). A rate's products add a relative rounding
+    of a few u. The kernel succeeds when the square root of its
+    normalized overlap exceeds theta, which needs f > theta^2 p up to a
+    relative rounding of a few dim u; m = 1e-6 is far above it. So every
+    child the kernel would record, and every child on the way to a
+    grandchild it would record, passes the screen, and the few extra
+    children that pass are stepped and dropped.
+
+    The search refuses, before any work, what check_search_budget
+    refuses.
     """
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if max_len > SEARCH_MAX_LEN_BUDGET:
-        raise BudgetExceeded(
-            f"max_len {max_len} exceeds the enumeration budget {SEARCH_MAX_LEN_BUDGET} "
-            f"({7 ** max_len:,} sequences)"
-        )
+    check_search_budget(env.cfg, max_len)
     root = env.reset()
     cfg = env.cfg
     leaves = min(max_len, cfg.max_steps)
     moves = np.arange(ACTION_COUNT)
     found: list[SequenceRecord] = []
-    # the forms are Hermitian, so a state's flattened real view times
-    # column a of their real views gives tr(E_a rho), column 7 + a tr(F_a rho)
+    # forms[k, b] holds E and F of action b, after action k - 1 if k > 0:
+    # E_b = M_b^dagger M_b, F_b = M_b^dagger (1 (x) |psi><psi|) M_b and
+    # E_ab = M_a^dagger E_b M_a, F_ab = M_a^dagger F_b M_a. They are
+    # Hermitian, so a state's flattened real view times their real views,
+    # one column each, gives the traces
     ops = env.branch_operators
     adjoint = ops.conj().swapaxes(-1, -2)
-    forms = np.concatenate([adjoint @ ops,
-                            adjoint @ np.kron(np.eye(2), env.target_matrix) @ ops])
-    forms = forms.reshape(2 * ACTION_COUNT, -1).view(np.float64).T
+    forms = np.empty((1 + ACTION_COUNT, ACTION_COUNT, 2) + ops.shape[1:], dtype=complex)
+    forms[0] = np.stack([adjoint @ ops,
+                         adjoint @ np.kron(np.eye(2), env.target_matrix) @ ops], axis=1)
+    for a in moves:
+        forms[1 + a] = adjoint[a] @ forms[0] @ ops[a]
+    forms = forms.reshape(2 * ACTION_COUNT * (1 + ACTION_COUNT), -1).view(np.float64).T
     slack = env.dim ** 3 * _SCREEN_SLACK
     overlap_floor = cfg.theta ** 2 - _SCREEN_MARGIN
+
+    def could_record(p, f, rate, scale):
+        # the screen of a branch whose traces p and f carry the factor
+        # scale, its parent's branch probability, that the kernel divides out
+        return ((p > cfg.floor * scale - slack) & (rate * p >= rate_cutoff - slack)
+                & (f >= overlap_floor * p - slack))
 
     def expand(rho, prefix, probs, rate):
         # the children (node[i], action[i]) stepped; flattened row-major
         # in the every-action form, node i's child by action a is row 7*i + a
-        if prefix.shape[1] + 1 < leaves:
+        down = leaves - prefix.shape[1]  # levels from the nodes to the leaves
+        if down > 2:
             out = env.step_batch(rho, None, prefix.shape[1] + 1)
             node = np.repeat(np.arange(len(rate)), ACTION_COUNT)
             action = np.tile(moves, len(rate))
         else:
-            traces = rho.reshape(len(rho), -1).view(np.float64) @ forms
-            p, f = traces[:, :ACTION_COUNT], traces[:, ACTION_COUNT:]
-            node, action = np.nonzero((p > cfg.floor - slack)
-                                      & (rate[:, None] * p >= rate_cutoff - slack)
-                                      & (f >= overlap_floor * p - slack))
+            # traces[i, k, b] = (p, f): node i's child by b, or with k > 0 its
+            # grandchild by k - 1 then b
+            traces = (rho.reshape(len(rho), -1).view(np.float64)
+                      @ (forms if down == 2 else forms[:, :2 * ACTION_COUNT])
+                      ).reshape(len(rho), -1, ACTION_COUNT, 2)
+            p = traces[:, 0, :, 0]
+            step = could_record(p, traces[:, 0, :, 1], rate[:, None], 1.0)
+            if down == 2:
+                step |= (p > cfg.floor - slack) & could_record(
+                    traces[:, 1:, :, 0], traces[:, 1:, :, 1], rate[:, None, None],
+                    p[:, :, None]).any(axis=2)
+            node, action = np.nonzero(step)
             if not len(node):
                 return
             out = env.step_batch(rho[node], action, prefix.shape[1] + 1)
@@ -248,7 +311,9 @@ def exhaustive_search(env: QSEEnv, max_len: int,
             rho, prefix, probs, rate = (out.rho.reshape((-1,) + rho.shape[1:])[todo],
                                         prefix[todo], probs[todo], rate[todo])
             del out
-            size = SEARCH_BLOCK if prefix.shape[1] + 1 < leaves else max(len(todo), 1)
+            # screened nodes go in one block: all the continuing children
+            # of an every-action block, at most 7 * SEARCH_BLOCK
+            size = SEARCH_BLOCK if down > 3 else max(len(todo), 1)
             for lo in range(0, len(todo), size):
                 block = slice(lo, lo + size)
                 expand(rho[block], prefix[block], probs[block], rate[block])

@@ -6,9 +6,9 @@ import numpy as np
 from qsteer.agent import select_action
 from qsteer.env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES,
                         SUCCESS, EnvConfig, QSEEnv, _labels_for, encode_state)
-from qsteer.errors import BudgetExceeded, QsteerError, ShapeMismatch
+from qsteer.errors import QsteerError, ShapeMismatch
 from qsteer.model import IDENTITY_2, ModelParams, kron_all, purity, trace_distance
-from qsteer.sequences import (SEARCH_BLOCK, SEARCH_MAX_LEN_BUDGET, SequenceRecord,
+from qsteer.sequences import (SEARCH_BLOCK, SequenceRecord, check_search_budget,
                               replay_sequence)
 
 
@@ -193,16 +193,11 @@ def replay_per_step(env: QSEEnv, actions):
 
 def search_unscreened(env: QSEEnv, max_len: int,
                       rate_cutoff: float = 1e-6) -> list[SequenceRecord]:
-    """``qsteer.sequences.exhaustive_search`` without the leaf screen:
-    every node, the leaves' parents too, steps all seven children in one
-    every-action ``QSEEnv.step_batch`` call. Same arguments and results."""
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if max_len > SEARCH_MAX_LEN_BUDGET:
-        raise BudgetExceeded(
-            f"max_len {max_len} exceeds the enumeration budget {SEARCH_MAX_LEN_BUDGET} "
-            f"({7 ** max_len:,} sequences)"
-        )
+    """``qsteer.sequences.exhaustive_search`` without its screen: every
+    node, the leaves' parents and grandparents too, steps all seven
+    children in one every-action ``QSEEnv.step_batch`` call. Same
+    arguments, budget and results."""
+    check_search_budget(env.cfg, max_len)
     root = env.reset()
     moves = np.arange(ACTION_COUNT)
     found: list[SequenceRecord] = []

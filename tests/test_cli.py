@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +556,31 @@ class TestSearch:
     def test_budget_exit_code(self, micro_config, capsys):
         assert cli.main(["search", str(micro_config), "--target", "psi-",
                          "--max-len", "20"]) == 4
+
+    @pytest.mark.parametrize("max_len", ["5200", str(10 ** 18)])
+    def test_any_length_past_the_budget_is_refused_at_once(self, tmp_path, max_len):
+        # in a fresh interpreter, so that a refusal that never returns is
+        # cut off by the timeout: the budget's estimate must not grow with
+        # the length, and no huge integer may reach the message
+        code = ("import sys, time; from qsteer import cli; t = time.perf_counter(); "
+                "code = cli.main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
+        env = dict(os.environ, **{cli.OUTPUT_ROOT_ENV: str(tmp_path)})
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(CONFIG_DIR.parent / "src"),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, "search",
+                               str(CONFIG_DIR / "psi_minus_fixed.cfg"),
+                               "--target", "psi+", "--max-len", max_len],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 4, done.stderr
+        assert f"max_len {max_len}" in done.stderr
+        assert float(done.stdout.splitlines()[-1]) < 1.0
+
+    def test_refused_search_makes_no_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        assert cli.main(["search", str(CONFIG_DIR / "psi_minus_fixed.cfg"),
+                         "--target", "psi+", "--max-len", "20"]) == 4
+        assert list(tmp_path.iterdir()) == []
+        assert "max_len 20 at n_bath 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new, field", [
         ("start_mode = fixed_xplus",

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,35 @@ def test_custom_start_round_trip():
         "[env]\nstart_mode = fixed_custom\ncustom_start = 0.6, -0.8j\n")
     assert cfg.env.custom_start == (0.6 + 0j, -0.8j)
     assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("output_dir", ["runs/a #b", "a ;b", " runs/x", "runs/x\t", "a\nb",
+                                        "#runs"])
+def test_output_dir_its_text_cannot_carry_is_refused(output_dir):
+    # the parser would read these back as runs/a, a, runs/x, runs/x, an
+    # error and an empty string
+    cfg = parse_config(CONFIG_DIR / "psi_minus_fixed.cfg")
+    with pytest.raises(ValueError, match="output_dir"):
+        dataclasses.replace(cfg, output_dir=output_dir)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(" \t\r\n#;ab/", max_size=8))
+def test_output_dir_is_refused_or_round_trips(output_dir):
+    cfg = parse_config(CONFIG_DIR / "psi_minus_fixed.cfg")
+    try:
+        cfg = dataclasses.replace(cfg, output_dir=output_dir)
+    except ValueError as err:
+        assert "output_dir" in str(err)
+        return
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("output_dir", ["runs/a#b", "a;b", "runs/a b", ""])
+def test_output_dir_with_a_bare_comment_sign_round_trips(output_dir):
+    cfg = dataclasses.replace(parse_config(CONFIG_DIR / "psi_minus_fixed.cfg"),
+                              output_dir=output_dir)
+    assert parse_config_text(serialize_config(cfg)).output_dir == output_dir
 
 
 def test_custom_start_needs_two_amplitudes():

@@ -29,6 +29,7 @@ SEARCH_COUNTS = {
     4: {"phi+": 0, "phi-": 0, "psi+": 13, "psi-": 1},
     5: {"phi+": 0, "phi-": 0, "psi+": 99, "psi-": 9},
     6: {"phi+": 12, "phi-": 4, "psi+": 612, "psi-": 95},
+    7: {"phi+": 151, "phi-": 46, "psi+": 4801, "psi-": 799},
 }
 
 
@@ -218,7 +219,7 @@ class TestExhaustiveSearch:
 
     def test_no_short_route_to_two_singlet_pairs(self):
         env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=4)))
-        for max_len in (4, 5):
+        for max_len in (4, 5, 6, 7):
             assert exhaustive_search(env, max_len) == []
 
     def test_frozen_counts(self, searched):
@@ -454,11 +455,12 @@ _SCREEN_CASES = {
 
 
 class TestLeafScreen:
-    """exhaustive_search screens its last level with two quadratic forms
-    per action and steps only the children that could be recorded; its
+    """exhaustive_search screens its last two levels with two quadratic
+    forms per action and per pair of actions and steps only the children
+    that could be recorded or lead to a grandchild that could; its
     records are those of stepping every child, byte for byte."""
 
-    @pytest.mark.parametrize("max_len", range(1, 7))
+    @pytest.mark.parametrize("max_len", range(1, 8))
     @pytest.mark.parametrize("target", sorted(SEARCH_COUNTS[6]))
     def test_bell_targets(self, searched, target, max_len):
         env = QSEEnv(EnvConfig(target=target))
@@ -483,51 +485,65 @@ class TestLeafScreen:
         env = QSEEnv(cfg)
         assert _search_bits(exhaustive_search(env, 4)) == _search_bits(search_unscreened(env, 4))
 
-    @staticmethod
-    def leaf_records():
-        # the psi+ records that end at the last level of a length-4 search
-        records = exhaustive_search(QSEEnv(EnvConfig(target="psi+")), 4)
-        leaves = [r for r in records if len(r.actions) == 4]
-        assert len(leaves) == 12
-        return leaves
+    #: (max_len, depth) of the psi+ records the kept-then-dropped tests
+    #: move each limit across: the leaves of a length-4 search, and the
+    #: children and grandchildren of the leaves' grandparents in a
+    #: length-5 one
+    SCREEN_LEVELS = [(4, 4), (5, 4), (5, 5)]
 
-    def assert_kept_then_dropped(self, rec, values):
+    @staticmethod
+    def screened_records(max_len, depth):
+        # the psi+ records that end at that depth: every one at depth 4; at
+        # depth 5 every seventh of the 86, and the 4 whose lowest branch
+        # probability is the screened child's
+        records = exhaustive_search(QSEEnv(EnvConfig(target="psi+")), max_len)
+        found = [r for r in records if len(r.actions) == depth]
+        assert len(found) == {4: 12, 5: 86}[depth]
+        if depth == 5:
+            found = [r for i, r in enumerate(found) if i % 7 == 0 or np.argmin(r.probs) == 3]
+            assert len(found) == 17
+        return found
+
+    def assert_kept_then_dropped(self, rec, max_len, values):
         # at each value the two searches agree; the record is found at the
         # first value and not at the second
         present = []
         for changes in values:
             cfg = dataclasses.replace(EnvConfig(target="psi+"), **changes.get("env", {}))
             env, cutoff = QSEEnv(cfg), changes.get("rate_cutoff", 1e-6)
-            got = exhaustive_search(env, 4, cutoff)
-            assert _search_bits(got) == _search_bits(search_unscreened(env, 4, cutoff))
+            got = exhaustive_search(env, max_len, cutoff)
+            assert _search_bits(got) == _search_bits(search_unscreened(env, max_len, cutoff))
             present.append(rec.actions in {r.actions for r in got})
         assert present == [True, False]
 
-    def test_theta_at_a_leaf_fidelity(self):
-        for rec in self.leaf_records():
+    @pytest.mark.parametrize("max_len, depth", SCREEN_LEVELS)
+    def test_theta_at_a_screened_fidelity(self, max_len, depth):
+        for rec in self.screened_records(max_len, depth):
             fid = rec.final_fidelity
-            self.assert_kept_then_dropped(rec, [
+            self.assert_kept_then_dropped(rec, max_len, [
                 {"env": {"theta": float(np.nextafter(fid, 0))}}, {"env": {"theta": fid}}])
 
-    def test_rate_cutoff_at_a_leaf_rate(self):
-        for rec in self.leaf_records():
+    @pytest.mark.parametrize("max_len, depth", SCREEN_LEVELS)
+    def test_rate_cutoff_at_a_screened_rate(self, max_len, depth):
+        for rec in self.screened_records(max_len, depth):
             rate = rec.success_rate
-            self.assert_kept_then_dropped(rec, [
+            self.assert_kept_then_dropped(rec, max_len, [
                 {"rate_cutoff": rate}, {"rate_cutoff": float(np.nextafter(rate, np.inf))}])
 
-    def test_floor_at_a_leaf_branch_probability(self):
-        # a floor at the last branch probability must cut no earlier branch
-        lowest_last = [r for r in self.leaf_records() if r.probs[-1] == min(r.probs)]
-        assert len(lowest_last) == 6
-        for rec in lowest_last:
-            p = rec.probs[-1]
-            self.assert_kept_then_dropped(rec, [
+    @pytest.mark.parametrize("max_len, depth", SCREEN_LEVELS)
+    def test_floor_at_a_screened_branch_probability(self, max_len, depth):
+        # a floor at a record's lowest branch probability cuts it at that
+        # step: a leaf, a screened child or a grandchild, or one above
+        for rec in self.screened_records(max_len, depth):
+            p = min(rec.probs)
+            self.assert_kept_then_dropped(rec, max_len, [
                 {"env": {"floor": float(np.nextafter(p, 0))}}, {"env": {"floor": p}}])
 
-    @pytest.mark.parametrize("max_len", [1, 5])
+    @pytest.mark.parametrize("max_len", [1, 2, 5])
     def test_the_last_level_makes_no_every_action_call(self, monkeypatch, max_len):
-        # the nodes above the last level are stepped as before: as many
-        # every-action calls as a search one level shorter makes
+        # nor does the level above it: the nodes above the screened ones
+        # are stepped as before, in as many every-action calls as a search
+        # two levels shorter makes
         def every_action_calls(search, env, n):
             calls = []
             step_batch = env.step_batch
@@ -542,15 +558,17 @@ class TestLeafScreen:
 
         env = QSEEnv(EnvConfig(target="psi+"))
         screened = every_action_calls(exhaustive_search, env, max_len)
-        assert screened == every_action_calls(search_unscreened, env, max_len - 1)
-        assert screened == (0 if max_len == 1 else 21)
+        assert screened == every_action_calls(search_unscreened, env, max(max_len - 2, 0))
+        assert screened == (5 if max_len == 5 else 0)
 
     @pytest.mark.parametrize("target", ["psi+", "psi-"])
     def test_one_screen_per_parent_block(self, monkeypatch, target):
         # all the continuing children of an every-action block are the
-        # leaves' parents here, screened in one call, which steps the
-        # children that pass in at most one one-action call: no two
-        # one-action calls follow each other
+        # leaves' grandparents here, screened in one call, which steps the
+        # children that pass in at most one one-action call; their
+        # continuing children are screened in one call, which steps the
+        # leaves that pass in at most one more: no three one-action calls
+        # follow each other
         env = QSEEnv(EnvConfig(target=target))
         calls = []
         step_batch = env.step_batch
@@ -560,8 +578,8 @@ class TestLeafScreen:
             return step_batch(rho, actions, step_count)
         monkeypatch.setattr(env, "step_batch", counted)
         exhaustive_search(env, 5)
-        assert calls.count("every") == 21 and "one" in calls
-        assert ("one", "one") not in set(zip(calls, calls[1:]))
+        assert calls.count("every") == 5 and "one" in calls
+        assert ("one",) * 3 not in set(zip(calls, calls[1:], calls[2:]))
 
 
 class TestReplayChunks:
