@@ -310,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measurement-sequence engineering on a central-spin system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    start_help = f"override start state: {', '.join(SPIN_STATES)}"
 
     p = sub.add_parser("train", help="train an agent per the configuration")
     p.add_argument("config")
@@ -323,15 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=500)
     p.add_argument("--baseline", action="store_true",
                    help="also evaluate a random policy (eps=1) for comparison")
-    p.add_argument("--start", default=None,
-                   help="override start state: x+, x-, y+, y-, z+, z-, or random")
+    p.add_argument("--start", default=None, help=f"{start_help}, or random")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replay", help="deterministically replay a sequence")
     p.add_argument("config")
     p.add_argument("--sequence", required=True,
                    help="tokens like 'U2 Px+ U1 Px+' or 'Px+ - Px-'")
-    p.add_argument("--start", default=None)
+    p.add_argument("--start", default=None, help=start_help)
     p.add_argument("--target", default=None, choices=BELL_NAMES)
     p.add_argument("--out", default=None, help="write the diagnostic table here")
     p.set_defaults(func=cmd_replay)
@@ -342,10 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True,
                    help=f"the longest sequence; exit 4 past the work budget, "
                         f"7^(L-2) dim^3 <= {SEARCH_WORK_BUDGET:g} for L = min(max-len, "
-                        f"max_steps): length 9 at n_bath 2, 7 at 4")
+                        f"max_steps)")
     p.add_argument("--rate-cutoff", type=float, default=1e-6)
-    p.add_argument("--start", default=None,
-                   help="override start state: x+, x-, y+, y-, z+, z-")
+    p.add_argument("--start", default=None, help=start_help)
     p.add_argument("--show", type=int, default=10, help="print the top N results")
     p.set_defaults(func=cmd_search)
 

@@ -38,9 +38,9 @@ import numpy as np
 from .errors import EpisodeFinished
 from .model import (
     BELL_NAMES,
+    BELL_STATES,
     SPIN_STATES,
     ModelParams,
-    bell_state,
     build_propagator,
     central_product_state,
     central_projector,
@@ -55,6 +55,7 @@ __all__ = [
     "ACTION_TOKENS",
     "ACTION_COUNT",
     "DO_NOTHING",
+    "STEP_LIMIT",
     "EnvConfig",
     "EnvState",
     "StepResult",
@@ -65,12 +66,14 @@ __all__ = [
     "encode_state",
 ]
 
-#: Action index -> token. Order: z+, z-, x+, x-, y+, y-, do nothing.
+#: Action index -> token: "P" and the axis and sign of the central-spin
+#: state a projection keeps, or "-" to do nothing.
 ACTION_TOKENS = ("Pz+", "Pz-", "Px+", "Px-", "Py+", "Py-", "-")
-ACTION_COUNT = 7
-DO_NOTHING = 6
+ACTION_COUNT = len(ACTION_TOKENS)
+DO_NOTHING = ACTION_TOKENS.index("-")
 
-_PROJECTOR_SPEC = (("z", "+"), ("z", "-"), ("x", "+"), ("x", "-"), ("y", "+"), ("y", "-"))
+#: The longest episode, ``max_steps``, and so the longest sequence.
+STEP_LIMIT = 2 ** 20
 
 START_MODES = ("fixed_xplus", "random_pure", "fixed_custom")
 
@@ -103,8 +106,8 @@ class EnvConfig:
     def __post_init__(self):
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not 1 <= self.max_steps <= STEP_LIMIT:
+            raise ValueError(f"max_steps must be in [1, {STEP_LIMIT}], got {self.max_steps}")
         if self.r_fatal > self.r_minus * self.max_steps:
             raise ValueError(
                 f"r_fatal={self.r_fatal} must not exceed r_minus*max_steps="
@@ -213,9 +216,9 @@ def _setup(cfg: EnvConfig):
     """
     n_bath = cfg.model.n_bath
     propagator = build_propagator(cfg.model)
-    branch_operators = np.stack([central_projector(axis, sign, n_bath) @ propagator
-                                 for axis, sign in _PROJECTOR_SPEC] + [propagator])
-    target = kron_all(*[bell_state(cfg.target)] * (n_bath // 2))
+    branch_operators = np.stack([central_projector(token[1], token[2], n_bath) @ propagator
+                                 for token in ACTION_TOKENS[:DO_NOTHING]] + [propagator])
+    target = kron_all(*[BELL_STATES[cfg.target]] * (n_bath // 2))
     target_matrix = np.outer(target, target.conj())
     arrays = [branch_operators, target, target_matrix]
     fixed_start = None

@@ -37,6 +37,7 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "SPIN_STATES",
+    "BELL_STATES",
     "BELL_NAMES",
     "ModelParams",
     "kron_all",
@@ -47,7 +48,6 @@ __all__ = [
     "central_product_state",
     "measure",
     "partial_trace_first",
-    "bell_state",
     "fidelity_to_pure",
     "trace_distance",
     "purity",
@@ -70,7 +70,22 @@ SPIN_STATES = {
     "y-": np.array([1, -1j], dtype=complex) / _SQ2,
 }
 
-BELL_NAMES = ("phi+", "phi-", "psi+", "psi-")
+_ZP, _ZM = SPIN_STATES["z+"], SPIN_STATES["z-"]
+
+#: The four maximally entangled two-spin states, as 4-vectors. In the z
+#: basis: phi+/- = (|z+z+> +/- |z-z->)/sqrt(2), psi+/- = (|z+z-> +/- |z-z+>)/sqrt(2).
+BELL_STATES = {
+    "phi+": (np.kron(_ZP, _ZP) + np.kron(_ZM, _ZM)) / _SQ2,
+    "phi-": (np.kron(_ZP, _ZP) - np.kron(_ZM, _ZM)) / _SQ2,
+    "psi+": (np.kron(_ZP, _ZM) + np.kron(_ZM, _ZP)) / _SQ2,
+    "psi-": (np.kron(_ZP, _ZM) - np.kron(_ZM, _ZP)) / _SQ2,
+}
+BELL_NAMES = tuple(BELL_STATES)
+
+# every config's set-up reads these tables, so none may be written
+for _table in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2, *SPIN_STATES.values(),
+               *BELL_STATES.values()):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -127,18 +142,13 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bath_pauli(coupling) -> np.ndarray:
-    gx, gy, gz = coupling
-    return gx * PAULI_X + gy * PAULI_Y + gz * PAULI_Z
-
-
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """Assemble the coupling plus bath-precession Hamiltonian (Hermitian)."""
     dim = p.dim
     h = np.zeros((dim, dim), dtype=complex)
-    for k in range(p.n_bath):
+    for k, (gx, gy, gz) in enumerate(p.couplings):
         ops = [PAULI_Z] + [IDENTITY_2] * p.n_bath
-        ops[1 + k] = _bath_pauli(p.couplings[k])
+        ops[1 + k] = gx * PAULI_X + gy * PAULI_Y + gz * PAULI_Z
         h += kron_all(*ops)
         ops = [IDENTITY_2] * (p.n_bath + 1)
         ops[1 + k] = PAULI_Z
@@ -239,26 +249,6 @@ def partial_trace_first(m: np.ndarray, dim_first: int) -> np.ndarray:
         )
     d = m.shape[-1] // dim_first
     return np.einsum("...ikil->...kl", m.reshape(m.shape[:-2] + (dim_first, d, dim_first, d)))
-
-
-def bell_state(which: str) -> np.ndarray:
-    """One of the four maximally entangled two-spin states, as a 4-vector.
-
-    In the z basis: phi+/- = (|z+z+> +/- |z-z->)/sqrt(2),
-    psi+/- = (|z+z-> +/- |z-z+>)/sqrt(2).
-    """
-    zp, zm = SPIN_STATES["z+"], SPIN_STATES["z-"]
-    if which == "phi+":
-        v = np.kron(zp, zp) + np.kron(zm, zm)
-    elif which == "phi-":
-        v = np.kron(zp, zp) - np.kron(zm, zm)
-    elif which == "psi+":
-        v = np.kron(zp, zm) + np.kron(zm, zp)
-    elif which == "psi-":
-        v = np.kron(zp, zm) - np.kron(zm, zp)
-    else:
-        raise ValueError(f"unknown Bell state {which!r}; expected one of {BELL_NAMES}")
-    return v / _SQ2
 
 
 def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, SequenceParseError
-from .env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, SUCCESS,
-                  BatchStep, EnvConfig, QSEEnv)
+from .env import (ACTION_COUNT, ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES,
+                  STEP_LIMIT, SUCCESS, BatchStep, EnvConfig, QSEEnv)
 from .model import purity, trace_distance
 
 # not called here, but perfbench's tracer wraps these names in this module
@@ -350,6 +349,8 @@ def parse_sequence(text: str) -> tuple[int, ...]:
     Tokens: projector names (Px+, Py-, ...), '-' or 'nop' for do-nothing,
     and U<k> for k intervals of free evolution folded into the following
     projector step (or standing alone as k do-nothing steps at the end).
+    A sequence of more than ``STEP_LIMIT`` steps, which no episode runs,
+    is refused at the token that passes the limit, before it is built.
     """
     actions: list[int] = []
     pending = 0  # evolution intervals owed before the next action
@@ -358,26 +359,22 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         m = _U_RE.match(tok)
         if m:
             digits = m.group(1).lstrip("0")
-            # more intervals than sys.maxsize cannot be listed; a longer digit
-            # string than its own is larger still, and int() refuses very long ones
-            if (len(digits) > len(str(sys.maxsize))
-                    or pending + int(digits or "0") > sys.maxsize):
-                raise SequenceParseError(
-                    f"U count {tok!r} is too large: at most {sys.maxsize} intervals "
-                    f"can run in a row", pos)
-            k = int(digits or "0")
-            if k < 1:
+            if not digits:
                 raise SequenceParseError(f"U count must be >= 1, got {tok!r}", pos)
-            pending += k
-            continue
-        if tok not in _TOKEN_TO_ACTION:
+            # a longer digit string than the limit's own is larger still, and
+            # int() refuses very long ones
+            pending += STEP_LIMIT + 1 if len(digits) > len(str(STEP_LIMIT)) else int(digits)
+        elif tok in _TOKEN_TO_ACTION:
+            if pending:
+                # the action's own step supplies the final evolution interval
+                actions.extend([DO_NOTHING] * (pending - 1))
+                pending = 0
+            actions.append(_TOKEN_TO_ACTION[tok])
+        else:
             raise SequenceParseError(f"unknown action token {tok!r}", pos)
-        action = _TOKEN_TO_ACTION[tok]
-        if pending:
-            # the action's own step supplies the final evolution interval
-            actions.extend([DO_NOTHING] * (pending - 1))
-            pending = 0
-        actions.append(action)
+        if len(actions) + pending > STEP_LIMIT:
+            raise SequenceParseError(f"sequence too large at {tok!r}: an episode runs at "
+                                     f"most {STEP_LIMIT} steps", pos)
     actions.extend([DO_NOTHING] * pending)
     if not actions:
         raise SequenceParseError("empty sequence", 0)

@@ -31,12 +31,12 @@ from qsteer.agent import evaluate_policy
 from qsteer.config import parse_config
 from qsteer.env import DO_NOTHING, QSEEnv, encode_state
 from qsteer.model import (
+    BELL_STATES,
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     SPIN_STATES,
-    bell_state,
     central_projector,
     kron_all,
     partial_trace_first,
@@ -119,7 +119,7 @@ def _candidate_replay(central_scale, bath_scale):
         rate *= p
         rho /= p
     bath = partial_trace_first(rho, 2)
-    psi = bell_state("psi-")
+    psi = BELL_STATES["psi-"]
     fid = float(np.sqrt(max(0.0, (psi.conj() @ bath @ psi).real)))
     return fid, rate
 

@@ -14,7 +14,7 @@ from qsteer import config as qsteer_config
 from qsteer import env as qsteer_env
 from qsteer.agent import EvaluationResult, evaluate_policy
 from qsteer.config import config_hash, parse_config
-from qsteer.env import ACTION_TOKENS, QSEEnv
+from qsteer.env import ACTION_TOKENS, STEP_LIMIT, QSEEnv
 from qsteer.network import MLPSpec, init_params, load_params, save_params
 from qsteer.sequences import (SequenceRecord, combination_histogram, format_sequence,
                               parse_sequence, replay_sequence)
@@ -472,6 +472,22 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'U99999999999999999999'" in err
         assert "(token 3)" in err
+
+    @pytest.mark.parametrize("count", [STEP_LIMIT + 1, 10 ** 9])
+    def test_sequence_past_the_longest_episode_exit_code(self, count, capsys):
+        # refused before its idle steps are listed
+        assert cli.main(["replay", str(CONFIG_DIR / "psi_minus_fixed.cfg"),
+                         "--sequence", f"U{count}"]) == 2
+        err = capsys.readouterr().err
+        assert f"'U{count}'" in err and "(token 1)" in err
+
+    def test_episode_past_the_step_limit_is_a_config_error(self, micro_config, tmp_path,
+                                                           capsys):
+        long = tmp_path / "long.cfg"
+        long.write_text(MICRO_CONFIG.replace("max_steps = 10", f"max_steps = {STEP_LIMIT + 1}")
+                        .replace("r_fatal = -11", f"r_fatal = {-(STEP_LIMIT + 2)}"))
+        assert cli.main(["replay", str(long), "--sequence", "U1 Px+"]) == 2
+        assert "env: max_steps" in capsys.readouterr().err
 
 
 def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):

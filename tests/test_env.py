@@ -8,14 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_density_matrix
 from oracles import decode_state, random_starts_per_row
-from qsteer.env import (ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, SUCCESS, TIMEOUT,
-                        EnvConfig, QSEEnv, _labels_for, _setup, encode_state, encoding_length)
+from qsteer.env import (ACTION_TOKENS, CONTINUE, DO_NOTHING, FATAL, OUTCOMES, STEP_LIMIT, SUCCESS,
+                        TIMEOUT, EnvConfig, QSEEnv, _labels_for, _setup, encode_state, encoding_length)
 from qsteer.errors import EpisodeFinished
 from qsteer.model import (
     BELL_NAMES,
+    BELL_STATES,
     SPIN_STATES,
     ModelParams,
-    bell_state,
     build_propagator,
     central_projector,
     fidelity_to_pure,
@@ -456,6 +456,11 @@ class TestEnvConfigValidation:
         with pytest.raises(ValueError):
             EnvConfig(r_fatal=-10.0, max_steps=50, r_minus=-1.0)
 
+    def test_max_steps_is_bounded_by_the_step_limit(self):
+        EnvConfig(max_steps=STEP_LIMIT, r_fatal=-(STEP_LIMIT + 1.0))
+        with pytest.raises(ValueError, match="max_steps"):
+            EnvConfig(max_steps=STEP_LIMIT + 1, r_fatal=-(STEP_LIMIT + 2.0))
+
     def test_rejects_unknown_target(self):
         with pytest.raises(ValueError):
             EnvConfig(target="sigma+")
@@ -469,7 +474,7 @@ class TestEnvConfigValidation:
 @pytest.mark.parametrize("target", BELL_NAMES)
 def test_four_spin_target_is_two_pairs(target):
     env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=4), target=target))
-    pair = bell_state(target)
+    pair = BELL_STATES[target]
     assert np.linalg.norm(env.target_vector) == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(env.target_vector, np.kron(pair, pair))
 

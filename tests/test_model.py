@@ -9,10 +9,10 @@ from qsteer.env import DO_NOTHING, EnvConfig, QSEEnv
 from qsteer.errors import ShapeMismatch
 from qsteer.model import (
     BELL_NAMES,
+    BELL_STATES,
     IDENTITY_2,
     SPIN_STATES,
     ModelParams,
-    bell_state,
     build_hamiltonian,
     build_propagator,
     central_product_state,
@@ -180,7 +180,7 @@ class TestMetrics:
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_fidelity_pure_vs_maximally_mixed(self):
-        psi = bell_state("psi-")
+        psi = BELL_STATES["psi-"]
         assert fidelity(np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4) \
             == pytest.approx(0.5, abs=1e-12)
 
@@ -191,7 +191,7 @@ class TestMetrics:
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-8)
 
     def test_fidelity_pure_closed_form_agrees(self, rng):
-        psi = bell_state("phi+")
+        psi = BELL_STATES["phi+"]
         target = np.outer(psi, psi.conj())
         for _ in range(10):
             rho = random_density_matrix(rng, 4)
@@ -199,7 +199,7 @@ class TestMetrics:
                 fidelity_to_pure(rho[None], psi)[0], abs=1e-8)
 
     def test_fidelity_to_pure_on_a_stack(self, rng):
-        psi = bell_state("psi-")
+        psi = BELL_STATES["psi-"]
         stack = np.stack([random_density_matrix(rng, 4) for _ in range(6)])
         fids = fidelity_to_pure(stack, psi)
         assert fids.shape == (6,)
@@ -214,14 +214,14 @@ class TestMetrics:
         assert trace_distance(zp, zm) == pytest.approx(1.0, abs=1e-12)
 
     def test_purity_extremes(self):
-        psi = bell_state("psi+")
+        psi = BELL_STATES["psi+"]
         assert purity(np.outer(psi, psi.conj())) == pytest.approx(1.0, abs=1e-12)
         assert purity(np.eye(4, dtype=complex) / 4) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestBellStates:
     def test_orthonormal(self):
-        vectors = [bell_state(n) for n in BELL_NAMES]
+        vectors = [BELL_STATES[n] for n in BELL_NAMES]
         for i, a in enumerate(vectors):
             for j, b in enumerate(vectors):
                 expected = 1.0 if i == j else 0.0
@@ -229,14 +229,10 @@ class TestBellStates:
 
     def test_maximal_entanglement(self):
         for name in BELL_NAMES:
-            v = bell_state(name)
+            v = BELL_STATES[name]
             rho = np.outer(v, v.conj())
             reduced = partial_trace_first(rho, 2)
             assert np.allclose(reduced, IDENTITY_2 / 2, atol=1e-12)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            bell_state("omega+")
 
 
 def test_normalize_states_is_the_per_row_norm():

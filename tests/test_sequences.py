@@ -9,7 +9,7 @@ from conftest import FIDELITY_ATOL, GOLDEN_FIXED_START, GOLDEN_TAU2_START, RATE_
 from oracles import replay_per_step, search_unscreened, verify_steady_state
 from qsteer import sequences
 from qsteer.agent import evaluate_policy
-from qsteer.env import ACTION_COUNT, DO_NOTHING, EnvConfig, QSEEnv, encoding_length
+from qsteer.env import ACTION_COUNT, DO_NOTHING, STEP_LIMIT, EnvConfig, QSEEnv, encoding_length
 from qsteer.errors import BudgetExceeded, SequenceParseError
 from qsteer.model import SPIN_STATES, ModelParams, purity, trace_distance
 from qsteer.network import MLPParams
@@ -69,15 +69,21 @@ class TestParseFormat:
     @pytest.mark.parametrize("text, position", [
         ("U99999999999999999999", 1),
         ("Px+ U00000000000000000000000000000000000000000000000009999999999999999999 Px-", 2),
-        ("U9223372036854775807 U1 Px+", 2),
+        ("U1048576 U1 Px+", 2),
+        ("U1048576 Px+ Px-", 3),
+        ("Px+ U1048576", 2),
+        ("U1000000000", 1),
         ("U" + "9" * 5000, 1),
     ])
     def test_count_too_large_to_list_is_a_parse_error(self, text, position):
-        # no list of that many actions can exist: not an OverflowError from
-        # the list repetition, nor int()'s ValueError for very long digit strings
+        # no episode runs that many steps: not a list of them, an OverflowError
+        # from the list repetition, nor int()'s ValueError for very long digit strings
         with pytest.raises(SequenceParseError, match="too large") as err:
             parse_sequence(text)
         assert err.value.position == position
+
+    def test_the_longest_sequence_is_the_longest_episode(self):
+        assert len(parse_sequence(f"U{STEP_LIMIT} Px+")) == STEP_LIMIT
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, DO_NOTHING), min_size=1, max_size=30))
