@@ -151,7 +151,9 @@ def _run_config(args) -> RunConfig:
     if target:
         env = dataclasses.replace(env, target=target)
     if args.command != "evaluate" and env.start_mode == "random_pure":
-        raise ConfigError(f"{args.command} needs a definite start state; pass --start")
+        given = "--start random" if start == "random" else "the config's random_pure start"
+        raise ConfigError(f"{args.command} needs a definite start state, not {given}; "
+                          f"pass --start with one of {sorted(SPIN_STATES)}")
     return dataclasses.replace(cfg, env=env)
 
 

@@ -24,13 +24,15 @@ one conjugation ``M rho M^dagger`` per row (``M = P U`` for a projection,
 ``QSEEnv.step`` is its one-row form. It is ``QSEEnv.conjugate``, the
 only part a step needs of the one before it, followed by
 ``QSEEnv.score``: the bath, its fidelity and the outcome, row by row,
-so a replay conjugates step by step and scores its whole sequence once.
+so a replay conjugates its one state step by step, in ``measure``'s
+single-state layout, and scores its whole sequence once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -304,10 +306,21 @@ class QSEEnv:
         renormalized by its trace, which differs from 1 only by round-off,
         and its probability reads exactly 1. A fatal branch is left
         unnormalized; conjugating it again keeps it finite.
+
+        One state (dim, dim) and one action index take ``measure``'s
+        single-state layout: one branch and a scalar probability, with
+        the bits of the one-row stack. There a non-integer action raises
+        ValueError, as an out-of-range one does in either form.
         """
         if actions is None:
             actions = np.arange(ACTION_COUNT)
             out, prob = measure(rho[:, None], self.branch_operators, self.cfg.floor)
+        elif rho.ndim == 2:
+            if not isinstance(actions, Integral) or not 0 <= actions < ACTION_COUNT:
+                raise ValueError(f"an action index must be an integer in [0, {ACTION_COUNT}), "
+                                 f"got {actions!r}")
+            out, prob = measure(rho, self.branch_operators[actions], self.cfg.floor)
+            return out, 1.0 if actions == DO_NOTHING else prob
         else:
             actions = np.asarray(actions, dtype=np.intp)
             if actions.size and not 0 <= actions.min() <= actions.max() < ACTION_COUNT:

@@ -202,21 +202,27 @@ def measure(rho: np.ndarray, ops: np.ndarray, floor: float = 1e-8):
     """Apply branch operators M to states and renormalize.
 
     Each M is a projector, or a projector times the propagator for a step
-    that evolves first. Returns (M rho M^dagger / prob, prob). Two layouts:
-    rho and ops of one shape (N, dim, dim) pair up row by row; rho of
-    shape (N, 1, dim, dim) and ops (K, dim, dim) apply every M to every
-    state, giving (N, K, dim, dim). The second form takes the K N left
-    products as one GEMM of the stacked operators against the states laid
-    side by side, then one GEMM per operator for the right-hand adjoint;
-    each matrix keeps the bits of the row-by-row form. A matrix whose
-    branch probability is at or below ``floor`` comes back unnormalized;
-    that cutoff separates genuine rank deficiency from round-off, and the
-    caller treats such a row as a fatal choice.
+    that evolves first. Returns (M rho M^dagger / prob, prob). Three
+    layouts: rho and ops of one shape (N, dim, dim) pair up row by row;
+    one state and one operator, each (dim, dim), give one matrix and a
+    scalar probability by the same two GEMMs, with fewer numpy calls;
+    rho of shape (N, 1, dim, dim) and ops (K, dim, dim) apply every M to
+    every state, giving (N, K, dim, dim). The last form takes the K N
+    left products as one GEMM of the stacked operators against the
+    states laid side by side, then one GEMM per operator for the
+    right-hand adjoint. Every matrix keeps the bits of the row-by-row
+    form. A matrix whose branch probability is at or below ``floor``
+    comes back unnormalized; that cutoff separates genuine rank deficiency
+    from round-off, and the caller treats such a row as a fatal choice.
     """
     if not floor > 0:
         raise ValueError(f"floor must be positive, got {floor}")
     if rho.shape == ops.shape:
         out = ops @ rho @ ops.conj().swapaxes(-1, -2)
+        if out.ndim == 2:
+            prob = out.trace().real
+            out /= prob if prob > floor else 1.0
+            return out, prob
     elif rho.ndim == 4 and rho.shape[1] == 1 and ops.ndim == 3 and rho.shape[2:] == ops.shape[1:]:
         (n, _, dim, _), k = rho.shape, len(ops)
         side = rho.reshape(n, dim, dim).transpose(1, 0, 2).reshape(dim, n * dim)

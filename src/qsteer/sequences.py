@@ -102,36 +102,39 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
     as in the search, so a replay reproduces its records bit for bit.
     Only the conjugation needs the step before it: the actions, at most
     the env's max_steps of them, are conjugated one by one with
-    ``QSEEnv.conjugate`` in chunks of REPLAY_CHUNK, then twice that, four
-    times that and so on, and each chunk's branches are scored by one
-    ``QSEEnv.score`` call, with the bits of one call per step. Like an
-    episode, the record ends at the first step that succeeds, is fatal
-    (branch probability at or below the floor) or reaches max_steps, and
-    no chunk runs after the one that holds that step. The record holds
-    the steps run and the last one's outcome: a fatal one ends it with a
-    NaN final fidelity, as an evaluation episode's does, and one cut at
-    max_steps without success is the record of an episode that timed
-    out. Beside the record come the bath diagnostics, one (fidelity,
-    trace_distance, purity) row per state reached, so an aborted replay
-    has one row fewer than steps; they are taken over the stack of the
-    scored baths, with the bits of one call per state. An empty sequence
+    ``QSEEnv.conjugate`` in its single-state layout, one (dim, dim) state
+    and one action per call, in chunks of REPLAY_CHUNK, then twice that,
+    four times that and so on, and each chunk's branches are stacked and
+    scored by one ``QSEEnv.score`` call, with the bits of one call per
+    step. Like an episode, the record ends at the first step that
+    succeeds, is fatal (branch probability at or below the floor) or
+    reaches max_steps, and no chunk runs after the one that holds that
+    step. The record holds the steps run and the last one's outcome: a
+    fatal one ends it with a NaN final fidelity, as an evaluation
+    episode's does, and one cut at max_steps without success is the
+    record of an episode that timed out. Beside the record come the bath
+    diagnostics, one (fidelity, trace_distance, purity) row per state
+    reached, so an aborted replay has one row fewer than steps; they are
+    taken over the stack of the scored baths, with the bits of one call
+    per state. The actions are any sequence of integers, a numpy array
+    included; the record holds them as Python ints. An empty sequence
     raises ValueError.
     """
-    if not actions:
+    if not len(actions):
         raise ValueError("cannot replay an empty sequence")
     start = env.reset()
-    actions = tuple(actions[:env.cfg.max_steps])
+    actions = actions[:env.cfg.max_steps]
     chunks = []
-    rho, lo, size = start.rho[None], 0, REPLAY_CHUNK
+    rho, lo, size = start.rho, 0, REPLAY_CHUNK
     while lo < len(actions):
         outs, probs = [], []
         for action in actions[lo:lo + size]:
             # past a fatal step its unnormalized branch conjugates on, finite,
             # until the chunk ends: cheaper than scoring every step to stop there
-            rho, prob = env.conjugate(rho, [action])
+            rho, prob = env.conjugate(rho, action)
             outs.append(rho)
             probs.append(prob)
-        out = env.score(np.concatenate(outs), np.concatenate(probs),
+        out = env.score(np.stack(outs), np.array(probs),
                         np.arange(lo + 1, lo + len(outs) + 1))
         chunks.append(out)
         ended = np.flatnonzero(out.code != CONTINUE)
@@ -149,8 +152,8 @@ def replay_sequence(env: QSEEnv, actions: Sequence[int]
         bath = out.bath[:reached]
         diagnostics = list(zip(fids, trace_distance(bath, env.target_matrix).tolist(),
                                purity(bath).tolist()))
-    record = SequenceRecord(start.start_label, actions[:n], tuple(out.prob[:n].tolist()),
-                            fids[-1], OUTCOMES[last])
+    record = SequenceRecord(start.start_label, tuple(map(int, actions[:n])),
+                            tuple(out.prob[:n].tolist()), fids[-1], OUTCOMES[last])
     return record, diagnostics
 
 

@@ -162,7 +162,7 @@ def replay_per_step(env: QSEEnv, actions):
     code, stopping at the first step that does not continue, and the
     baths reached are stacked for the diagnostics. Same arguments and
     results."""
-    if not actions:
+    if not len(actions):
         raise ValueError("cannot replay an empty sequence")
     start = env.reset()
     rho = start.rho[None]
@@ -186,8 +186,8 @@ def replay_per_step(env: QSEEnv, actions):
         stack = np.stack(baths)
         diagnostics = list(zip(fids, trace_distance(stack, env.target_matrix).tolist(),
                                purity(stack).tolist()))
-    record = SequenceRecord(start.start_label, tuple(actions[:len(probs)]), tuple(probs),
-                            fids[-1], OUTCOMES[code])
+    record = SequenceRecord(start.start_label, tuple(map(int, actions[:len(probs)])),
+                            tuple(probs), fids[-1], OUTCOMES[code])
     return record, diagnostics
 
 

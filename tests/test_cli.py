@@ -15,6 +15,7 @@ from qsteer import env as qsteer_env
 from qsteer.agent import EvaluationResult, evaluate_policy
 from qsteer.config import config_hash, parse_config
 from qsteer.env import ACTION_TOKENS, STEP_LIMIT, QSEEnv
+from qsteer.model import SPIN_STATES
 from qsteer.network import MLPSpec, init_params, load_params, save_params
 from qsteer.sequences import (SequenceRecord, combination_histogram, format_sequence,
                               parse_sequence, replay_sequence)
@@ -357,6 +358,18 @@ class TestEvaluate:
 
 
 class TestReplay:
+    @pytest.mark.parametrize("command", [["replay", "--sequence", "Px+"],
+                                         ["search", "--target", "psi-", "--max-len", "2"]])
+    def test_start_random_is_named_as_not_definite(self, tmp_path, monkeypatch, capsys,
+                                                   command):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        argv = [command[0], str(CONFIG_DIR / "psi_minus_fixed.cfg"), *command[1:],
+                "--start", "random"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{command[0]} needs a definite start state, not --start random" in err
+        assert all(f"'{name}'" in err for name in SPIN_STATES)
+
     def test_known_singlet_row_summary(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence",
                          "U2 Px+ U1 Px+ U1 Px+ U1 Px+ U1 Px+"]) == 0

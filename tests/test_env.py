@@ -19,6 +19,7 @@ from qsteer.model import (
     build_propagator,
     central_projector,
     fidelity_to_pure,
+    measure,
     partial_trace_first,
     purity,
 )
@@ -359,6 +360,9 @@ class TestStepBatch:
                 env.step_batch(rho, [action], 1)
             with pytest.raises(ValueError):
                 env.step(env.reset(), action)
+        for action in (-1, 7, np.int64(7), 2.5, np.float64(2.0), "2", [2]):
+            with pytest.raises(ValueError):
+                env.conjugate(rho[0], action)
 
     def test_score_takes_one_step_count_per_row(self, default_env_cfg):
         env = QSEEnv(dataclasses.replace(default_env_cfg, max_steps=3, r_fatal=-4.0))
@@ -426,7 +430,7 @@ class TestStepBatchProperties:
         for i, action in enumerate(actions):
             alone = env.step_batch(rho[i:i + 1], [action], 1)
             for got, want in zip(alone, out):
-                assert np.array_equal(got[0], want[i], equal_nan=True)
+                assert got[0].tobytes() == want[i].tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(kernel_stacks(max_rows=4, dims=(8, 32)))
@@ -437,7 +441,44 @@ class TestStepBatchProperties:
         for i, a in np.ndindex(out.prob.shape):
             alone = env.step_batch(rho[i:i + 1], [a], 1)
             for got, want in zip(alone, out):
-                assert np.array_equal(got[0], want[i, a], equal_nan=True)
+                assert got[0].tobytes() == want[i, a].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_stacks(max_rows=1, dims=(8, 32)))
+    def test_single_state_rows_are_one_row_calls(self, stack):
+        self.assert_single_state_layout(self.envs[stack[0].shape[-1]], stack[0][0])
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    def test_single_state_fatal_branch_stays_unnormalized(self, dim):
+        # z- after a z+ start: the branch probability is at the floor
+        model = self.envs[dim].cfg.model
+        env = QSEEnv(EnvConfig(model=model, start_mode="fixed_custom", custom_start=(1, 0)))
+        out, prob = self.assert_single_state_layout(env, env.reset().rho)[1]
+        assert prob <= env.cfg.floor and abs(np.trace(out)) <= env.cfg.floor
+
+    @staticmethod
+    def assert_single_state_layout(env, rho):
+        """Each action's single-state measure and conjugate give the bytes
+        of the one-row stack and of the every-action form; returns the
+        single-state conjugates."""
+        floor, ops = env.cfg.floor, env.branch_operators
+        every_measure = measure(rho[None, None], ops, floor)
+        every_conjugate = env.conjugate(rho[None], None)
+        singles = []
+        for a, op in enumerate(ops):
+            single = measure(rho, op, floor)
+            forms = (measure(rho[None], op[None], floor), [x[:, a] for x in every_measure])
+            single_env = env.conjugate(rho, a)
+            forms_env = (env.conjugate(rho[None], [a]), [x[:, a] for x in every_conjugate])
+            for got, stacks in ((single, forms), (single_env, forms_env)):
+                assert got[0].shape == rho.shape and np.ndim(got[1]) == 0
+                for want in stacks:
+                    assert got[0].tobytes() == want[0][0].tobytes()
+                    assert np.float64(got[1]).tobytes() == want[1][0].tobytes()
+            if a == DO_NOTHING:
+                assert single_env[1] == 1.0
+            singles.append(single_env)
+        return singles
 
 
 @settings(max_examples=100, deadline=None)

@@ -161,6 +161,20 @@ class TestReplay:
     def test_empty_sequence_is_rejected(self, default_env_cfg):
         with pytest.raises(ValueError):
             replay_sequence(QSEEnv(default_env_cfg), ())
+        with pytest.raises(ValueError):
+            replay_sequence(QSEEnv(default_env_cfg), np.array([], dtype=np.intp))
+
+    @pytest.mark.parametrize("actions", [(PZ_PLUS,), (PX_MINUS, PZ_MINUS),
+                                         parse_sequence("U1 Px+ U2 Px+ U1 Px+ U1 Px-")])
+    def test_numpy_actions_replay_as_ints(self, actions):
+        # search prefixes are arrays; a replay of one is the replay of its
+        # ints, and its record holds Python ints, as a search record does
+        env = QSEEnv(EnvConfig(target="psi+"))
+        want = replay_sequence(env, actions)
+        for given_as in (np.array(actions), tuple(np.array(actions))):
+            got = replay_sequence(env, given_as)
+            assert _replay_bits(got) == _replay_bits(want)
+            assert all(type(a) is int for a in got[0].actions)
 
     def test_replay_stops_at_the_first_success(self, searched):
         # psi+ is reached at step 5, where an episode ends: the Pz+ is not run
