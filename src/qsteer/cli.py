@@ -8,8 +8,8 @@ overrides applied, and a manifest records versions, so any table can be
 traced to the exact run that produced it. Outputs are plain
 tab-separated tables; plotting is downstream.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 enumeration budget exceeded.
+Exit codes: 0 success, 2 configuration error (a bad flag included),
+3 numeric failure, 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -130,24 +130,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+#: --start's choices and their (start_mode, custom_start). x+ is fixed_xplus, a state
+#: of the same bits, so it hashes as a file that names that mode.
+START_OVERRIDES = {name: ("fixed_custom", (complex(v[0]), complex(v[1])))
+                   for name, v in SPIN_STATES.items()}
+START_OVERRIDES |= {"x+": ("fixed_xplus", None), "random": ("random_pure", None)}
+
+
 def _run_config(args) -> RunConfig:
-    """The configuration the command runs: the file's, with --start and
-    --target applied. --start x+ is the fixed_xplus start mode, whose
-    state has the same bits, so it hashes as a file that names that mode.
-    replay and search need a definite start."""
+    """The configuration the command runs: the file's, with --start and --target applied."""
     cfg = parse_config(args.config)
     env, start, target = cfg.env, args.start, getattr(args, "target", None)
-    if start == "random":
-        env = dataclasses.replace(env, start_mode="random_pure", custom_start=None)
-    elif start == "x+":
-        env = dataclasses.replace(env, start_mode="fixed_xplus", custom_start=None)
-    elif start is not None:
-        if start not in SPIN_STATES:
-            raise ConfigError(f"--start: unknown start state {start!r}; "
-                              f"expected one of {sorted(SPIN_STATES)}")
-        v = SPIN_STATES[start]
-        env = dataclasses.replace(env, start_mode="fixed_custom",
-                                  custom_start=(complex(v[0]), complex(v[1])))
+    if start is not None:
+        mode, custom = START_OVERRIDES[start]
+        env = dataclasses.replace(env, start_mode=mode, custom_start=custom)
     if target:
         env = dataclasses.replace(env, target=target)
     if args.command != "evaluate" and env.start_mode == "random_pure":
@@ -159,10 +155,6 @@ def _run_config(args) -> RunConfig:
 
 def cmd_evaluate(args) -> int:
     cfg = _run_config(args)
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
-    if not 0 <= args.eps <= 1:
-        raise ConfigError(f"--eps must be in [0, 1], got {args.eps}")
     try:
         params, _spec, meta = load_params(args.checkpoint, expected_spec=cfg.mlp)
     except SchemaMismatch as exc:
@@ -203,8 +195,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_replay(args) -> int:
     cfg = _run_config(args)
-    actions = parse_sequence(args.sequence)
-    record, diagnostics = replay_sequence(QSEEnv(cfg.env), actions)
+    record, diagnostics = replay_sequence(QSEEnv(cfg.env), args.sequence)
 
     rows = [
         (str(step), ACTION_TOKENS[a], _fmt(prob), _fmt(fid), _fmt(td), _fmt(pur))
@@ -226,8 +217,8 @@ def cmd_replay(args) -> int:
     status = {"fatal": "aborted (branch probability under floor)",
               "timeout": f"timeout at max_steps = {len(record.actions)}",
               "continue": "below threshold"}.get(record.outcome, record.outcome)
-    if len(record.actions) < len(actions):
-        status += f"; the last {len(actions) - len(record.actions)} action(s) not run"
+    if len(record.actions) < len(args.sequence):
+        status += f"; the last {len(args.sequence) - len(record.actions)} action(s) not run"
     print(f"sequence: {format_sequence(record.actions)}  [start {record.start_label}, "
           f"target {cfg.env.target}]")
     print(f"final fidelity {record.final_fidelity:.5f}, "
@@ -237,12 +228,6 @@ def cmd_replay(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _run_config(args)
-    if args.max_len < 0:
-        raise ConfigError(f"--max-len must be >= 0, got {args.max_len}")
-    if not 0 <= args.rate_cutoff <= 1:
-        raise ConfigError(f"--rate-cutoff must be in [0, 1], got {args.rate_cutoff}")
-    if args.show < 0:
-        raise ConfigError(f"--show must be >= 0, got {args.show}")
     # refused before it makes the output directory
     check_search_budget(cfg.env, args.max_len)
     out = _output_dir(cfg)
@@ -303,16 +288,42 @@ def cmd_histogram(args) -> int:
 
 # -- entry point -------------------------------------------------------
 
+def _refuse(message: str):
+    raise ConfigError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    error = staticmethod(_refuse)  # main prints the message on one line; no usage, no exit
+
+
+def _number(kind, low, high=math.inf):
+    """A flag's type: a kind number in [low, high]; nan is refused."""
+    def convert(text):
+        value = kind(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}], got {text}")
+        return value
+    convert.__name__ = kind.__name__  # argparse's "invalid int value: 'abc'"
+    return convert
+
+
+def _sequence(text: str) -> tuple[int, ...]:
+    try:
+        return parse_sequence(text)
+    except SequenceParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one argument parser, built on first use: parsing
-    leaves no state in it."""
-    parser = argparse.ArgumentParser(
+    leaves no state in it. It types, bounds and refuses every flag."""
+    parser = _Parser(
         prog="qsteer",
         description="Measurement-sequence engineering on a central-spin system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    start_help = f"override start state: {', '.join(SPIN_STATES)}"
+    start = dict(choices=START_OVERRIDES, help="override the start state")
 
     p = sub.add_parser("train", help="train an agent per the configuration")
     p.add_argument("config")
@@ -322,18 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run a trained checkpoint without learning")
     p.add_argument("config")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--episodes", type=int, default=500)
+    p.add_argument("--eps", type=_number(float, 0, 1), default=0.1)
+    p.add_argument("--episodes", type=_number(int, 1), default=500)
     p.add_argument("--baseline", action="store_true",
                    help="also evaluate a random policy (eps=1) for comparison")
-    p.add_argument("--start", default=None, help=f"{start_help}, or random")
+    p.add_argument("--start", **start)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replay", help="deterministically replay a sequence")
     p.add_argument("config")
-    p.add_argument("--sequence", required=True,
+    p.add_argument("--sequence", type=_sequence, required=True,
                    help="tokens like 'U2 Px+ U1 Px+' or 'Px+ - Px-'")
-    p.add_argument("--start", default=None, help=start_help)
+    p.add_argument("--start", **start)
     p.add_argument("--target", default=None, choices=BELL_NAMES)
     p.add_argument("--out", default=None, help="write the diagnostic table here")
     p.set_defaults(func=cmd_replay)
@@ -341,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate successful sequences")
     p.add_argument("config")
     p.add_argument("--target", required=True, choices=BELL_NAMES)
-    p.add_argument("--max-len", type=int, required=True,
+    p.add_argument("--max-len", type=_number(int, 0), required=True,
                    help=f"the longest sequence; exit 4 past the work budget, "
                         f"7^(L-2) dim^3 <= {SEARCH_WORK_BUDGET:g} for L = min(max-len, "
                         f"max_steps)")
-    p.add_argument("--rate-cutoff", type=float, default=1e-6)
-    p.add_argument("--start", default=None, help=start_help)
-    p.add_argument("--show", type=int, default=10, help="print the top N results")
+    p.add_argument("--rate-cutoff", type=_number(float, 0, 1), default=1e-6)
+    p.add_argument("--start", **start)
+    p.add_argument("--show", type=_number(int, 0), default=10, help="print the top N results")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("histogram",
@@ -360,18 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, SequenceParseError, SchemaMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (QsteerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return (EXIT_CONFIG if isinstance(exc, ConfigError)
+                else EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

@@ -309,22 +309,28 @@ class QSEEnv:
 
         One state (dim, dim) and one action index take ``measure``'s
         single-state layout: one branch and a scalar probability, with
-        the bits of the one-row stack. There a non-integer action raises
-        ValueError, as an out-of-range one does in either form.
+        the bits of the one-row stack. A non-integer action (bool
+        included) or an out-of-range one raises ValueError in either form;
+        an empty stack takes an empty action list.
         """
         if actions is None:
             actions = np.arange(ACTION_COUNT)
             out, prob = measure(rho[:, None], self.branch_operators, self.cfg.floor)
         elif rho.ndim == 2:
-            if not isinstance(actions, Integral) or not 0 <= actions < ACTION_COUNT:
+            if (not isinstance(actions, Integral) or type(actions) is bool
+                    or not 0 <= actions < ACTION_COUNT):
                 raise ValueError(f"an action index must be an integer in [0, {ACTION_COUNT}), "
                                  f"got {actions!r}")
             out, prob = measure(rho, self.branch_operators[actions], self.cfg.floor)
             return out, 1.0 if actions == DO_NOTHING else prob
         else:
-            actions = np.asarray(actions, dtype=np.intp)
-            if actions.size and not 0 <= actions.min() <= actions.max() < ACTION_COUNT:
-                raise ValueError(f"action indices must be in [0, {ACTION_COUNT}), got {actions}")
+            actions = np.asarray(actions)
+            if not actions.size:
+                actions = actions.astype(np.intp)  # an empty list is float64
+            elif (actions.dtype.kind not in "iu"
+                  or not 0 <= actions.min() <= actions.max() < ACTION_COUNT):
+                raise ValueError(f"action indices must be integers in [0, {ACTION_COUNT}), "
+                                 f"got {actions}")
             out, prob = measure(rho, self.branch_operators[actions], self.cfg.floor)
         prob[..., actions == DO_NOTHING] = 1.0
         return out, prob

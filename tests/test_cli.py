@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsteer import agent as qsteer_agent
 from qsteer import cli
 from qsteer import config as qsteer_config
 from qsteer import env as qsteer_env
 from qsteer.agent import EvaluationResult, evaluate_policy
 from qsteer.config import config_hash, parse_config
 from qsteer.env import ACTION_TOKENS, STEP_LIMIT, QSEEnv
+from qsteer.errors import NonFiniteLoss
 from qsteer.model import SPIN_STATES
 from qsteer.network import MLPSpec, init_params, load_params, save_params
 from qsteer.sequences import (SequenceRecord, combination_histogram, format_sequence,
@@ -165,6 +167,28 @@ class TestTrain:
         bad.write_text(MICRO_CONFIG.replace("[run]\n", "[run]\nworkers = 4\n"))
         assert cli.main(["train", str(bad)]) == 2
         assert "run.workers" in capsys.readouterr().err
+
+    def test_verbose_prints_progress_to_stderr(self, micro_config, capsys):
+        # eight steps: only the first is a progress step
+        assert cli.main(["train", str(micro_config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["train", str(micro_config), "--verbose"]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("step     1  eps=1.000  avg_return=")
+
+    def test_diverged_loss_is_dumped_and_exits_3(self, micro_config, tmp_path, capsys,
+                                                 monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NonFiniteLoss("loss diverged to nan")
+        monkeypatch.setattr(qsteer_agent, "train_batch", diverge)
+        assert cli.main(["train", str(micro_config)]) == 3
+        assert capsys.readouterr().err == "error: loss diverged to nan\n"
+        (dump,) = (tmp_path / "out").glob("diverged_step*.npz")
+        with np.load(dump) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert meta["diverged"] is True and meta["master_seed"] == 5
+        assert dump.name == f"diverged_step{meta['step']}.npz" and meta["step"] >= 1
+        assert not (tmp_path / "out" / "learning_curve.tsv").exists()
 
     def test_odd_bath_exit_code(self, micro_config, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -478,6 +502,14 @@ class TestReplay:
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Pq+"]) == 2
         assert "token" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tokens, message", [
+        ("Pq+", "unknown action token 'Pq+' (token 1)"),
+        ("U0 Px+", "U count must be >= 1, got 'U0' (token 1)"),
+    ])
+    def test_sequence_errors_name_the_flag(self, micro_config, capsys, tokens, message):
+        assert cli.main(["replay", str(micro_config), "--sequence", tokens]) == 2
+        assert capsys.readouterr().err == f"error: argument --sequence: {message}\n"
+
     def test_count_too_large_to_list_exit_code(self, micro_config, capsys):
         # a configuration error naming the token, not an OverflowError traceback
         assert cli.main(["replay", str(micro_config), "--sequence",
@@ -547,6 +579,42 @@ def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
     # equal starts, one table
     assert alone[0] == alone[1]
     assert alone[2] == alone[3] == alone[4]
+
+
+class TestArgv:
+    """The parser types, bounds and refuses every flag: a bad argv is one
+    error line naming the flag and exit 2, not argparse's usage block and
+    SystemExit."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["search", "{cfg}", "--target", "psi+", "--max-len", "abc"], "--max-len"),
+        (["evaluate", "{cfg}", "--checkpoint", "x.npz", "--episodes", "0"], "--episodes"),
+        (["evaluate", "{cfg}", "--checkpoint", "x.npz", "--eps", "nan"], "--eps"),
+        (["search", "{cfg}", "--target", "psi+", "--max-len", "2", "--rate-cutoff", "2"],
+         "--rate-cutoff"),
+        (["search", "{cfg}", "--target", "psi+", "--max-len", "2", "--show", "-1"], "--show"),
+        (["search", "{cfg}", "--target", "bogus", "--max-len", "2"], "--target"),
+        (["replay", "{cfg}", "--sequence", "Px+", "--start", "bogus"], "--start"),
+        (["replay", "{cfg}"], "--sequence"),
+        ([], "command"),
+        (["replay", "{cfg}", "--sequence", "Px+", "--bogus"], "--bogus"),
+    ], ids=["non-number", "episodes", "eps-nan", "rate-cutoff", "show", "target", "start",
+            "missing-flag", "no-command", "unknown-flag"])
+    def test_bad_argv_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        cfg = str(CONFIG_DIR / "psi_minus_fixed.cfg")
+        assert cli.main([cfg if a == "{cfg}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and flag in line
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["search", "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qsteer search")
 
 
 class TestSearch:

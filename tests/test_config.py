@@ -243,6 +243,27 @@ def test_non_finite_value_names_field(section, key, value):
     assert f"{section}.{key}" in str(err.value)
 
 
+def test_text_configparser_cannot_read_is_a_config_error():
+    with pytest.raises(ConfigError, match="unreadable configuration") as err:
+        parse_config_text("n_bath = 2\n[model]\n")
+    assert "no section headers" in str(err.value)
+
+
+@pytest.mark.parametrize("section, text, message", [
+    ("env", "start_mode = bogus", "start_mode must be one of"),
+    ("env", "floor = 0", "floor must be positive"),
+    ("agent", "gamma = 1.5", "gamma must be in [0, 1]"),
+    ("agent", "eps_start = 0.2\neps_min = 0.5", "need 0 <= eps_min <= eps_start <= 1"),
+    ("agent", "algorithm = sarsa", "algorithm must be 'dqn' or 'ddqn'"),
+    ("agent", "target_mix = 2", "target_mix must be in [0, 1]"),
+    ("mlp", "hidden = 0", "all layer widths must be >= 1"),
+], ids=["start_mode", "floor", "gamma", "eps_order", "algorithm", "target_mix", "hidden"])
+def test_out_of_range_value_names_its_section(section, text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[{section}]\n{text}\n")
+    assert str(err.value).startswith(f"{section}: {message}")
+
+
 @pytest.mark.parametrize("amplitudes", ["0, 0", "1e-200, 1e-200j"])
 def test_custom_start_that_cannot_be_normalized(amplitudes):
     with pytest.raises(ConfigError) as err:

@@ -355,14 +355,18 @@ class TestStepBatch:
     def test_rejects_unknown_actions(self, default_env_cfg):
         env = QSEEnv(default_env_cfg)
         rho = env.reset().rho[None]
-        for action in (-1, 7):
+        # a float or bool action used to index as the integer it truncates to
+        for action in (-1, 7, 2.5, np.float64(2.0), True):
             with pytest.raises(ValueError):
                 env.step_batch(rho, [action], 1)
             with pytest.raises(ValueError):
                 env.step(env.reset(), action)
-        for action in (-1, 7, np.int64(7), 2.5, np.float64(2.0), "2", [2]):
+        for action in (-1, 7, np.int64(7), 2.5, np.float64(2.0), "2", [2], True):
             with pytest.raises(ValueError):
                 env.conjugate(rho[0], action)
+        # an empty list is a float64 array, and an empty stack takes it
+        out, prob = env.conjugate(rho[:0], [])
+        assert out.shape == (0, env.dim, env.dim) and prob.shape == (0,)
 
     def test_score_takes_one_step_count_per_row(self, default_env_cfg):
         env = QSEEnv(dataclasses.replace(default_env_cfg, max_steps=3, r_fatal=-4.0))

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,33 @@ class TestCheckpointLayout:
         assert loaded.flat.tobytes() == params.flat.tobytes()
         save_params(tmp_path / "b.npz", loaded, spec, step=5)
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        ("header-bytes", "unreadable checkpoint header"),
+        ("format-version", "format version 2 unsupported"),
+        ("missing-array", "missing layer 1 arrays"),
+        ("header-layout", "stored arrays (5, 8, 3) do not match header (5, 4, 3)"),
+    ])
+    def test_refusal_names_the_fault(self, tmp_path, edit, message):
+        spec = small_spec()
+        path = tmp_path / "net.npz"
+        save_params(path, init_params(spec), spec)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        if edit == "header-bytes":
+            arrays["meta"] = np.frombuffer(b"\xff{", dtype=np.uint8)
+        elif edit == "missing-array":
+            del arrays["w1"]
+        else:
+            # the layer arrays still chain: (5, 8) and (8, 3)
+            meta.update({"format-version": {"format_version": 2},
+                         "header-layout": {"hidden": [4]}}[edit])
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(SchemaMismatch) as err:
+            load_params(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_wrong_bias_shape_rejected(self, tmp_path):
         spec = small_spec()
