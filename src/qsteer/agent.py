@@ -457,6 +457,8 @@ def _collect(env: QSEEnv, params: MLPParams, eps: float,
     return start_labels, totals, offsets, steps
 
 
+# a diverging network overflows on its way to NonFiniteLoss, its one signal
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
                  master_seed: int, checkpoint_steps: Sequence[int] = (),
                  checkpoint_dir=None,

@@ -130,24 +130,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-#: --start's choices and their (start_mode, custom_start). x+ is fixed_xplus, a state
-#: of the same bits, so it hashes as a file that names that mode.
-START_OVERRIDES = {name: ("fixed_custom", (complex(v[0]), complex(v[1])))
-                   for name, v in SPIN_STATES.items()}
-START_OVERRIDES |= {"x+": ("fixed_xplus", None), "random": ("random_pure", None)}
-
-
 def _run_config(args) -> RunConfig:
     """The configuration the command runs: the file's, with --start and --target applied."""
     cfg = parse_config(args.config)
     env, start, target = cfg.env, args.start, getattr(args, "target", None)
     if start is not None:
-        mode, custom = START_OVERRIDES[start]
-        env = dataclasses.replace(env, start_mode=mode, custom_start=custom)
+        env = dataclasses.replace(env, start=start)
     if target:
         env = dataclasses.replace(env, target=target)
-    if args.command != "evaluate" and env.start_mode == "random_pure":
-        given = "--start random" if start == "random" else "the config's random_pure start"
+    if args.command != "evaluate" and env.start == "random":
+        given = "--start random" if start == "random" else "the config's random start"
         raise ConfigError(f"{args.command} needs a definite start state, not {given}; "
                           f"pass --start with one of {sorted(SPIN_STATES)}")
     return dataclasses.replace(cfg, env=env)
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measurement-sequence engineering on a central-spin system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    start = dict(choices=START_OVERRIDES, help="override the start state")
+    start = dict(choices=[*SPIN_STATES, "random"], help="override the start state")
 
     p = sub.add_parser("train", help="train an agent per the configuration")
     p.add_argument("config")

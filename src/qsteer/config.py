@@ -84,7 +84,8 @@ def _finite(tp):
 
 def _converter(tp):
     """Text-to-value converter for a field annotation; float and complex
-    values must be finite."""
+    values must be finite, and a ``str | tuple`` value is a tuple if it
+    has a comma."""
     args = typing.get_args(tp)
     if type(None) in args:
         (inner,) = (a for a in args if a is not type(None))
@@ -92,6 +93,10 @@ def _converter(tp):
         return lambda raw: None if raw.lower() in ("", "none") else conv(raw)
     if tp in (float, complex):
         return _finite(tp)
+    if str in args and typing.get_origin(tp) is not tuple:
+        # a name, or with a comma the other form's values
+        conv = _converter(next(a for a in args if a is not str))
+        return lambda raw: conv(raw) if "," in raw else raw
     if typing.get_origin(tp) is not tuple:
         return tp
     if args[-1] is Ellipsis:
@@ -146,18 +151,19 @@ def _build(name: str, make, values: dict, **derived):
 
 
 @lru_cache(maxsize=8)
-def parse_config_text(text: str) -> RunConfig:
-    """Parse configuration text; raises ConfigError naming the bad field.
+def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
+    """Parse configuration text; raises ConfigError naming the bad field,
+    or, for text configparser cannot read, the source and line on one line.
 
-    Memoized on the text: a RunConfig is frozen all the way down, so one
-    object serves every call with the same text. Bad text is not cached
-    and raises on every call.
+    Memoized on the text and source: a RunConfig is frozen all the way
+    down, so one object serves every call with the same arguments. Bad
+    text is not cached and raises on every call.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
-        raise ConfigError(f"unreadable configuration: {exc}") from exc
+        raise ConfigError(f"unreadable configuration: {' '.join(str(exc).split())}") from exc
 
     unknown = [name for name in parser.sections() if name not in _SECTIONS]
     if unknown:
@@ -187,7 +193,7 @@ def parse_config(path) -> RunConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, str(path))
 
 
 def _format(value) -> str:

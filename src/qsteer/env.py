@@ -77,8 +77,6 @@ DO_NOTHING = ACTION_TOKENS.index("-")
 #: The longest episode, ``max_steps``, and so the longest sequence.
 STEP_LIMIT = 2 ** 20
 
-START_MODES = ("fixed_xplus", "random_pure", "fixed_custom")
-
 #: Outcome code -> name; ``BatchStep.code`` holds the codes.
 OUTCOMES = ("continue", "success", "timeout", "fatal")
 CONTINUE, SUCCESS, TIMEOUT, FATAL = range(4)
@@ -88,7 +86,9 @@ CONTINUE, SUCCESS, TIMEOUT, FATAL = range(4)
 class EnvConfig:
     """Episode parameters: model, target, rewards, and start-state policy.
 
-    r_fatal punishes choosing a branch whose probability is at or below
+    start is a ``SPIN_STATES`` name, "random" for a random pure state per
+    episode, or two amplitudes, normalized where they are read. r_fatal
+    punishes choosing a branch whose probability is at or below
     ``floor`` (the state could not be renormalized); it must not beat the
     worst regular episode, i.e. r_fatal <= r_minus * max_steps. The
     model's bath must pair up: n_bath is even and at least 2.
@@ -101,8 +101,7 @@ class EnvConfig:
     r_minus: float = -1.0
     r_fatal: float = -51.0
     max_steps: int = 50
-    start_mode: str = "fixed_xplus"
-    custom_start: tuple[complex, complex] | None = None
+    start: str | tuple[complex, complex] = "x+"
     floor: float = 1e-8
 
     def __post_init__(self):
@@ -122,16 +121,15 @@ class EnvConfig:
                 f"n_bath must be even and >= 2 (one target pair per two bath spins), "
                 f"got {self.model.n_bath}"
             )
-        if self.start_mode not in START_MODES:
-            raise ValueError(f"start_mode must be one of {START_MODES}, got {self.start_mode!r}")
-        if (self.start_mode == "fixed_custom") != (self.custom_start is not None):
-            raise ValueError(f"custom_start {self.custom_start} with start_mode "
-                             f"{self.start_mode}: only fixed_custom takes one, and needs one")
-        if self.custom_start is not None:
-            norm = np.linalg.norm(np.asarray(self.custom_start, dtype=complex))
-            if not 0 < norm < np.inf:
-                raise ValueError(f"custom_start {self.custom_start} cannot be normalized "
-                                 f"(norm {norm})")
+        if isinstance(self.start, str):
+            if self.start not in (*SPIN_STATES, "random"):
+                raise ValueError(f"start must be one of {[*SPIN_STATES, 'random']} or two "
+                                 f"amplitudes, got {self.start!r}")
+        else:
+            norm = np.linalg.norm(np.asarray(self.start, dtype=complex))
+            if len(self.start) != 2 or not 0 < norm < np.inf:
+                raise ValueError(f"start {self.start} is not two amplitudes that can be "
+                                 f"normalized (norm {norm})")
         if not self.floor > 0:
             raise ValueError(f"floor must be positive, got {self.floor}")
 
@@ -208,8 +206,8 @@ def _setup(cfg: EnvConfig):
     and the propagator U itself for idle, so that action a's step is the
     ``measure`` of a state by operator a; the target's state vector and
     density matrix (one copy of the named Bell pair per two bath spins);
-    and a fixed start's (states, labels), one row, or None in random_pure
-    mode.
+    and a fixed start's (states, labels), one row, or None for a random
+    start.
 
     Equal configs give the same bits and labels whichever is built first:
     build_hamiltonian sums into a +0.0 array and ``_product_states``
@@ -224,9 +222,9 @@ def _setup(cfg: EnvConfig):
     target_matrix = np.outer(target, target.conj())
     arrays = [branch_operators, target, target_matrix]
     fixed_start = None
-    if cfg.start_mode != "random_pure":
-        central = (SPIN_STATES["x+"] if cfg.custom_start is None
-                   else normalize_states(cfg.custom_start))
+    if cfg.start != "random":
+        central = (SPIN_STATES[cfg.start] if isinstance(cfg.start, str)
+                   else normalize_states(cfg.start))
         fixed_start = _product_states(central[None], n_bath)
         arrays.append(fixed_start[0])
     for a in arrays:
@@ -246,7 +244,7 @@ class QSEEnv:
     ``_setup``, shared with every env of an equal config, so an instance
     builds nothing that an equal env built before it. Single-threaded.
     ``step`` is deterministic given (state, action); randomness only
-    enters through ``starts`` in random_pure mode, via the generators the
+    enters through ``starts`` for a random start, via the generators the
     caller passes in.
     """
 
@@ -268,7 +266,7 @@ class QSEEnv:
             rho, (label,) = self._fixed_start
             return rho, [label] * len(rngs)
         if any(rng is None for rng in rngs):
-            raise ValueError("random_pure start mode needs a random generator")
+            raise ValueError("a random start needs a random generator")
         # two independent complex standard Gaussians, normalized: uniform
         # over single-spin pure states
         draws = np.array([(rng.standard_normal(2), rng.standard_normal(2)) for rng in rngs])

@@ -111,7 +111,7 @@ def verify_steady_state(n_bath: int, repetitions: int) -> list[float]:
 
 
 def random_starts_per_row(env: QSEEnv, rngs):
-    """``QSEEnv.starts`` in random_pure mode, one state at a time: each
+    """``QSEEnv.starts`` for a random start, one state at a time: each
     state divided by its own ``np.linalg.norm``, once when it is drawn
     and once more when its product state is built. Returns (rho,
     labels)."""

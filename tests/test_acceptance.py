@@ -168,8 +168,7 @@ def test_criterion_2_doubled_interval_golden_rows(run_cfg):
     failures = []
     for target, start_label, tokens, fid_ref, rate_ref in GOLDEN_TAU2_START:
         cfg = dataclasses.replace(
-            run_cfg.env, model=model, start_mode="fixed_custom",
-            custom_start=tuple(complex(c) for c in SPIN_STATES[start_label]))
+            run_cfg.env, model=model, start=tuple(complex(c) for c in SPIN_STATES[start_label]))
         rec, _ = replay_sequence(QSEEnv(cfg), parse_sequence(tokens))
         if abs(rec.final_fidelity - fid_ref) >= FIDELITY_ATOL:
             failures.append(f"{start_label}/{tokens}: fidelity {rec.final_fidelity:.5f}")

@@ -322,7 +322,7 @@ ALL_COLUMNS = ("s", "a", "code", "prob", "fidelity")
 class TestCollect:
     @staticmethod
     def collect(columns, seeds=range(12)):
-        env = QSEEnv(dataclasses.replace(tiny_env_cfg(), start_mode="random_pure"))
+        env = QSEEnv(dataclasses.replace(tiny_env_cfg(), start="random"))
         params = init_params(tiny_mlp_spec())
         return env, _collect(env, params, 0.5, [np.random.default_rng(i) for i in seeds],
                              columns)
@@ -362,9 +362,8 @@ class TestCollect:
             assert some[name].tobytes() == every[name].tobytes()
 
 
-#: start_mode and custom_start of each start the shared-state collector is checked on
-STARTS = {"x+": ("fixed_xplus", None), "z+": ("fixed_custom", (1, 0)),
-          "non-cardinal": ("fixed_custom", (0.6, 0.3 - 0.2j)), "random": ("random_pure", None)}
+#: The [env] start of each start the shared-state collector is checked on
+STARTS = {"x+": "x+", "z+": (1, 0), "non-cardinal": (0.6, 0.3 - 0.2j), "random": "random"}
 
 
 class TestSharedStates:
@@ -381,8 +380,7 @@ class TestSharedStates:
 
     @staticmethod
     def env(agent, start):
-        mode, custom = STARTS[start]
-        return QSEEnv(dataclasses.replace(agent[0], start_mode=mode, custom_start=custom))
+        return QSEEnv(dataclasses.replace(agent[0], start=STARTS[start]))
 
     @pytest.mark.parametrize("n", [1, 2, 20, 500])
     @pytest.mark.parametrize("eps", [0.0, 0.01, 0.3, 1.0])
@@ -436,8 +434,8 @@ class TestEvaluatePolicy:
         # episodes run in blocks of another size; random starts, and a fixed
         # start, whose episodes share their state rows
         params = init_params(tiny_mlp_spec())
-        for start_mode in ("random_pure", "fixed_xplus"):
-            env_cfg = dataclasses.replace(tiny_env_cfg(), start_mode=start_mode)
+        for start in ("random", "x+"):
+            env_cfg = dataclasses.replace(tiny_env_cfg(), start=start)
             monkeypatch.setattr("qsteer.agent.EVAL_BLOCK", 512)
             short = evaluate_policy(params, env_cfg, 0.3, 50, master_seed=4)
             monkeypatch.setattr("qsteer.agent.EVAL_BLOCK", block)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ r_plus = 10
 r_minus = -1
 r_fatal = -11
 max_steps = 10
-start_mode = fixed_xplus
+start = x+
 floor = 1e-8
 
 [agent]
@@ -190,6 +191,35 @@ class TestTrain:
         assert dump.name == f"diverged_step{meta['step']}.npz" and meta["step"] >= 1
         assert not (tmp_path / "out" / "learning_curve.tsv").exists()
 
+    def test_a_real_divergence_is_dumped_and_exits_3(self, micro_config, tmp_path, capsys):
+        # under the suite's filterwarnings = error, any overflow warning on
+        # the way to the non-finite loss would end the run instead
+        micro_config.write_text(MICRO_CONFIG.replace("learning_rate = 1e-3",
+                                                     "learning_rate = 1e150")
+                                .replace("grad_clip = 10", "grad_clip = none"))
+        assert cli.main(["train", str(micro_config)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: loss diverged to ")
+        with np.load(tmp_path / "out" / "diverged_step1.npz") as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert meta["diverged"] is True and meta["step"] == 1
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("n_bath = 2\n[model]\n", 1),
+        ("[model]\nn_bath = 2\nn_bath = 4\n", 3),
+        ("[model]\nn_bath = 2\nstray\n", 3),
+    ], ids=["no-section-header", "duplicate-key", "stray-line"])
+    def test_unreadable_config_is_one_line_naming_file_and_line(self, tmp_path, monkeypatch,
+                                                                capsys, text, lineno):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["train", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+        assert re.search(rf"\bline:? {lineno}\b", line)
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_odd_bath_exit_code(self, micro_config, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(MICRO_CONFIG.replace("n_bath = 2", "n_bath = 3"))
@@ -309,7 +339,7 @@ class TestEvaluate:
         evaluate = ["evaluate", str(micro_config), "--checkpoint", str(checkpoint),
                     "--episodes", "2"]
         ran = dataclasses.replace(cfg, env=dataclasses.replace(
-            cfg.env, start_mode="random_pure", custom_start=None))
+            cfg.env, start="random"))
         for flags, hashed in (([], cfg), (["--start", "random"], ran)):
             assert cli.main(evaluate + flags) == 0
             header = read_out(tmp_path, "evaluation.tsv").splitlines()[0]
@@ -485,13 +515,13 @@ class TestReplay:
         cfg = parse_config(config)
         phi_plus = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env, target="phi+"))
         # psi- is the file's own target: no override differs from the file
-        for target, hashed in (("phi+", config_hash(phi_plus)), ("psi-", "a2f3f2582f83")):
+        for target, hashed in (("phi+", config_hash(phi_plus)), ("psi-", "87297befb56e")):
             out = tmp_path / f"{target}.tsv"
             assert cli.main(["replay", str(config), "--sequence", "U2 Px+", "--target",
                              target, "--out", str(out)]) == 0
             header = out.read_text().splitlines()[0]
             assert header == f"# config_hash={hashed} master_seed={cfg.master_seed}"
-        assert config_hash(phi_plus) != "a2f3f2582f83" == config_hash(cfg)
+        assert config_hash(phi_plus) != "87297befb56e" == config_hash(cfg)
 
     def test_unknown_start_is_a_config_error(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
@@ -554,7 +584,7 @@ def test_outputs_do_not_depend_on_call_history(micro_config, tmp_path):
                                     "0.6-0j, 0.8j"]):
         path = tmp_path / f"start{i}.cfg"
         path.write_text(MICRO_CONFIG.replace(
-            "start_mode = fixed_xplus", f"start_mode = fixed_custom\ncustom_start = {amplitudes}"))
+            "start = x+", f"start = {amplitudes}"))
         starts.append((["evaluate", str(path), "--checkpoint", str(checkpoint),
                         "--episodes", "2", "--eps", "0"], tmp_path / "out" / "evaluation.tsv"))
 
@@ -680,10 +710,9 @@ class TestSearch:
         assert "max_len 20 at n_bath 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new, field", [
-        ("start_mode = fixed_xplus",
-         "start_mode = fixed_custom\ncustom_start = 0, 0", "custom_start"),
-        ("start_mode = fixed_xplus",
-         "start_mode = fixed_custom\ncustom_start = nan, 1", "env.custom_start"),
+        ("start = x+", "start = 0, 0", "error: env: start (0j, 0j) is not two amplitudes"),
+        ("start = x+", "start = nan, 1", "error: env.start: must be finite"),
+        ("start = x+", "start = bogus", "error: env: start must be one of"),
         ("coupling = 1, 0, 0", "coupling = nan, 0, 0", "model.coupling"),
         ("tau = 1", "tau = inf", "model.tau"),
         ("eps_decay_steps = 5", "eps_decay_steps = 0", "eps_decay_steps"),
@@ -697,13 +726,10 @@ class TestSearch:
         ("checkpoint_steps = 3", "checkpoint_steps = 0", "checkpoint_steps"),
         ("checkpoint_steps = 3", "checkpoint_steps = 3, -3", "checkpoint_steps"),
         ("replay_capacity = 2000", "replay_capacity = 31", "batch_size"),
-        ("start_mode = fixed_xplus",
-         "start_mode = fixed_xplus\ncustom_start = 0, 1", "custom_start"),
-    ], ids=["zero_start", "nan_start", "nan_coupling", "inf_tau", "zero_decay",
+    ], ids=["zero_start", "nan_start", "unknown_start", "nan_coupling", "inf_tau", "zero_decay",
             "negative_decay", "zero_learning_rate", "negative_learning_rate", "zero_clip",
             "negative_clip", "negative_init_seed", "negative_master_seed",
-            "zero_checkpoint", "negative_checkpoint", "batch_over_capacity",
-            "unused_custom_start"])
+            "zero_checkpoint", "negative_checkpoint", "batch_over_capacity"])
     def test_bad_numbers_are_config_errors(self, micro_config, tmp_path, capsys, old, new,
                                            field):
         bad = tmp_path / "bad.cfg"
@@ -726,8 +752,7 @@ class TestSearch:
 
     def test_random_start_needs_a_start_flag(self, micro_config, tmp_path, capsys):
         random_cfg = tmp_path / "random.cfg"
-        random_cfg.write_text(MICRO_CONFIG.replace("start_mode = fixed_xplus",
-                                                   "start_mode = random_pure"))
+        random_cfg.write_text(MICRO_CONFIG.replace("start = x+", "start = random"))
         search = ["search", str(random_cfg), "--target", "psi-", "--max-len", "4"]
         assert cli.main(search) == 2
         assert "--start" in capsys.readouterr().err
@@ -743,8 +768,7 @@ class TestSearch:
         assert cli.main(search) == 0
         fixed = rows()
         random_cfg = tmp_path / "random.cfg"
-        random_cfg.write_text(MICRO_CONFIG.replace("start_mode = fixed_xplus",
-                                                   "start_mode = random_pure"))
+        random_cfg.write_text(MICRO_CONFIG.replace("start = x+", "start = random"))
         assert cli.main(["search", str(random_cfg)] + search[2:] + ["--start", "x+"]) == 0
         assert rows() == fixed
         assert cli.main(search + ["--start", "x-"]) == 0
@@ -752,8 +776,9 @@ class TestSearch:
 
 
 class TestStartHash:
-    """--start x+ is the fixed_xplus start, bit for bit, and hashes as a
-    file that names it; the other cardinal starts hash as their own."""
+    """An override equal to the file's value keeps the file's hash: --start
+    NAME on a file whose start is NAME heads its tables with that file's
+    hash, and any other start with a hash of its own."""
 
     def header(self, path):
         return path.read_text().splitlines()[0]
@@ -770,23 +795,56 @@ class TestStartHash:
         (table,) = (tmp_path / start).rglob("*.tsv")
         return self.header(table)
 
+    @pytest.mark.parametrize("start", SPIN_STATES)
     @pytest.mark.parametrize("command", ["replay", "evaluate", "search"])
-    def test_x_plus_hashes_as_the_fixed_file(self, tmp_path, monkeypatch, command):
-        config = CONFIG_DIR / "psi_minus_fixed.cfg"
+    def test_named_start_keeps_the_file_hash(self, tmp_path, monkeypatch, command, start):
+        config = tmp_path / "named.cfg"
+        config.write_text((CONFIG_DIR / "psi_minus_fixed.cfg").read_text().replace(
+            "start = x+", f"start = {start}"))
         cfg = parse_config(config)
-        assert cfg.env.start_mode == "fixed_xplus"
-        header = self.run(tmp_path, monkeypatch, command, config, "x+")
+        assert cfg.env.start == start
+        header = self.run(tmp_path, monkeypatch, command, config, start)
         assert header == f"# config_hash={config_hash(cfg)} master_seed={cfg.master_seed}"
-        assert self.run(tmp_path, monkeypatch, command, config, "z+") != header
+        other = "z-" if start == "z+" else "z+"
+        assert self.run(tmp_path, monkeypatch, command, config, other) != header
+
+    def test_random_on_the_random_file(self, tmp_path, monkeypatch):
+        config = CONFIG_DIR / "psi_minus_random.cfg"
+        cfg = parse_config(config)
+        header = self.run(tmp_path, monkeypatch, "evaluate", config, "random")
+        assert header == f"# config_hash={config_hash(cfg)} master_seed={cfg.master_seed}"
 
     def test_x_plus_on_a_random_start_file(self, tmp_path, monkeypatch):
         config = CONFIG_DIR / "psi_minus_random.cfg"
         cfg = parse_config(config)
-        fixed = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env,
-                                                                 start_mode="fixed_xplus"))
+        fixed = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env, start="x+"))
         header = self.run(tmp_path, monkeypatch, "replay", config, "x+")
         assert header == f"# config_hash={config_hash(fixed)} master_seed={cfg.master_seed}"
         assert config_hash(fixed) != config_hash(cfg)
+
+
+class TestStartKey:
+    """[env] start is a spin-state name, random or two amplitudes; the keys
+    it replaced are unknown keys."""
+
+    @pytest.mark.parametrize("old", ["start_mode = fixed_xplus", "custom_start = 0.6, 0.8j"])
+    def test_replaced_keys_are_unknown(self, micro_config, tmp_path, capsys, old):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MICRO_CONFIG.replace("start = x+", old))
+        assert cli.main(["replay", str(bad), "--sequence", "U1 Px+"]) == 2
+        assert capsys.readouterr().err == f"error: unknown key(s) env.{old.split()[0]}\n"
+
+    def test_amplitudes_run_as_their_named_state(self, micro_config, tmp_path):
+        # y+ by amplitudes replays as y+ by name: the same rows under another hash
+        tables = []
+        for start in ("y+", "0.7071067811865476, 0.7071067811865476j"):
+            path = tmp_path / "start.cfg"
+            path.write_text(MICRO_CONFIG.replace("start = x+", f"start = {start}"))
+            out = tmp_path / "replay.tsv"
+            assert cli.main(["replay", str(path), "--sequence", "U2 Px+ U1 Py+",
+                             "--out", str(out)]) == 0
+            tables.append(out.read_text().splitlines())
+        assert tables[0][1:] == tables[1][1:] and tables[0][0] != tables[1][0]
 
 
 class TestHistogram:

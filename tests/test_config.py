@@ -14,20 +14,20 @@ from qsteer.config import (
     parse_config_text,
     serialize_config,
 )
-from qsteer.env import START_MODES, EnvConfig
+from qsteer.env import EnvConfig
 from qsteer.errors import ConfigError
-from qsteer.model import BELL_NAMES, ModelParams
+from qsteer.model import BELL_NAMES, SPIN_STATES, ModelParams
 from qsteer.network import MLPSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 #: Bundled config -> its config_hash, which every run's manifest records.
 BUNDLED = {
-    "psi_minus_fixed.cfg": "a2f3f2582f83",
-    "psi_plus_fixed.cfg": "ad7835c02173",
-    "phi_plus_fixed.cfg": "1fcf995af232",
-    "phi_minus_fixed.cfg": "314232213554",
-    "psi_minus_random.cfg": "4a4b6c0839b9",
+    "psi_minus_fixed.cfg": "87297befb56e",
+    "psi_plus_fixed.cfg": "9b731c3d1c80",
+    "phi_plus_fixed.cfg": "c9c2d82c57bd",
+    "phi_minus_fixed.cfg": "5d14d460a394",
+    "psi_minus_random.cfg": "33957afd4e9e",
 }
 
 
@@ -47,13 +47,14 @@ def test_bundled_singlet_fixed_values():
     assert cfg.env.max_steps == 50 and cfg.env.r_fatal == -51
     assert cfg.env.model.omega == 0.5 and cfg.env.model.tau == 1
     assert cfg.env.model.couplings == ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    assert cfg.env.start == "x+"
     assert cfg.agent.algorithm == "dqn"
     assert cfg.agent.eps_min == 0.1
 
 
 def test_bundled_random_start_values():
     cfg = parse_config(CONFIG_DIR / "psi_minus_random.cfg")
-    assert cfg.env.start_mode == "random_pure"
+    assert cfg.env.start == "random"
     assert cfg.env.model.tau == 2
     assert cfg.agent.algorithm == "ddqn"
     assert cfg.checkpoint_steps == (1900, 2000, 2290, 2500)
@@ -187,9 +188,8 @@ def test_non_uniform_couplings_are_rejected():
 
 
 def test_custom_start_round_trip():
-    cfg = parse_config_text(
-        "[env]\nstart_mode = fixed_custom\ncustom_start = 0.6, -0.8j\n")
-    assert cfg.env.custom_start == (0.6 + 0j, -0.8j)
+    cfg = parse_config_text("[env]\nstart = 0.6, -0.8j\n")
+    assert cfg.env.start == (0.6 + 0j, -0.8j)
     assert parse_config_text(serialize_config(cfg)) == cfg
 
 
@@ -224,8 +224,8 @@ def test_output_dir_with_a_bare_comment_sign_round_trips(output_dir):
 
 def test_custom_start_needs_two_amplitudes():
     with pytest.raises(ConfigError) as err:
-        parse_config_text("[env]\nstart_mode = fixed_custom\ncustom_start = 1, 0, 0\n")
-    assert "env.custom_start" in str(err.value)
+        parse_config_text("[env]\nstart = 1, 0, 0\n")
+    assert "env.start" in str(err.value)
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -235,7 +235,7 @@ def test_custom_start_needs_two_amplitudes():
     ("agent", "learning_rate", "nan"),
     ("model", "coupling", "nan, 0, 0"),
     ("model", "omega", "inf"),
-    ("env", "custom_start", "nan, 1"),
+    ("env", "start", "nan, 1"),
 ])
 def test_non_finite_value_names_field(section, key, value):
     with pytest.raises(ConfigError) as err:
@@ -250,14 +250,14 @@ def test_text_configparser_cannot_read_is_a_config_error():
 
 
 @pytest.mark.parametrize("section, text, message", [
-    ("env", "start_mode = bogus", "start_mode must be one of"),
+    ("env", "start = bogus", "start must be one of"),
     ("env", "floor = 0", "floor must be positive"),
     ("agent", "gamma = 1.5", "gamma must be in [0, 1]"),
     ("agent", "eps_start = 0.2\neps_min = 0.5", "need 0 <= eps_min <= eps_start <= 1"),
     ("agent", "algorithm = sarsa", "algorithm must be 'dqn' or 'ddqn'"),
     ("agent", "target_mix = 2", "target_mix must be in [0, 1]"),
     ("mlp", "hidden = 0", "all layer widths must be >= 1"),
-], ids=["start_mode", "floor", "gamma", "eps_order", "algorithm", "target_mix", "hidden"])
+], ids=["start", "floor", "gamma", "eps_order", "algorithm", "target_mix", "hidden"])
 def test_out_of_range_value_names_its_section(section, text, message):
     with pytest.raises(ConfigError) as err:
         parse_config_text(f"[{section}]\n{text}\n")
@@ -267,8 +267,8 @@ def test_out_of_range_value_names_its_section(section, text, message):
 @pytest.mark.parametrize("amplitudes", ["0, 0", "1e-200, 1e-200j"])
 def test_custom_start_that_cannot_be_normalized(amplitudes):
     with pytest.raises(ConfigError) as err:
-        parse_config_text(f"[env]\nstart_mode = fixed_custom\ncustom_start = {amplitudes}\n")
-    assert "custom_start" in str(err.value)
+        parse_config_text(f"[env]\nstart = {amplitudes}\n")
+    assert str(err.value).startswith("env: start")
 
 
 def _floats(lo, hi):
@@ -286,7 +286,6 @@ def run_configs(draw):
         omega=draw(_floats(-5, 5)), tau=draw(_floats(1e-3, 10)))
     max_steps = draw(st.integers(1, 100))
     r_minus = draw(_floats(-5, 0))
-    start_mode = draw(st.sampled_from(START_MODES))
     amplitude = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
     # EnvConfig rejects amplitudes that cannot be normalized
     custom = st.tuples(amplitude, amplitude).filter(
@@ -295,8 +294,7 @@ def run_configs(draw):
         model=model, target=draw(st.sampled_from(BELL_NAMES)),
         theta=draw(_floats(1e-3, 0.999)), r_plus=draw(_floats(0, 100)),
         r_minus=r_minus, r_fatal=r_minus * max_steps - draw(_floats(1, 100)),
-        max_steps=max_steps, start_mode=start_mode,
-        custom_start=draw(custom) if start_mode == "fixed_custom" else None,
+        max_steps=max_steps, start=draw(st.sampled_from([*SPIN_STATES, "random"]) | custom),
         floor=draw(_floats(1e-12, 1e-3)))
     eps_min = draw(_floats(0, 1))
     batch_size = draw(st.integers(1, 512))

@@ -43,7 +43,7 @@ class TestReset:
         assert np.allclose(central, np.outer(xplus, xplus.conj()), atol=1e-12)
 
     def test_random_start_reproducible(self):
-        cfg = dataclasses.replace(EnvConfig(), start_mode="random_pure")
+        cfg = dataclasses.replace(EnvConfig(), start="random")
         env = QSEEnv(cfg)
         a = env.reset(np.random.default_rng(7)).rho
         b = env.reset(np.random.default_rng(7)).rho
@@ -53,7 +53,7 @@ class TestReset:
 
     def test_random_start_marginal_is_maximally_mixed(self):
         # averaging the central-spin state over many draws approaches I/2
-        cfg = dataclasses.replace(EnvConfig(), start_mode="random_pure")
+        cfg = dataclasses.replace(EnvConfig(), start="random")
         env = QSEEnv(cfg)
         n = 10_000
         rho, _labels = env.starts([np.random.default_rng(i) for i in range(n)])
@@ -68,13 +68,13 @@ class TestReset:
         assert rho.shape == (1, 8, 8) and labels == ["x+"] * 5
         assert np.shares_memory(rho, a.rho)
 
-    @pytest.mark.parametrize("mode", ["random_pure", "fixed_xplus", "fixed_custom"])
-    def test_starts_match_reset_row_by_row(self, mode):
-        custom = (0.3 + 0.1j, -0.7j) if mode == "fixed_custom" else None
-        env = QSEEnv(dataclasses.replace(EnvConfig(), start_mode=mode, custom_start=custom))
+    @pytest.mark.parametrize("start", ["random", "x+", (0.3 + 0.1j, -0.7j)],
+                             ids=["random_pure", "fixed_xplus", "fixed_custom"])
+    def test_starts_match_reset_row_by_row(self, start):
+        env = QSEEnv(dataclasses.replace(EnvConfig(), start=start))
         rho, labels = env.starts([np.random.default_rng(i) for i in range(40)])
         # one row per episode, or a fixed start's one shared row
-        assert rho.shape == (40 if mode == "random_pure" else 1, 8, 8) and len(labels) == 40
+        assert rho.shape == (40 if start == "random" else 1, 8, 8) and len(labels) == 40
         for i in range(40):
             one = env.reset(np.random.default_rng(i))
             # tobytes() also tells a signed zero from an unsigned one
@@ -82,7 +82,7 @@ class TestReset:
             assert labels[i] == one.start_label
 
     def test_random_starts_match_the_one_state_formula(self):
-        env = QSEEnv(dataclasses.replace(EnvConfig(), start_mode="random_pure"))
+        env = QSEEnv(dataclasses.replace(EnvConfig(), start="random"))
         rho, _labels = env.starts([np.random.default_rng(i) for i in range(40)])
         for i in range(40):
             g = np.random.default_rng(i)
@@ -96,7 +96,7 @@ class TestReset:
     @pytest.mark.parametrize("n_bath", [2, 4])
     def test_random_starts_are_the_per_row_expression(self, n_bath, n):
         env = QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=n_bath),
-                               start_mode="random_pure"))
+                               start="random"))
         for seed in range(8 if n == 512 else 25):
             rngs = [np.random.default_rng([seed, i]) for i in range(n)]
             rho, labels = env.starts(rngs)
@@ -128,8 +128,7 @@ class TestReset:
         assert labels[-3] == "(0.600000-0.000000j,0.000000+0.800000j)"
 
     def test_custom_start(self):
-        cfg = dataclasses.replace(EnvConfig(), start_mode="fixed_custom",
-                                  custom_start=(1 + 0j, -1 + 0j))
+        cfg = dataclasses.replace(EnvConfig(), start=(1 + 0j, -1 + 0j))
         env = QSEEnv(cfg)
         state = env.reset()
         assert state.start_label == "x-"
@@ -336,7 +335,7 @@ class TestStepBatch:
     def test_every_action_form_is_seven_one_row_calls(self, n_bath, rng):
         model = ModelParams.uniform(n_bath=n_bath)
         env = QSEEnv(EnvConfig(model=model))
-        zplus = QSEEnv(EnvConfig(model=model, start_mode="fixed_custom", custom_start=(1, 0)))
+        zplus = QSEEnv(EnvConfig(model=model, start=(1, 0)))
         rho = np.stack([random_density_matrix(rng, model.dim) for _ in range(3)]
                        + [env.reset().rho, zplus.reset().rho, env.step(env.reset(), 2).next.rho])
         every = env.step_batch(rho, None, 1)
@@ -456,7 +455,7 @@ class TestStepBatchProperties:
     def test_single_state_fatal_branch_stays_unnormalized(self, dim):
         # z- after a z+ start: the branch probability is at the floor
         model = self.envs[dim].cfg.model
-        env = QSEEnv(EnvConfig(model=model, start_mode="fixed_custom", custom_start=(1, 0)))
+        env = QSEEnv(EnvConfig(model=model, start=(1, 0)))
         out, prob = self.assert_single_state_layout(env, env.reset().rho)[1]
         assert prob <= env.cfg.floor and abs(np.trace(out)) <= env.cfg.floor
 
@@ -509,6 +508,11 @@ class TestEnvConfigValidation:
     def test_rejects_unknown_target(self):
         with pytest.raises(ValueError):
             EnvConfig(target="sigma+")
+
+    @pytest.mark.parametrize("start", ["x", "Random", (1, 0, 0), (1,), (0, 0), (np.nan, 1)])
+    def test_rejects_a_start_it_cannot_build(self, start):
+        with pytest.raises(ValueError, match="start"):
+            EnvConfig(start=start)
 
     @pytest.mark.parametrize("n_bath", [0, 1, 3])
     def test_rejects_unpaired_bath(self, n_bath):
@@ -572,8 +576,7 @@ class TestSharedOperators:
         starts = []
         for amplitudes in (signed, unsigned):
             _setup.cache_clear()  # build each, not the other's shared start
-            starts.append(QSEEnv(EnvConfig(start_mode="fixed_custom",
-                                           custom_start=amplitudes)).reset())
+            starts.append(QSEEnv(EnvConfig(start=amplitudes)).reset())
         a, b = starts
         assert a.rho.tobytes() == b.rho.tobytes()
         assert a.start_label == b.start_label

@@ -124,8 +124,7 @@ class TestReplay:
         # from z+, Pz- is fatal at once; an episode of a policy that always
         # picks Pz- must leave the same record as replaying that one step
         zplus = SPIN_STATES["z+"]
-        cfg = dataclasses.replace(default_env_cfg, start_mode="fixed_custom",
-                                  custom_start=(complex(zplus[0]), complex(zplus[1])))
+        cfg = dataclasses.replace(default_env_cfg, start=(complex(zplus[0]), complex(zplus[1])))
         n_inputs = encoding_length(QSEEnv(cfg).dim)
         # one linear layer with zero weights: the bias row picks Pz- everywhere
         params = MLPParams(weights=[np.zeros((n_inputs, 7))],
@@ -283,8 +282,8 @@ class TestExhaustiveSearch:
     def test_custom_start_is_labelled_and_searched(self, default_env_cfg):
         xminus = SPIN_STATES["x-"]
         model = dataclasses.replace(default_env_cfg.model, tau=2.0)
-        cfg = dataclasses.replace(default_env_cfg, model=model, start_mode="fixed_custom",
-                                  custom_start=(complex(xminus[0]), complex(xminus[1])))
+        cfg = dataclasses.replace(default_env_cfg, model=model,
+                                  start=(complex(xminus[0]), complex(xminus[1])))
         records = {r.actions: r for r in exhaustive_search(QSEEnv(cfg), 5)}
         for target, start, tokens, fid_ref, rate_ref in GOLDEN_TAU2_START:
             if start == "x-":
@@ -294,7 +293,7 @@ class TestExhaustiveSearch:
                 assert rec.success_rate == pytest.approx(rate_ref, abs=RATE_ATOL)
 
     def test_random_start_is_rejected(self, default_env_cfg):
-        cfg = dataclasses.replace(default_env_cfg, start_mode="random_pure")
+        cfg = dataclasses.replace(default_env_cfg, start="random")
         with pytest.raises(ValueError):
             exhaustive_search(QSEEnv(cfg), 3)
 
@@ -377,12 +376,12 @@ def _replay_bits(result):
             np.array(diagnostics, dtype=float).tobytes(), repr(rec))
 
 
-_ZPLUS = QSEEnv(EnvConfig(start_mode="fixed_custom", custom_start=(1, 0)))
+_ZPLUS = QSEEnv(EnvConfig(start=(1, 0)))
 #: Envs the replays run on: the four Bell targets from x+, a z+ start, a
 #: non-cardinal custom start, and four bath spins.
 _REPLAY_ENVS = ([QSEEnv(EnvConfig(target=t)) for t in ("phi+", "phi-", "psi+", "psi-")]
                 + [_ZPLUS,
-                   QSEEnv(EnvConfig(start_mode="fixed_custom", custom_start=(0.6, 0.8j))),
+                   QSEEnv(EnvConfig(start=(0.6, 0.8j))),
                    QSEEnv(EnvConfig(model=ModelParams.uniform(n_bath=4)))])
 
 
@@ -466,9 +465,9 @@ _XMINUS = SPIN_STATES["x-"]
 #: beside the four Bell targets: an x- start at tau 2, a z+ start with no
 #: rate cutoff, four bath spins, and a step budget under max_len.
 _SCREEN_CASES = {
-    "x- tau2": (EnvConfig(model=ModelParams(tau=2.0), start_mode="fixed_custom",
-                          custom_start=(complex(_XMINUS[0]), complex(_XMINUS[1]))), 5, 1e-6),
-    "z+ cutoff0": (EnvConfig(start_mode="fixed_custom", custom_start=(1, 0)), 5, 0.0),
+    "x- tau2": (EnvConfig(model=ModelParams(tau=2.0),
+                          start=(complex(_XMINUS[0]), complex(_XMINUS[1]))), 5, 1e-6),
+    "z+ cutoff0": (EnvConfig(start=(1, 0)), 5, 0.0),
     "n_bath4": (EnvConfig(model=ModelParams.uniform(n_bath=4)), 5, 1e-6),
     "max_steps3": (EnvConfig(target="psi+", max_steps=3, r_fatal=-4.0), 5, 1e-6),
 }
@@ -500,8 +499,8 @@ class TestLeafScreen:
            st.floats(0.1, 3.0), st.sampled_from(sorted(SEARCH_COUNTS[6])))
     def test_custom_starts_and_taus(self, amplitudes, tau, target):
         re0, im0, re1, im1 = amplitudes
-        cfg = EnvConfig(model=ModelParams(tau=tau), target=target, start_mode="fixed_custom",
-                        custom_start=(complex(re0, im0), complex(re1, im1)))
+        cfg = EnvConfig(model=ModelParams(tau=tau), target=target,
+                        start=(complex(re0, im0), complex(re1, im1)))
         env = QSEEnv(cfg)
         assert _search_bits(exhaustive_search(env, 4)) == _search_bits(search_unscreened(env, 4))
 
