@@ -119,9 +119,10 @@ class ReplayMemory:
 class AgentConfig:
     """Learning-loop hyperparameters.
 
-    eps_decay_steps=None decays epsilon over 60% of training_steps. The
-    batch/update/learning-rate knobs are exposed because the task is
-    sensitive to them; the bundled run configurations carry tuned values.
+    eps_decay_steps=None decays epsilon over 60% of training_steps.
+    target_mix=None is the single-network rule; a rate in [0, 1] is the
+    double rule, its target network blended at that rate after each
+    update. The bundled run configurations carry tuned values.
     """
 
     gamma: float = 0.95
@@ -130,9 +131,8 @@ class AgentConfig:
     eps_decay_steps: int | None = None
     episodes_per_training_step: int = 20
     batch_size: int = 64
-    algorithm: str = "dqn"
     replay_capacity: int = 50_000
-    target_mix: float = 0.01
+    target_mix: float | None = None
     training_steps: int = 800
     updates_per_training_step: int = 1
     learning_rate: float = 1e-3
@@ -146,9 +146,7 @@ class AgentConfig:
                 f"need 0 <= eps_min <= eps_start <= 1, got "
                 f"eps_min={self.eps_min}, eps_start={self.eps_start}"
             )
-        if self.algorithm not in ("dqn", "ddqn"):
-            raise ValueError(f"algorithm must be 'dqn' or 'ddqn', got {self.algorithm!r}")
-        if not 0 <= self.target_mix <= 1:
+        if self.target_mix is not None and not 0 <= self.target_mix <= 1:
             raise ValueError(f"target_mix must be in [0, 1], got {self.target_mix}")
         for name in ("episodes_per_training_step", "batch_size", "replay_capacity",
                      "training_steps", "updates_per_training_step", "eps_decay_steps"):
@@ -484,7 +482,7 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
             f"network input {mlp_spec.input_size} does not match encoding {state_size}"
         )
     main = init_params(mlp_spec)
-    target = main.clone() if agent_cfg.algorithm == "ddqn" else None
+    target = main.clone() if agent_cfg.target_mix is not None else None
     adam = AdamState.for_params(main)
     replay = ReplayMemory(agent_cfg.replay_capacity, state_size,
                           _generators(master_seed, 2, 0, 1)[0])
@@ -511,10 +509,10 @@ def run_training(env_cfg: EnvConfig, agent_cfg: AgentConfig, mlp_spec: MLPSpec,
         if len(replay) >= agent_cfg.batch_size:
             for _ in range(agent_cfg.updates_per_training_step):
                 batch = replay.sample(agent_cfg.batch_size)
-                if agent_cfg.algorithm == "ddqn":
-                    y = ddqn_targets(batch, main, target, agent_cfg.gamma)
-                else:
+                if target is None:
                     y = dqn_targets(batch, main, agent_cfg.gamma)
+                else:
+                    y = ddqn_targets(batch, main, target, agent_cfg.gamma)
                 try:
                     loss = train_batch(main, batch[0], batch[1], y, adam,
                                        lr=agent_cfg.learning_rate,

@@ -42,6 +42,7 @@ class RunConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
+        object.__setattr__(self, "checkpoint_steps", tuple(self.checkpoint_steps))
         # the text format holds one coupling vector for every bath spin
         couplings = self.env.model.couplings
         if len(set(couplings)) > 1:

@@ -105,6 +105,8 @@ class EnvConfig:
     floor: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.start, str):  # a list would break the hash
+            object.__setattr__(self, "start", tuple(self.start))
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if not 1 <= self.max_steps <= STEP_LIMIT:

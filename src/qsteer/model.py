@@ -102,6 +102,7 @@ class ModelParams:
     tau: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "couplings", tuple(tuple(v) for v in self.couplings))
         if self.n_bath < 0:
             raise ValueError(f"n_bath must be >= 0, got {self.n_bath}")
         if len(self.couplings) != self.n_bath:

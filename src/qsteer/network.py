@@ -50,6 +50,7 @@ class MLPSpec:
     init_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         widths = (self.input_size, *self.hidden, self.output_size)
         if any(w < 1 for w in widths):
             raise ValueError(f"all layer widths must be >= 1, got {widths}")
@@ -340,9 +341,7 @@ def load_params(path, expected_spec: MLPSpec | None = None):
                     f"{path}: format version {meta.get('format_version')} unsupported"
                 )
             try:
-                layout = {f.name: meta[f.name] for f in fields(MLPSpec)}
-                layout["hidden"] = tuple(layout["hidden"])  # JSON stores it as a list
-                spec = MLPSpec(**layout)
+                spec = MLPSpec(**{f.name: meta[f.name] for f in fields(MLPSpec)})
             except (KeyError, TypeError, ValueError) as exc:  # TypeError: a wrong JSON type
                 raise SchemaMismatch(f"{path}: bad layout header: {exc}") from exc
             if meta.get("activation", "relu") != "relu":

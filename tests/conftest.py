@@ -1,5 +1,7 @@
 """Shared fixtures: golden replay rows, independent numeric oracles, and
 the reduced training run and worker processes the training tests share.
+The acceptance trainings start at collection and run beside the rest of
+the suite (pytest_collection_modifyitems).
 
 The golden rows are known successful measurement sequences together with
 their final fidelity and post-selection success rate. The numbers were
@@ -147,3 +149,31 @@ def training_workers(n_tasks: int) -> ProcessPoolExecutor:
     workers, and never more than the host has vCPUs."""
     return ProcessPoolExecutor(min(2, n_tasks, os.cpu_count() or 1),
                                mp_context=get_context("spawn"))
+
+
+#: Seeds of the acceptance suite's learning criteria
+LEARNING_SEEDS = (11, 23, 47)
+
+#: Seed -> future of ``train_seed`` on psi_minus_fixed.cfg, once started
+TRAININGS = pytest.StashKey[dict]()
+
+
+def _uses_trainings(item) -> bool:
+    return "trained_agents" in getattr(item, "fixturenames", ())
+
+
+@pytest.hookimpl(trylast=True)  # after -k and -m have deselected
+def pytest_collection_modifyitems(config, items):
+    """When a collected test uses trained_agents, submit the acceptance
+    trainings now, so that they run while the other tests do, and move
+    the tests that use them to the end, in their own order. A run that
+    collects none of them starts nothing; the pool shuts down at session
+    end."""
+    if config.option.collectonly or not any(map(_uses_trainings, items)):
+        return
+    pool = training_workers(len(LEARNING_SEEDS))
+    config.add_cleanup(lambda: pool.shutdown(cancel_futures=True))
+    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text()
+    config.stash[TRAININGS] = {seed: pool.submit(train_seed, text, seed)
+                               for seed in LEARNING_SEEDS}
+    items.sort(key=_uses_trainings)  # stable: every other test keeps its place

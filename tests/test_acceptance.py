@@ -19,7 +19,9 @@ from conftest import (
     FIDELITY_ATOL,
     GOLDEN_FIXED_START,
     GOLDEN_TAU2_START,
+    LEARNING_SEEDS,
     RATE_ATOL,
+    TRAININGS,
     random_density_matrix,
     reduced_config,
     train_seed,
@@ -54,8 +56,6 @@ from test_network import max_rel_error, numeric_grads
 # the whole module is the slow tier: pytest -m "not slow" leaves it out
 pytestmark = pytest.mark.slow
 
-LEARNING_SEEDS = (11, 23, 47)
-
 SUPERPOSITION_AND_IDLE = {2, 3, 4, 5, DO_NOTHING}  # x/y projections plus idle
 PZ_PLUS = 0
 PX_PLUS = 2
@@ -72,17 +72,15 @@ def run_cfg():
 
 
 @pytest.fixture(scope="module")
-def trained_agents(run_cfg, tmp_path_factory):
+def trained_agents(run_cfg, request, tmp_path_factory):
     """Best parameter sets from training the bundled configuration once
     per seed, shared by the learning-related criteria. The seeds train in
     worker processes, as they would in this one
-    (test_worker_trains_as_in_process)."""
-    text = (CONFIG_DIR / "psi_minus_fixed.cfg").read_text()
-    with training_workers(len(LEARNING_SEEDS)) as pool:
-        trained = list(pool.map(train_seed, [text] * len(LEARNING_SEEDS), LEARNING_SEEDS,
-                                timeout=1200))
+    (test_worker_trains_as_in_process), started at collection
+    (conftest.pytest_collection_modifyitems)."""
     out, best = tmp_path_factory.mktemp("trained"), {}
-    for seed, (checkpoint, _, _) in zip(LEARNING_SEEDS, trained):
+    for seed, training in request.config.stash[TRAININGS].items():
+        checkpoint, _, _ = training.result(timeout=1200)
         (out / f"best_seed{seed}.npz").write_bytes(checkpoint)
         best[seed] = load_params(out / f"best_seed{seed}.npz", run_cfg.mlp)[0]
     return best

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import collect_per_row
+from qsteer import agent as agent_module
 from qsteer.agent import (
     AgentConfig,
     ReplayMemory,
@@ -309,9 +310,30 @@ class TestRunTraining:
             assert np.array_equal(got, want)
         assert result.best_avg_return == result.log[result.best_step - 1].avg_return
 
+    @pytest.mark.parametrize("target_mix", [None, 0.01])
+    def test_target_mix_picks_the_rule(self, monkeypatch, target_mix):
+        # None: single-network targets on every update and no target network;
+        # a rate: double targets and one blend of the target network per update
+        calls = dict.fromkeys(("dqn_targets", "ddqn_targets", "soft_update", "train_batch"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _wrapped=getattr(agent_module, name), **kwargs):
+                calls[_name] += 1
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(agent_module, name, counted)
+        agent_cfg = tiny_agent_cfg(training_steps=2, batch_size=2, updates_per_training_step=3,
+                                   target_mix=target_mix)
+        run_training(tiny_env_cfg(), agent_cfg, tiny_mlp_spec(), master_seed=7)
+        updates = 2 * 3  # the replay holds a batch from the first step on
+        if target_mix is None:
+            assert calls == dict(dqn_targets=updates, ddqn_targets=0, soft_update=0,
+                                 train_batch=updates)
+        else:
+            assert calls == dict(dqn_targets=0, ddqn_targets=updates, soft_update=updates,
+                                 train_batch=updates)
+
     def test_ddqn_mode_runs(self):
         env_cfg = tiny_env_cfg()
-        agent_cfg = tiny_agent_cfg(algorithm="ddqn")
+        agent_cfg = tiny_agent_cfg(target_mix=0.01)
         result = run_training(env_cfg, agent_cfg, tiny_mlp_spec(), master_seed=21)
         assert len(result.log) == agent_cfg.training_steps
 

@@ -50,9 +50,8 @@ eps_min = 0.1
 eps_decay_steps = 5
 episodes_per_training_step = 4
 batch_size = 32
-algorithm = dqn
 replay_capacity = 2000
-target_mix = 0.01
+target_mix = none
 training_steps = 8
 updates_per_training_step = 2
 learning_rate = 1e-3
@@ -515,13 +514,13 @@ class TestReplay:
         cfg = parse_config(config)
         phi_plus = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env, target="phi+"))
         # psi- is the file's own target: no override differs from the file
-        for target, hashed in (("phi+", config_hash(phi_plus)), ("psi-", "87297befb56e")):
+        for target, hashed in (("phi+", config_hash(phi_plus)), ("psi-", "96e31332740c")):
             out = tmp_path / f"{target}.tsv"
             assert cli.main(["replay", str(config), "--sequence", "U2 Px+", "--target",
                              target, "--out", str(out)]) == 0
             header = out.read_text().splitlines()[0]
             assert header == f"# config_hash={hashed} master_seed={cfg.master_seed}"
-        assert config_hash(phi_plus) != "87297befb56e" == config_hash(cfg)
+        assert config_hash(phi_plus) != "96e31332740c" == config_hash(cfg)
 
     def test_unknown_start_is_a_config_error(self, micro_config, capsys):
         assert cli.main(["replay", str(micro_config), "--sequence", "U2 Px+",
@@ -845,6 +844,18 @@ class TestStartKey:
                              "--out", str(out)]) == 0
             tables.append(out.read_text().splitlines())
         assert tables[0][1:] == tables[1][1:] and tables[0][0] != tables[1][0]
+
+
+class TestTargetMixKey:
+    """[agent] target_mix alone picks the target rule; the algorithm key it
+    replaced is an unknown key."""
+
+    @pytest.mark.parametrize("old", ["algorithm = dqn", "algorithm = ddqn"])
+    def test_algorithm_key_is_unknown(self, micro_config, tmp_path, capsys, old):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MICRO_CONFIG.replace("target_mix = none", f"{old}\ntarget_mix = none"))
+        assert cli.main(["train", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: unknown key(s) agent.algorithm\n"
 
 
 class TestHistogram:

@@ -14,7 +14,7 @@ from qsteer.config import (
     parse_config_text,
     serialize_config,
 )
-from qsteer.env import EnvConfig
+from qsteer.env import EnvConfig, QSEEnv
 from qsteer.errors import ConfigError
 from qsteer.model import BELL_NAMES, SPIN_STATES, ModelParams
 from qsteer.network import MLPSpec
@@ -23,11 +23,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 #: Bundled config -> its config_hash, which every run's manifest records.
 BUNDLED = {
-    "psi_minus_fixed.cfg": "87297befb56e",
-    "psi_plus_fixed.cfg": "9b731c3d1c80",
-    "phi_plus_fixed.cfg": "c9c2d82c57bd",
-    "phi_minus_fixed.cfg": "5d14d460a394",
-    "psi_minus_random.cfg": "33957afd4e9e",
+    "psi_minus_fixed.cfg": "96e31332740c",
+    "psi_plus_fixed.cfg": "89a6a44c7854",
+    "phi_plus_fixed.cfg": "ed1770b14eb7",
+    "phi_minus_fixed.cfg": "6863980f0632",
+    "psi_minus_random.cfg": "5bf6bfe69582",
 }
 
 
@@ -48,7 +48,7 @@ def test_bundled_singlet_fixed_values():
     assert cfg.env.model.omega == 0.5 and cfg.env.model.tau == 1
     assert cfg.env.model.couplings == ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert cfg.env.start == "x+"
-    assert cfg.agent.algorithm == "dqn"
+    assert cfg.agent.target_mix is None
     assert cfg.agent.eps_min == 0.1
 
 
@@ -56,7 +56,7 @@ def test_bundled_random_start_values():
     cfg = parse_config(CONFIG_DIR / "psi_minus_random.cfg")
     assert cfg.env.start == "random"
     assert cfg.env.model.tau == 2
-    assert cfg.agent.algorithm == "ddqn"
+    assert cfg.agent.target_mix == 0.01
     assert cfg.checkpoint_steps == (1900, 2000, 2290, 2500)
 
 
@@ -187,6 +187,30 @@ def test_non_uniform_couplings_are_rejected():
     assert "couplings" in str(err.value)
 
 
+#: Field holding a sequence -> the configs that set it from seq (list or tuple)
+LISTED = {
+    "start": lambda seq: dict(env=EnvConfig(start=seq([0.6, 0.8j]))),
+    "couplings": lambda seq: dict(env=EnvConfig(model=ModelParams(
+        couplings=seq([seq([1.0, 0.0, 0.0])] * 2)))),
+    "hidden": lambda seq: dict(mlp=MLPSpec(input_size=70, hidden=seq([128, 128]))),
+    "checkpoint_steps": lambda seq: dict(checkpoint_steps=seq([1, 5])),
+}
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_list_inputs_are_stored_as_tuples(name):
+    def build(seq):
+        parts = dict(env=EnvConfig(), agent=AgentConfig(), mlp=MLPSpec(input_size=70))
+        return RunConfig(**{**parts, **LISTED[name](seq)})
+
+    listed, tupled = build(list), build(tuple)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert serialize_config(listed) == serialize_config(tupled)
+    assert config_hash(listed) == config_hash(tupled)
+    assert parse_config_text(serialize_config(listed)) == listed
+    QSEEnv(listed.env)  # set-up is cached on the config, so it must hash
+
+
 def test_custom_start_round_trip():
     cfg = parse_config_text("[env]\nstart = 0.6, -0.8j\n")
     assert cfg.env.start == (0.6 + 0j, -0.8j)
@@ -254,10 +278,9 @@ def test_text_configparser_cannot_read_is_a_config_error():
     ("env", "floor = 0", "floor must be positive"),
     ("agent", "gamma = 1.5", "gamma must be in [0, 1]"),
     ("agent", "eps_start = 0.2\neps_min = 0.5", "need 0 <= eps_min <= eps_start <= 1"),
-    ("agent", "algorithm = sarsa", "algorithm must be 'dqn' or 'ddqn'"),
     ("agent", "target_mix = 2", "target_mix must be in [0, 1]"),
     ("mlp", "hidden = 0", "all layer widths must be >= 1"),
-], ids=["start", "floor", "gamma", "eps_order", "algorithm", "target_mix", "hidden"])
+], ids=["start", "floor", "gamma", "eps_order", "target_mix", "hidden"])
 def test_out_of_range_value_names_its_section(section, text, message):
     with pytest.raises(ConfigError) as err:
         parse_config_text(f"[{section}]\n{text}\n")
@@ -303,9 +326,8 @@ def run_configs(draw):
         eps_decay_steps=draw(st.none() | st.integers(1, 10**6)),
         episodes_per_training_step=draw(st.integers(1, 100)),
         batch_size=batch_size,
-        algorithm=draw(st.sampled_from(("dqn", "ddqn"))),
         replay_capacity=draw(st.integers(batch_size, 10**6)),
-        target_mix=draw(_floats(0, 1)), training_steps=draw(st.integers(1, 10**4)),
+        target_mix=draw(st.none() | _floats(0, 1)), training_steps=draw(st.integers(1, 10**4)),
         updates_per_training_step=draw(st.integers(1, 64)),
         learning_rate=draw(_floats(1e-6, 1)),
         grad_clip=draw(st.none() | _floats(1e-3, 100)))
